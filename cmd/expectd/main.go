@@ -264,6 +264,12 @@ func main() {
 			mreg.Gauge("expectd_mux_conns",
 				"Live multiplexed TCP connections on the session gateway.",
 				func() float64 { return float64(muxSrv.Stats().Conns) })
+			mreg.Gauge("expectd_mux_write_queued_bytes",
+				"Frame bytes queued for the gateway's sockets but not yet written, summed over connections; each connection's budget is 1 MiB, past which its writers park.",
+				func() float64 { return float64(muxSrv.Stats().WriteQueued) })
+			mreg.Gauge("expectd_mux_write_queued_bytes_peak",
+				"Highest write queue any one gateway connection has reached, in bytes, against the 1 MiB per-connection budget.",
+				func() float64 { return float64(muxSrv.Stats().WriteQueuedPeak) })
 			mreg.GaugeVec("expectd_mux_tenant_sessions",
 				"Live gateway streams per tenant (quota accounting).",
 				"tenant", func() map[string]float64 {

@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // fakeOwned is a pooled-segment stand-in: Release scribbles the payload,
@@ -73,6 +75,48 @@ func TestCheckpointCopiesOwnedBacking(t *testing.T) {
 		t.Fatalf("checkpoint aliases owned backing: %q", cp.Buffer)
 	}
 	s.Close()
+}
+
+// The recorder reads the matched text before the match releases the
+// window's adopted backing: a match or EOF event must carry the bytes
+// the child sent, not what the pool scribbled over them.
+func TestRecordReadsOwnedBackingBeforeRelease(t *testing.T) {
+	for _, tc := range []struct {
+		kind trace.Kind
+		c    Case
+		eof  bool
+	}{
+		{trace.KindMatch, Glob("*> "), false},
+		{trace.KindEOF, EOFCase(), true},
+	} {
+		rec := trace.New(64)
+		rec.SetRecording(true)
+		s := NewManualSession(&Config{MatchMax: 64, Rec: rec}, "rec")
+		o := &fakeOwned{data: []byte("prompt> ")}
+		s.applyOwned(o)
+		if tc.eof {
+			s.FeedEOF(nil)
+		}
+		if _, err := s.ExpectTimeout(time.Second, tc.c); err != nil {
+			t.Fatal(err)
+		}
+		if !o.released.Load() {
+			t.Fatalf("%v: the window kept its adopted backing", tc.kind)
+		}
+		found := false
+		for _, ev := range rec.Events() {
+			if ev.Kind == tc.kind {
+				found = true
+				if ev.Text() != "prompt> " {
+					t.Errorf("%v event recorded %q, want %q", tc.kind, ev.Text(), "prompt> ")
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no %v event recorded", tc.kind)
+		}
+		s.Close()
+	}
 }
 
 func TestRestoreSessionResumesEOF(t *testing.T) {

@@ -367,12 +367,14 @@ func (op *expectOp) stepLocked(now time.Time) (*MatchResult, error, bool) {
 	if s.prof != nil {
 		s.prof.Observe(metrics.HistWakeupToMatch, time.Since(wake))
 	}
+	// buf may alias adopted backing that consume and reset release to its
+	// pool, so everything that reads it runs first.
 	if idx >= 0 {
 		text := string(buf[:consumed])
-		s.mb.consume(consumed)
 		if s.rec.On() {
 			s.rec.RecordBytes(trace.KindMatch, s.sid, int64(idx), int64(consumed), true, buf[:consumed], nil)
 		}
+		s.mb.consume(consumed)
 		s.nMatches.Add(1)
 		return &MatchResult{Index: idx, Case: cases[idx], Text: text}, nil, true
 	}
@@ -382,10 +384,10 @@ func (op *expectOp) stepLocked(now time.Time) (*MatchResult, error, bool) {
 		s.nEofs.Add(1)
 		for i, c := range cases {
 			if c.Kind == CaseEOF {
-				s.mb.reset()
 				if s.rec.On() {
 					s.rec.Record(trace.KindEOF, s.sid, int64(len(buf)), 0, true, tailString(buf, trace.TextCap), "")
 				}
+				s.mb.reset()
 				return &MatchResult{Index: i, Case: c, Text: text, Eof: true}, nil, true
 			}
 		}

@@ -151,23 +151,26 @@ func (b *matchBuffer) setMax(n int) (forgot int) {
 // outright instead of copying. Adoption happens when the window is empty,
 // which is the steady state of a pattern-matching dialogue: each match
 // consumes the window, so the next chunk lands in an empty buffer and its
-// segment becomes the backing with zero bytes moved. A non-empty window
-// (partial match pending) falls back to the copying appendData and
-// reports adopted=false so the caller can release the lease itself.
+// segment becomes the backing with zero bytes moved. It also happens when
+// the chunk alone fills match_max, since every live byte is forgotten
+// anyway. Otherwise (a partial match pending) it falls back to the
+// copying appendData and reports adopted=false so the caller can release
+// the lease itself.
 //
 // On adoption the buffer takes over the lease: Release fires when the
 // window forgets the backing (reset, consume-to-empty, realloc growth,
 // shrink, or the next adoption). Trimming to max stays an offset bump
 // even on adopted backing.
 func (b *matchBuffer) appendOwned(p []byte, o owned) (forgot int, adopted bool) {
-	if o == nil || b.length() > 0 {
+	if o == nil || (b.length() > 0 && len(p) < b.max) {
 		return b.appendData(p), false
 	}
+	forgot = b.length()
 	b.releaseBacking()
 	b.data, b.off, b.free = p, 0, o
 	if over := len(p) - b.max; over > 0 {
 		b.off = over
-		forgot = over
+		forgot += over
 	}
 	return forgot, true
 }

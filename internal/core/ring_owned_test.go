@@ -197,3 +197,78 @@ func TestAppendOwnedAdoptionAllocFree(t *testing.T) {
 		t.Errorf("adoption cycle allocates %.1f times per run, want 0", avg)
 	}
 }
+
+// TestAppendOwnedAdoptsFullWindowChunk: an owned chunk of at least
+// match_max bytes is adopted even over a live window, because every live
+// byte is forgotten anyway. The forgotten count covers the old window and
+// the chunk's own overflow, the previous lease is released exactly once,
+// and the live bytes are the chunk's last match_max bytes, in place.
+func TestAppendOwnedAdoptsFullWindowChunk(t *testing.T) {
+	const matchMax = 8
+	chunk := func(n int) []byte {
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte('a' + i%26)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name   string
+		live   func(b *matchBuffer, prev *fakeLease)
+		n      int // chunk length
+		before int // bytes live before the chunk
+	}{
+		{"copied-window", func(b *matchBuffer, _ *fakeLease) { b.appendData([]byte("abc")) }, 20, 3},
+		{"adopted-window", func(b *matchBuffer, prev *fakeLease) {
+			b.appendOwned([]byte("0123456"), prev)
+			b.consume(2)
+		}, 20, 5},
+		{"exactly-max", func(b *matchBuffer, _ *fakeLease) { b.appendData([]byte("xy")) }, matchMax, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := matchBuffer{max: matchMax}
+			prev := &fakeLease{}
+			tc.live(&b, prev)
+			held := b.free != nil
+			lease := &fakeLease{}
+			p := chunk(tc.n)
+			forgot, adopted := b.appendOwned(p, lease)
+			if !adopted {
+				t.Fatal("chunk of at least match_max bytes was copied, not adopted")
+			}
+			if want := tc.before + tc.n - matchMax; forgot != want {
+				t.Fatalf("forgot %d, want %d", forgot, want)
+			}
+			if want := p[tc.n-matchMax:]; !bytes.Equal(b.bytes(), want) || &b.bytes()[0] != &want[0] {
+				t.Fatalf("live bytes %q, want the chunk's last %d in place", b.bytes(), matchMax)
+			}
+			if held && prev.released != 1 {
+				t.Fatalf("previous lease released %d times, want 1", prev.released)
+			}
+			if lease.released != 0 {
+				t.Fatal("adopted lease released while its backing is live")
+			}
+			b.reset()
+			if lease.released != 1 || (held && prev.released != 1) {
+				t.Fatalf("after reset leases released (%d, %d), want (1, 1)", lease.released, prev.released)
+			}
+		})
+	}
+}
+
+// TestAppendOwnedFullWindowAllocFree: adopting over a live window — the
+// merged-frame steady state of a bulk pull past match_max — allocates
+// nothing, where the copying path would reallocate the backing each time.
+func TestAppendOwnedFullWindowAllocFree(t *testing.T) {
+	b := matchBuffer{max: 2000}
+	lease := &fakeLease{}
+	chunk := bytes.Repeat([]byte("z"), 8192)
+	avg := testing.AllocsPerRun(200, func() {
+		if _, adopted := b.appendOwned(chunk, lease); !adopted {
+			panic("full-window chunk was not adopted")
+		}
+	})
+	if avg != 0 {
+		t.Errorf("full-window adoption allocates %.1f times per run, want 0", avg)
+	}
+}

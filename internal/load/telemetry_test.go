@@ -14,6 +14,7 @@ import (
 	"repro/internal/admin"
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/netx"
 )
 
 // This file is the telemetry-plane battery: the conservation law read
@@ -285,4 +286,84 @@ func TestExpectdAdminProtocol(t *testing.T) {
 		t.Errorf("missing drained-clean report:\n%s", d.joined())
 	}
 	conn.Close()
+}
+
+// TestExpectdMuxWriteQueueGauges: a live gateway exports its write-queue
+// budget levels — the summed queued bytes and the per-connection peak,
+// with help text naming the 1 MiB budget — in /metrics and /debug/mux,
+// and after a bulk pull the peak is non-zero while nothing stays queued.
+func TestExpectdMuxWriteQueueGauges(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns the expectd binary: skipped under -short")
+	}
+	d := startDaemon(t, "-serve", "echo", "-mux", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-grace", "30s")
+	stopped := false
+	defer func() {
+		if !stopped {
+			d.kill()
+		}
+	}()
+	var adminAddr string
+	for _, line := range strings.Split(d.joined(), "\n") {
+		fmt.Sscanf(line, "expectd: admin %s", &adminAddr)
+	}
+	if adminAddr == "" {
+		t.Fatalf("no admin line in:\n%s", d.joined())
+	}
+
+	pool := netx.NewMuxPool(netx.MuxOptions{})
+	st, err := pool.Open(d.addrs["mux"], "echo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Fprintf(st, "blob %d\n", 64<<10); err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	buf := make([]byte, 4096)
+	for !strings.HasSuffix(string(got), "echo:blob\n") {
+		n, err := st.Read(buf)
+		if err != nil {
+			t.Fatalf("blob read after %d bytes: %v", len(got), err)
+		}
+		got = append(got, buf[:n]...)
+	}
+	st.Close()
+	pool.Close()
+
+	// Once the hung-up connection is gone nothing can stay queued.
+	var body string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		_, body = adminGet(t, adminAddr, "/metrics")
+		if strings.Contains(body, "expectd_mux_conns 0\n") || time.Now().After(deadline) {
+			break
+		}
+	}
+	for _, want := range []string{
+		"# HELP expectd_mux_write_queued_bytes ",
+		"# HELP expectd_mux_write_queued_bytes_peak ",
+		"expectd_mux_write_queued_bytes 0\n",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	for _, line := range strings.Split(body, "\n") {
+		if strings.HasPrefix(line, "# HELP expectd_mux_write_queued_bytes") && !strings.Contains(line, "1 MiB") {
+			t.Errorf("help text does not name the 1 MiB budget: %q", line)
+		}
+	}
+	_, js := adminGet(t, adminAddr, "/debug/mux")
+	var ms netx.MuxServerStats
+	if err := json.Unmarshal([]byte(js), &ms); err != nil {
+		t.Fatalf("/debug/mux: %v\n%s", err, js)
+	}
+	if ms.WriteQueuedPeak <= 0 || ms.WriteQueued != 0 {
+		t.Errorf("/debug/mux after a 64 KiB pull: write_queued_bytes %d, _peak %d; want 0 and > 0",
+			ms.WriteQueued, ms.WriteQueuedPeak)
+	}
+	stopped = true
+	if err := d.stop(); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -275,7 +275,7 @@ func (p *MuxPool) Close() error {
 	return nil
 }
 
-// muxConn is one pooled gateway connection: a group-commit write path
+// muxConn is one pooled gateway connection: a flusher-owned write path
 // (frameWriter) and one demux goroutine routing inbound frames to
 // streams. nstreams/draining/dead are guarded by the pool's mutex
 // (placement state); the streams map by smu (routing state).
@@ -429,13 +429,17 @@ func (mc *muxConn) startDrain() {
 	}
 }
 
-// teardown ends the connection exactly once: every live stream gets the
-// terminal disposition (io.EOF for a local/clean hangup, the wire error
-// otherwise) and the pool forgets the connection.
+// teardown ends the connection exactly once: the socket closes at once,
+// cutting any write in flight (frames still queued are dropped; the
+// gateway hangs up the connection's streams either way), every live
+// stream gets the terminal disposition (io.EOF for a local/clean hangup,
+// the wire error otherwise) and the pool forgets the connection. The
+// flusher has exited when teardown returns.
 func (mc *muxConn) teardown(err error) {
 	mc.downOnce.Do(func() {
 		mc.w.fail(err)
 		mc.c.Close()
+		<-mc.w.done
 		mc.p.mu.Lock()
 		if !mc.dead {
 			mc.p.removeLocked(mc)

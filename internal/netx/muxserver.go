@@ -13,10 +13,12 @@
 // connection — from that instant new OPENs are refused with "draining",
 // but every stream admitted before the notice keeps exchanging DATA and
 // runs to its own end within the grace window. Only streams still
-// running at the deadline are cut. The drain is clean iff nothing was
-// cut. The Draining gate channel closes after the listener does, so
-// tests and supervisors can sequence against the drain start without
-// polling.
+// running at the deadline are cut. On a clean drain each connection's
+// queued frames — the streams' trailing DATA and CLOSE — are written out
+// before it is hung up, up to the same deadline. The drain is clean iff
+// nothing was cut. The Draining gate channel closes after the listener
+// does, so tests and supervisors can sequence against the drain start
+// without polling.
 package netx
 
 import (
@@ -71,14 +73,15 @@ type MuxServer struct {
 	progs map[string]proc.Program
 	opt   MuxServerOptions
 
-	mu       sync.Mutex
-	conns    map[*muxSrvConn]struct{}
-	tenants  map[string]int
-	active   int
-	served   uint64
-	refused  map[string]uint64
-	closed   bool
-	draining chan struct{}
+	mu        sync.Mutex
+	conns     map[*muxSrvConn]struct{}
+	tenants   map[string]int
+	active    int
+	served    uint64
+	refused   map[string]uint64
+	closed    bool
+	writePeak int // highest write-queue level of a torn-down connection
+	draining  chan struct{}
 
 	streamWG sync.WaitGroup // one per admitted stream
 	connWG   sync.WaitGroup // one per connection loop
@@ -123,13 +126,13 @@ func (s *MuxServer) acceptLoop() {
 		if err != nil {
 			return // listener closed: Shutdown in progress
 		}
-		sc := &muxSrvConn{s: s, c: c, w: newFrameWriter(c), streams: make(map[uint32]*muxSrvStream)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			c.Close()
 			continue
 		}
+		sc := &muxSrvConn{s: s, c: c, w: newFrameWriter(c), streams: make(map[uint32]*muxSrvStream)}
 		s.conns[sc] = struct{}{}
 		s.connWG.Add(1)
 		s.mu.Unlock()
@@ -165,6 +168,12 @@ type MuxServerStats struct {
 	Tenants map[string]int `json:"tenants"`
 	// Refused maps refusal reason → GOAWAY count.
 	Refused map[string]uint64 `json:"refused"`
+	// WriteQueued sums the frame bytes accepted for the connections'
+	// sockets but not yet written; WriteQueuedPeak is the highest level
+	// any one connection's queue has reached. Each connection's budget
+	// is frameWriterHighWater (1 MiB): writers past it park.
+	WriteQueued     int `json:"write_queued_bytes"`
+	WriteQueuedPeak int `json:"write_queued_bytes_peak"`
 }
 
 // Stats snapshots the gateway.
@@ -172,12 +181,18 @@ func (s *MuxServer) Stats() MuxServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := MuxServerStats{
-		Active:   s.active,
-		Served:   s.served,
-		Conns:    len(s.conns),
-		Draining: s.closed,
-		Tenants:  make(map[string]int, len(s.tenants)),
-		Refused:  make(map[string]uint64, len(s.refused)),
+		Active:          s.active,
+		Served:          s.served,
+		Conns:           len(s.conns),
+		Draining:        s.closed,
+		Tenants:         make(map[string]int, len(s.tenants)),
+		Refused:         make(map[string]uint64, len(s.refused)),
+		WriteQueuedPeak: s.writePeak,
+	}
+	for sc := range s.conns {
+		queued, peak := sc.w.levels()
+		st.WriteQueued += queued
+		st.WriteQueuedPeak = max(st.WriteQueuedPeak, peak)
 	}
 	for k, v := range s.tenants {
 		st.Tenants[k] = v
@@ -220,7 +235,8 @@ func (s *MuxServer) admit(sc *muxSrvConn, tenant, program string) (proc.Program,
 	return prog, ""
 }
 
-// release returns one stream's quota slots and scores it served.
+// release returns one stream's quota slots and scores it served. The
+// stream still holds its streamWG slot until its CLOSE is queued.
 func (s *MuxServer) release(sc *muxSrvConn, tenant string) {
 	s.mu.Lock()
 	s.active--
@@ -231,7 +247,6 @@ func (s *MuxServer) release(sc *muxSrvConn, tenant string) {
 	sc.live--
 	s.served++
 	s.mu.Unlock()
-	s.streamWG.Done()
 }
 
 // Shutdown is the GOAWAY-then-drain teardown (see the contract at the
@@ -246,6 +261,7 @@ func (s *MuxServer) Shutdown(grace time.Duration) bool {
 		return true
 	}
 	s.closed = true
+	deadline := time.Now().Add(grace)
 	conns := make([]*muxSrvConn, 0, len(s.conns))
 	for sc := range s.conns {
 		conns = append(conns, sc)
@@ -286,11 +302,24 @@ func (s *MuxServer) Shutdown(grace time.Duration) bool {
 		conns = append(conns, sc)
 	}
 	s.mu.Unlock()
-	// Clean path: hang up idle connections; cut path: hang up everything,
-	// which EOFs every stream's stdin so the stragglers unwind.
-	for _, sc := range conns {
-		sc.teardown()
+	// Clean path: flush each connection's trailing DATA and CLOSE frames,
+	// cutting a peer that stopped reading at the deadline, then hang up;
+	// connections flush side by side, so one stalled peer cannot spend
+	// the others' time. Cut path: hang up everything at once, which EOFs
+	// every stream's stdin so the stragglers unwind.
+	flushBy := deadline
+	if !drained {
+		flushBy = time.Time{}
 	}
+	var hangups sync.WaitGroup
+	for _, sc := range conns {
+		hangups.Add(1)
+		go func() {
+			defer hangups.Done()
+			sc.teardown(flushBy)
+		}()
+	}
+	hangups.Wait()
 	<-done
 	s.connWG.Wait()
 	return cut == 0
@@ -300,7 +329,7 @@ func (s *MuxServer) Shutdown(grace time.Duration) bool {
 type muxSrvConn struct {
 	s *MuxServer
 	c net.Conn
-	w *frameWriter // group-commit write path; poisoned on teardown
+	w *frameWriter // the socket's flusher-owned write path
 
 	smu     sync.Mutex
 	streams map[uint32]*muxSrvStream
@@ -330,7 +359,7 @@ func (sc *muxSrvConn) readLoop() {
 	for {
 		f, err := dec.Next()
 		if err != nil {
-			sc.teardown()
+			sc.teardown(time.Time{})
 			return
 		}
 		switch f.Type {
@@ -398,7 +427,10 @@ func (sc *muxSrvConn) handleOpen(f mux.Frame) {
 
 // runStream runs one program instance over the stream: stdin from the
 // demux buffer, stdout framed back as DATA, and a terminal CLOSE
-// reporting the program's disposition.
+// reporting the program's disposition. The quota slots are returned
+// before CLOSE is queued, so a client that has seen CLOSE reads settled
+// counts and may reopen at quota; the streamWG slot only after, so a
+// drain still flushes the CLOSE.
 func (sc *muxSrvConn) runStream(st *muxSrvStream, prog proc.Program) {
 	err := prog(stdinReader{&st.stdin}, &streamWriter{sc: sc, st: st})
 	sc.smu.Lock()
@@ -415,18 +447,27 @@ func (sc *muxSrvConn) runStream(st *muxSrvStream, prog proc.Program) {
 		}
 		payload = []byte(msg)
 	}
-	sc.writeFrame(mux.TypeClose, flags, st.id, payload)
 	sc.s.release(sc, st.tenant)
+	sc.writeFrame(mux.TypeClose, flags, st.id, payload)
+	sc.s.streamWG.Done()
 }
 
 // teardown ends the connection exactly once: every live stream's stdin
 // is finished so its program unwinds (scoring served), and the socket is
-// closed. Matching the one-conn server's semantics, a client that
-// vanishes mid-stream hangs up its programs, it does not "cut" them.
-func (sc *muxSrvConn) teardown() {
+// closed. With a non-zero flushBy (Shutdown's clean path) the frames
+// already queued are written first, but a peer that has stopped reading
+// is cut at flushBy; a zero flushBy closes at once, cutting any write in
+// flight. Either way the flusher has exited when teardown returns.
+// Matching the one-conn server's semantics, a client that vanishes
+// mid-stream hangs up its programs, it does not "cut" them.
+func (sc *muxSrvConn) teardown(flushBy time.Time) {
 	sc.downOnce.Do(func() {
+		if !flushBy.IsZero() {
+			sc.w.drain(flushBy)
+		}
 		sc.w.fail(net.ErrClosed)
 		sc.c.Close()
+		<-sc.w.done
 		sc.smu.Lock()
 		streams := make([]*muxSrvStream, 0, len(sc.streams))
 		for _, st := range sc.streams {
@@ -436,8 +477,10 @@ func (sc *muxSrvConn) teardown() {
 		for _, st := range streams {
 			st.stdin.finish(io.EOF)
 		}
+		_, peak := sc.w.levels()
 		sc.s.mu.Lock()
 		delete(sc.s.conns, sc)
+		sc.s.writePeak = max(sc.s.writePeak, peak)
 		sc.s.mu.Unlock()
 	})
 }

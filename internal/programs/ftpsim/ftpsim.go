@@ -36,7 +36,8 @@ type Config struct {
 	// file. False reproduces `ftp -i` ("disables interactive prompting").
 	Interactive bool
 	// OnRetrieve, when non-nil, is called for each file successfully
-	// transferred (the test oracle).
+	// transferred (the test oracle), before the 226 reply, so a script
+	// that has seen the reply also sees the call.
 	OnRetrieve func(name string)
 }
 
@@ -65,11 +66,11 @@ func New(cfg Config) proc.Program {
 				fmt.Fprintf(stdout, "451 %s: transfer aborted: local error in processing.\r\n", f.Name)
 				return false
 			}
-			fmt.Fprintf(stdout, "226 Transfer complete.\r\nlocal: %s remote: %s\r\n%d bytes received.\r\n",
-				f.Name, f.Name, f.Size)
 			if cfg.OnRetrieve != nil {
 				cfg.OnRetrieve(f.Name)
 			}
+			fmt.Fprintf(stdout, "226 Transfer complete.\r\nlocal: %s remote: %s\r\n%d bytes received.\r\n",
+				f.Name, f.Name, f.Size)
 			return true
 		}
 

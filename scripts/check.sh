@@ -68,6 +68,11 @@ go test -race -count=1 -run 'TestCrashRecoverySoak|TestExpectdCheckpointRestore'
 # gateway hosting 2048 multiplexed sessions, restore every one from its
 # checkpoint over a fresh pooled connection, and require conservation.
 go test -race -count=1 ./internal/netx/mux ./internal/netx
+# The frame writer's flusher, DATA merge and drain are reached by several
+# goroutines per connection: rerun its battery, the many-sessions round
+# trip (a stream's served count must settle before its CLOSE is sent) and
+# the drain tests ten times under the race detector.
+go test -race -count=10 -run 'FrameWriter|TestMuxRoundTripManySessionsOneConn|TestMuxShutdown' ./internal/netx
 go test -race -count=1 -run 'TestTransportContract/mux|TestConformanceScenarios' ./internal/proc ./internal/conformance
 go test -race -count=1 -run 'TestMuxModeConservation|TestMuxCrashRecoverySoak' ./internal/load
 
@@ -118,11 +123,11 @@ go run ./cmd/benchreport -exp e20 -baseline BENCH_7.json -replayguard 10 -ckptgu
 # Telemetry plane leg: the registry/exposition unit tier and the admin
 # endpoint battery under the race detector, then the two end-to-end
 # checks — /debug/sessions agreeing with the load workbench's
-# conservation law at a parked instant, and the expectd admin protocol
+# conservation law at a parked instant, the expectd admin protocol
 # (admin line before ready, plane readable mid-drain, listener closed
-# last).
+# last), and the gateway's write-queue gauges on a live expectd -mux.
 go test -race -count=1 ./internal/metrics ./internal/admin
-go test -race -count=1 -run 'TestAdminSessionsConservation|TestExpectdAdminProtocol' ./internal/load
+go test -race -count=1 -run 'TestAdminSessionsConservation|TestExpectdAdminProtocol|TestExpectdMuxWriteQueueGauges' ./internal/load
 
 # Live-daemon curl leg: boot expectd with -admin, scrape /metrics and
 # /debug/sessions with curl against the advertised address, and require
