@@ -55,9 +55,10 @@ type Variant struct {
 	// classic parse-as-you-evaluate path.
 	EvalCacheSize int
 	// EvalMode, when non-empty, selects the interpreter's evaluation
-	// engine ("classic", "cached", or "vm" — see tcl.ParseEvalMode). The
-	// register-bytecode vm must be observably identical to the classic
-	// walker on every script, scenario, and fault schedule.
+	// engine ("classic", "cached", or "vm" — see tcl.ParseEvalMode); empty
+	// keeps the engine default (vm), so every cell spells out the mode its
+	// name claims. The register-bytecode vm must be observably identical
+	// to the classic walker on every script, scenario, and fault schedule.
 	EvalMode string
 	// Shards > 0 runs the engine's sessions under a sharded scheduler
 	// with that many event loops instead of per-session pump goroutines.
@@ -85,23 +86,31 @@ type Variant struct {
 // explicitly — the default would collapse to GOMAXPROCS). Variants[0]
 // is the seed-faithful baseline every other cell is compared against.
 var Variants = []Variant{
-	{Name: "rescan-cached", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize},
-	{Name: "incremental-cached", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize},
+	{Name: "rescan-cached", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached"},
+	{Name: "incremental-cached", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached"},
 	{Name: "rescan-classic", Matcher: core.MatcherRescan, EvalMode: "classic"},
 	{Name: "incremental-classic", Matcher: core.MatcherIncremental, EvalMode: "classic"},
 	{Name: "rescan-vm", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
 	{Name: "incremental-vm", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
-	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 1},
-	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8},
-	{Name: "incremental-cached-shard8", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8},
+	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 1},
+	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8},
+	{Name: "incremental-cached-shard8", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8},
 	{Name: "rescan-vm-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 1},
 	{Name: "rescan-vm-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 8},
-	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Network: true},
-	{Name: "rescan-cached-net-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8, Network: true},
+	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Network: true},
+	{Name: "rescan-cached-net-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8, Network: true},
 	{Name: "rescan-vm-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Network: true},
-	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Mux: true},
-	{Name: "rescan-cached-mux-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, Shards: 8, Mux: true},
+	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Mux: true},
+	{Name: "rescan-cached-mux-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8, Mux: true},
 	{Name: "rescan-vm-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Mux: true},
+}
+
+// applyEval gives an interpreter the variant's evaluation settings.
+func (v Variant) applyEval(i *tcl.Interp) {
+	i.SetEvalCacheSize(v.EvalCacheSize)
+	if m, ok := tcl.ParseEvalMode(v.EvalMode); ok {
+		i.SetEvalMode(m)
+	}
 }
 
 // Condition names one transport treatment. A Clean schedule means the
@@ -393,10 +402,7 @@ func RunScript(scriptsDir string, sc ScriptCase, v Variant, sched faultify.Sched
 		opts.SpawnWrap = faultify.TracedWrapper(sched, counters, rec)
 	}
 	eng := core.NewEngine(opts)
-	eng.Interp.SetEvalCacheSize(v.EvalCacheSize)
-	if m, ok := tcl.ParseEvalMode(v.EvalMode); ok {
-		eng.Interp.SetEvalMode(m)
-	}
+	v.applyEval(eng.Interp)
 	servers, err := registerDeterministicSims(eng, v)
 	if err != nil {
 		return nil, err

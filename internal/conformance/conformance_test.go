@@ -1,6 +1,7 @@
 package conformance
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -12,6 +13,31 @@ import (
 )
 
 const scriptsDir = "../../scripts"
+
+// TestVariantsNameTheirEvaluator pins each matrix cell to the evaluation
+// mode its name claims: an engine built the way RunScript builds one must
+// report that mode, so a change of the engine's default mode cannot
+// quietly turn the baseline or the cached cells into vm cells.
+func TestVariantsNameTheirEvaluator(t *testing.T) {
+	for _, v := range Variants {
+		want := ""
+		for _, part := range strings.Split(v.Name, "-") {
+			if _, ok := tcl.ParseEvalMode(part); ok {
+				want = part
+			}
+		}
+		if want == "" {
+			t.Errorf("%s: name does not say which evaluator the cell runs", v.Name)
+			continue
+		}
+		eng := core.NewEngine(core.EngineOptions{UserIn: strings.NewReader(""), UserOut: io.Discard})
+		v.applyEval(eng.Interp)
+		if got := eng.Interp.EvalMode().String(); got != want {
+			t.Errorf("%s: interpreter runs %s, name says %s", v.Name, got, want)
+		}
+		eng.Shutdown()
+	}
+}
 
 // TestConformanceScripts replays every shipped script through the full
 // variant × condition matrix and requires each cell's outcome to be

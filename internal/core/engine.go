@@ -103,12 +103,12 @@ type EngineOptions struct {
 	// (shard.go). The user session always stays pump-driven: it wraps the
 	// caller's terminal, whose reads must be allowed to block.
 	Shards int
-	// EvalMode selects the interpreter's evaluation engine: "classic"
-	// (re-parse every evaluation; the frozen referee), "cached" (parse-once
-	// skeletons, the default), or "vm" (register bytecode with inline
-	// caches). Unknown or empty values keep the default; all three modes
-	// are observably identical — the conformance harness runs every
-	// scenario across them.
+	// EvalMode selects the interpreter's evaluation engine: "vm" (register
+	// bytecode with inline caches, the default), "classic" (re-parse every
+	// evaluation; the frozen referee), or "cached" (parse-once skeletons).
+	// Unknown or empty values keep the default; all three modes are
+	// observably identical — the conformance harness runs every scenario
+	// across them.
 	EvalMode string
 }
 
@@ -153,16 +153,20 @@ func NewEngine(opt EngineOptions) *Engine {
 	if opt.Shards > 0 {
 		e.sched = NewScheduler(SchedulerOptions{Shards: opt.Shards})
 	}
+	mode := tcl.EvalVM
 	if m, ok := tcl.ParseEvalMode(opt.EvalMode); ok {
-		e.Interp.SetEvalMode(m)
+		mode = m
 	}
+	e.Interp.SetEvalMode(mode)
 	e.Interp.Stdout = e.userOut
 	// Every Tcl command dispatch feeds the eval latency histogram and, when
-	// armed, the flight recorder (§3.3's trace, structurally).
+	// armed, the flight recorder (§3.3's trace, structurally). The event is
+	// stamped with the clock reading that ended the dispatch, and the vm
+	// keeps its fast paths under this hook.
 	e.Interp.DispatchHook = func(name string, depth int, d time.Duration) {
 		e.prof.Observe(metrics.HistEvalDispatch, d)
 		if e.rec.On() {
-			e.rec.Record(trace.KindEval, -1, int64(d), int64(depth), false, name, "")
+			e.rec.RecordAt(e.Interp.DispatchEnd(), trace.KindEval, -1, int64(d), int64(depth), false, name, "")
 		}
 	}
 	// Script-visible defaults (§3.1).

@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/tcl"
 	"repro/internal/trace"
 )
 
@@ -236,6 +238,126 @@ func TestEngineDefaultRecorderAlwaysArmed(t *testing.T) {
 	for _, want := range []string{"spawn", "read", "match", "eval"} {
 		if !kinds[want] {
 			t.Errorf("default recording missing %q events; got %v", want, kinds)
+		}
+	}
+}
+
+// TestEvalEventsModeNeutral drives one scripted dialogue under each
+// evaluation mode and requires the same KindEval (depth, command name)
+// sequence in the flight recorder: the vm reports the dispatches its
+// specialized fast paths run through the same DispatchHook as generic
+// dispatch. Each event is stamped with its dispatch's end reading, so
+// the eval events' stamps never run backwards.
+func TestEvalEventsModeNeutral(t *testing.T) {
+	const script = `
+		set timeout 5
+		proc shout {w} {
+			set out ""
+			foreach c [split $w ""] { append out [string toupper $c] }
+			return $out
+		}
+		spawn echo
+		set n 0
+		set sum 0
+		while {$n < 3} {
+			incr n
+			set line [shout "w$n"]
+			send "$line\n"
+			expect "*echo:$line*" {
+				set sum [expr {$sum + $n}]
+			} timeout {
+				error "timeout waiting for $line"
+			}
+			if {$n % 2} { set parity odd } else { set parity even }
+		}
+		foreach k {a b} { set last $k }
+		set sum
+	`
+	evals := func(mode string) []string {
+		rec := trace.New(4096)
+		rec.SetRecording(true)
+		off := false
+		e := NewEngine(EngineOptions{
+			UserIn: strings.NewReader(""), UserOut: io.Discard, LogUser: &off,
+			Rec: rec, EvalMode: mode,
+		})
+		defer e.Shutdown()
+		e.RegisterVirtual("echo", lineServer("", func(line string) (string, bool) {
+			return "echo:" + line + "\n", true
+		}))
+		if out, err := e.Run(script); err != nil || out != "6" {
+			t.Fatalf("%s: %q, %v", mode, out, err)
+		}
+		if got := e.Interp.EvalMode().String(); got != mode {
+			t.Fatalf("engine runs %s, asked for %s", got, mode)
+		}
+		if rec.Total() > uint64(rec.Cap()) {
+			t.Fatalf("%s: ring wrapped (%d events)", mode, rec.Total())
+		}
+		var seq []string
+		var last int64
+		for _, ev := range rec.Events() {
+			if ev.Kind != trace.KindEval {
+				continue
+			}
+			seq = append(seq, fmt.Sprintf("%d:%s", ev.B, ev.Text()))
+			if ev.At < last {
+				t.Errorf("%s: eval event %d (%s) stamped %d, before its predecessor's %d", mode, ev.Seq, ev.Text(), ev.At, last)
+			}
+			last = ev.At
+		}
+		return seq
+	}
+	classic := strings.Join(evals("classic"), " ")
+	if classic == "" {
+		t.Fatal("classic run recorded no eval events")
+	}
+	for _, mode := range []string{"cached", "vm"} {
+		if got := strings.Join(evals(mode), " "); got != classic {
+			t.Errorf("%s eval events diverge from classic:\n got: %s\nwant: %s", mode, got, classic)
+		}
+	}
+}
+
+// TestEngineDefaultsToVM pins the engine's evaluator: an empty or unknown
+// EvalMode runs the bytecode vm.
+func TestEngineDefaultsToVM(t *testing.T) {
+	for _, mode := range []string{"", "turbo"} {
+		e := NewEngine(EngineOptions{UserIn: strings.NewReader(""), UserOut: io.Discard, EvalMode: mode})
+		if got := e.Interp.EvalMode(); got != tcl.EvalVM {
+			t.Errorf("EvalMode %q: engine runs %s, want vm", mode, got)
+		}
+		e.Shutdown()
+	}
+}
+
+// TestEvalEventStampIsDispatchEnd checks that the engine stamps each eval
+// event with the clock reading that ended the dispatch, as DispatchEnd
+// reports it to the hook, instead of reading the clock again: the ring's
+// stamps and the hook's end readings are the same instants on one base.
+func TestEvalEventStampIsDispatchEnd(t *testing.T) {
+	e, _ := newTestEngine(t)
+	own := e.Interp.DispatchHook
+	var ends []int64
+	e.Interp.DispatchHook = func(name string, depth int, d time.Duration) {
+		own(name, depth, d)
+		ends = append(ends, e.Interp.DispatchEnd())
+	}
+	if _, err := e.Run(`set a 1; incr a; if {$a > 1} { set b [expr {$a * 2}] }; foreach x {1 2} { set c $x }`); err != nil {
+		t.Fatal(err)
+	}
+	var ats []int64
+	for _, ev := range e.Recorder().Events() {
+		if ev.Kind == trace.KindEval {
+			ats = append(ats, ev.At)
+		}
+	}
+	if len(ats) != len(ends) || len(ats) < 2 {
+		t.Fatalf("%d eval events for %d dispatches", len(ats), len(ends))
+	}
+	for k := range ats {
+		if got, want := ats[k]-ats[0], ends[k]-ends[0]; got != want {
+			t.Errorf("eval event %d is %dns after the first, its dispatch ended %dns after", k, got, want)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package tcl
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -75,6 +76,35 @@ func TestLoopBodyHitsCache(t *testing.T) {
 	hits, misses, _ := i.EvalCacheStats()
 	if hits < 40 {
 		t.Errorf("loop body should hit the cache, got hits=%d misses=%d", hits, misses)
+	}
+}
+
+// TestEvalCacheStatsCountsActiveMode checks that EvalCacheStats counts the
+// lookups of the script cache the active mode uses. The vm runs the
+// foreach body inline and answers 49 of the 50 evaluations of double's
+// body from its front entry, consulting the skeleton cache only on its
+// one miss; the cached walker looks up both texts every iteration.
+func TestEvalCacheStatsCountsActiveMode(t *testing.T) {
+	items := make([]string, 50)
+	for k := range items {
+		items[k] = strconv.Itoa(k)
+	}
+	script := "proc double {x} {expr {$x * 2}}; set s 0; foreach v {" + strings.Join(items, " ") +
+		"} {incr s [double $v]}; set s"
+	for _, mode := range []EvalMode{EvalCached, EvalVM} {
+		i := New()
+		i.SetEvalMode(mode)
+		if out, err := i.Eval(script); err != nil || out != "2450" {
+			t.Fatalf("%s: %q, %v", mode, out, err)
+		}
+		hits, misses, _ := i.EvalCacheStats()
+		if hits < 49 || misses == 0 || misses > 4 {
+			t.Errorf("%s: hits=%d misses=%d, want >= 49 hits over a handful of compiles", mode, hits, misses)
+		}
+		i.SetEvalCacheSize(DefaultEvalCacheSize)
+		if hits, misses, evicted := i.EvalCacheStats(); hits+misses+evicted != 0 {
+			t.Errorf("%s: stats survive a cache reset: %d/%d/%d", mode, hits, misses, evicted)
+		}
 	}
 }
 

@@ -1,23 +1,35 @@
 package tcl
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // fuzzModeInterp is fuzzInterp with an eval-mode axis: same hardening
 // (captured output, step bound, no process/filesystem/clock commands),
-// plus the requested evaluation engine.
-func fuzzModeInterp(mode EvalMode, out *strings.Builder) *Interp {
+// plus the requested evaluation engine and a DispatchHook that logs each
+// dispatch's depth and name to disp, as an engine's always-on observer
+// would see it.
+func fuzzModeInterp(mode EvalMode, out, disp *strings.Builder) *Interp {
 	i := fuzzInterp(DefaultEvalCacheSize, out)
 	i.SetEvalMode(mode)
+	i.DispatchHook = func(name string, depth int, d time.Duration) {
+		disp.WriteString(strconv.Itoa(depth))
+		disp.WriteByte(':')
+		disp.WriteString(name)
+		disp.WriteByte('\n')
+	}
 	return i
 }
 
 // FuzzVMEquivalence is the three-way differential driver behind the vm:
 // the same script runs under the classic walker (the frozen referee), the
-// cached skeleton evaluator, and the register bytecode vm, and all three
-// must agree on value, error text, captured output, and step count. The
+// cached skeleton evaluator, and the register bytecode vm, each with a
+// recording DispatchHook armed, and all three must agree on value, error
+// text, captured output, step count, and the hook's (depth, name)
+// sequence — the vm reports from its specialized fast paths. The
 // bytecode compiler, the skeleton compiler, and the classic parser are
 // three independent implementations of the same language, so any
 // divergence is a bug in one of them. Each script also runs twice in the
@@ -58,16 +70,16 @@ func FuzzVMEquivalence(f *testing.F) {
 		if hasLongDigitRun(script, 8) {
 			t.Skip("pathological numeric literal")
 		}
-		var outC, outK, outV strings.Builder
-		classic := fuzzModeInterp(EvalClassic, &outC)
-		cached := fuzzModeInterp(EvalCached, &outK)
-		vmi := fuzzModeInterp(EvalVM, &outV)
+		var outC, outK, outV, dispC, dispK, dispV strings.Builder
+		classic := fuzzModeInterp(EvalClassic, &outC, &dispC)
+		cached := fuzzModeInterp(EvalCached, &outK, &dispK)
+		vmi := fuzzModeInterp(EvalVM, &outV, &dispV)
 
 		valC, errC := classic.Eval(script)
 		valK, errK := cached.Eval(script)
 		valV, errV := vmi.Eval(script)
 
-		check := func(mode string, val string, err error, out string, steps int64) {
+		check := func(mode string, val string, err error, out, disp string, steps int64) {
 			if (errC == nil) != (err == nil) {
 				t.Fatalf("%s error presence diverged: classic=%v %s=%v script=%q", mode, errC, mode, err, script)
 			}
@@ -83,29 +95,34 @@ func FuzzVMEquivalence(f *testing.F) {
 			if sc := classic.Steps(); sc != steps {
 				t.Fatalf("%s step count diverged: classic=%d %s=%d script=%q", mode, sc, mode, steps, script)
 			}
+			if dispC.String() != disp {
+				t.Fatalf("%s dispatch hook diverged:\nclassic: %q\n%s: %q\nscript=%q", mode, dispC.String(), mode, disp, script)
+			}
 		}
-		check("cached", valK, errK, outK.String(), cached.Steps())
-		check("vm", valV, errV, outV.String(), vmi.Steps())
+		check("cached", valK, errK, outK.String(), dispK.String(), cached.Steps())
+		check("vm", valV, errV, outV.String(), dispV.String(), vmi.Steps())
 
 		// Warm pass: a second vm interpreter runs the script twice so the
 		// memoized programs and primed inline caches face the same check.
 		// The referee reruns too — scripts are not idempotent.
-		var outC2, outV2 strings.Builder
-		classic2 := fuzzModeInterp(EvalClassic, &outC2)
-		vmi2 := fuzzModeInterp(EvalVM, &outV2)
+		var outC2, outV2, dispC2, dispV2 strings.Builder
+		classic2 := fuzzModeInterp(EvalClassic, &outC2, &dispC2)
+		vmi2 := fuzzModeInterp(EvalVM, &outV2, &dispV2)
 		classic2.Eval(script)
 		vmi2.Eval(script)
 		classic2.ResetSteps()
 		vmi2.ResetSteps()
 		outC2.Reset()
 		outV2.Reset()
+		dispC2.Reset()
+		dispV2.Reset()
 		valC2, errC2 := classic2.Eval(script)
 		valV2, errV2 := vmi2.Eval(script)
 		if (errC2 == nil) != (errV2 == nil) || valC2 != valV2 || outC2.String() != outV2.String() ||
-			classic2.Steps() != vmi2.Steps() {
-			t.Fatalf("warm vm run diverged: classic=%q/%v/%q/%d vm=%q/%v/%q/%d script=%q",
+			classic2.Steps() != vmi2.Steps() || dispC2.String() != dispV2.String() {
+			t.Fatalf("warm vm run diverged: classic=%q/%v/%q/%d vm=%q/%v/%q/%d script=%q\nclassic dispatches: %q\nvm dispatches: %q",
 				valC2, errC2, outC2.String(), classic2.Steps(),
-				valV2, errV2, outV2.String(), vmi2.Steps(), script)
+				valV2, errV2, outV2.String(), vmi2.Steps(), script, dispC2.String(), dispV2.String())
 		}
 		if errC2 != nil && errV2 != nil && errC2.Error() != errV2.Error() {
 			t.Fatalf("warm vm error text diverged:\nclassic: %s\nvm: %s\nscript=%q", errC2, errV2, script)

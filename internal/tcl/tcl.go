@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/lru"
 	"repro/internal/tcl/vm"
 )
@@ -143,12 +144,15 @@ type Interp struct {
 	Trace func(depth int, words []string)
 
 	// DispatchHook, when non-nil, observes every completed command
-	// dispatch: name, call depth, and wall time spent (command body or
+	// dispatch: name, call depth, and time spent (command body or
 	// procedure call, including everything beneath it). Where Trace shows
 	// what is about to run, DispatchHook reports what it cost — the
 	// expect engine feeds its eval-dispatch latency histogram and flight
-	// recorder through it. Setting it adds two clock reads per dispatch;
-	// leave nil for the zero-overhead path.
+	// recorder through it. Arming it costs two monotonic clock reads per
+	// dispatch (no wall-clock read) plus the hook call; unlike Trace it
+	// leaves the vm's specialized fast paths on. DispatchEnd returns the
+	// second reading while the hook runs. Leave nil for the zero-overhead
+	// path.
 	DispatchHook func(name string, depth int, d time.Duration)
 
 	// MaxDepth bounds recursion to turn runaway scripts into errors
@@ -169,6 +173,10 @@ type Interp struct {
 	depth       int
 	steps       int64
 	exitHandler func(code int)
+
+	// dispatchEnd is the clock.Now reading that ended the dispatch
+	// DispatchHook is reporting (see DispatchEnd).
+	dispatchEnd int64
 
 	// evalCache memoizes compiled script skeletons keyed by script text, so
 	// proc bodies, loop bodies, and if arms parse once instead of per
@@ -196,6 +204,9 @@ type Interp struct {
 	vmFrontKey     string
 	vmExprFront    *vmExprEntry
 	vmExprFrontKey string
+	// vmFrontHits counts script lookups the front cache answered, which
+	// the vm LRU's own statistics never see.
+	vmFrontHits uint64
 
 	// vmRegs is the vm's shared register stack; each program execution
 	// opens a window on top and pops it on return.
@@ -487,7 +498,7 @@ func (i *Interp) Eval(script string) (string, error) {
 // equivalence/benchmark baseline).
 func (i *Interp) SetEvalCacheSize(n int) {
 	i.cacheSize = n
-	i.vmFront, i.vmFrontKey = nil, ""
+	i.vmFront, i.vmFrontKey, i.vmFrontHits = nil, "", 0
 	i.vmExprFront, i.vmExprFrontKey = nil, ""
 	if n <= 0 {
 		i.evalCache = nil
@@ -504,9 +515,15 @@ func (i *Interp) SetEvalCacheSize(n int) {
 	}
 }
 
-// EvalCacheStats reports cumulative hit/miss/eviction counts for the script
-// compile cache (zeros when caching is disabled).
+// EvalCacheStats reports cumulative hit/miss/eviction counts for the active
+// mode's script cache: under vm, the program cache (its front entry's hits
+// plus its LRU), otherwise the skeleton cache; zeros when caching is
+// disabled.
 func (i *Interp) EvalCacheStats() (hits, misses, evicted uint64) {
+	if i.evalMode == EvalVM && i.vmCache != nil {
+		hits, misses, evicted = i.vmCache.Stats()
+		return hits + i.vmFrontHits, misses, evicted
+	}
 	if i.evalCache == nil {
 		return 0, 0, 0
 	}
@@ -571,14 +588,47 @@ func (i *Interp) EvalWords(words []string) Result {
 		i.Trace(i.Level(), words)
 	}
 	name := words[0]
-	if i.DispatchHook != nil {
-		start := time.Now()
-		res := i.dispatch(name, words)
-		i.DispatchHook(name, i.Level(), time.Since(start))
-		return res
-	}
-	return i.dispatch(name, words)
+	start := i.stamp()
+	res := i.dispatch(name, words)
+	i.report(name, start)
+	return res
 }
+
+// stamp opens one dispatch for DispatchHook: it returns the monotonic
+// start reading, or -1 when no hook is armed. Every dispatch site, here
+// and in the vm, brackets the command with stamp and report, after its
+// step is charged, so all modes report the same name, depth and order.
+func (i *Interp) stamp() int64 {
+	if i.DispatchHook == nil {
+		return -1
+	}
+	return clock.Now()
+}
+
+// report closes a dispatch opened by stamp. A dispatch opened unarmed
+// stays unreported; the check is small enough to inline, so the unarmed
+// path costs no call.
+func (i *Interp) report(name string, start int64) {
+	if start >= 0 {
+		i.observe(name, start)
+	}
+}
+
+// observe is report's armed path: one more monotonic read, then the hook
+// call with the elapsed time.
+func (i *Interp) observe(name string, start int64) {
+	if i.DispatchHook == nil {
+		return
+	}
+	end := clock.Now()
+	i.dispatchEnd = end
+	i.DispatchHook(name, i.Level(), time.Duration(end-start))
+}
+
+// DispatchEnd returns the clock.Now reading that ended the dispatch
+// DispatchHook is reporting, so a hook can stamp what it records without
+// reading the clock again. It is meaningful only inside the hook.
+func (i *Interp) DispatchEnd() int64 { return i.dispatchEnd }
 
 // dispatch resolves name against commands then procs and runs it.
 func (i *Interp) dispatch(name string, words []string) Result {

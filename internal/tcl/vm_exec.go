@@ -14,7 +14,9 @@ import (
 // Observable behavior — results, error strings, ErrorInfo notes, step
 // charges, trace/dispatch-hook events — matches the classic evaluator's
 // at every point; the differential conformance matrix and the
-// FuzzVMEquivalence harness hold that equality byte for byte.
+// FuzzVMEquivalence harness hold that equality byte for byte. Only Trace
+// forces the generic path: a DispatchHook is served from the fast paths
+// through the same stamp/report pair EvalWords uses.
 //
 // Alongside the Result string, program execution threads an optional
 // native value for the final command result (numOK below). The channel
@@ -167,7 +169,9 @@ func init() {
 // the LRU on the common re-evaluate-the-same-text path.
 func (i *Interp) vmEvalScript(script string) Result {
 	e := i.vmFront
-	if e == nil || i.vmFrontKey != script {
+	if e != nil && i.vmFrontKey == script {
+		i.vmFrontHits++
+	} else {
 		var ok bool
 		e, ok = i.vmCache.Get(script)
 		if !ok {
@@ -364,9 +368,10 @@ func (i *Interp) vmSpecOK(r *vmRun, slot int32, name string) bool {
 }
 
 // vmSpecFast reports whether a specialized site may take its fast path:
-// no observer hooks armed and the canonical builtin still bound.
+// no Trace armed (it needs each command's substituted words) and the
+// canonical builtin still bound.
 func (i *Interp) vmSpecFast(r *vmRun, aux *vm.CmdAux) bool {
-	if i.Trace != nil || i.DispatchHook != nil {
+	if i.Trace != nil {
 		return false
 	}
 	return i.vmSpecOK(r, aux.SpecSlot, aux.Name)
@@ -416,10 +421,17 @@ func (i *Interp) vmExprBool(r *vmRun, p *vm.ExprProg) (bool, Result) {
 // re-sliced from the shared stack at each instruction because nested
 // evaluation (brackets, bodies, dispatched commands re-entering the vm)
 // may grow and reallocate it.
+//
+// region holds the DispatchHook stamp of the if/while/foreach site being
+// run on its fast path: the site's dispatch spans OpSpecEnter to
+// OpSpecDone, the if arm's join, or any exit in between, and is reported
+// there. Sites never nest within one program (bodies and conditions are
+// separate programs), so one stamp suffices.
 func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, vm.Value, bool) {
 	last := Ok("")
 	var lastNum vm.Value
 	lastNumOK := false
+	region := int64(-1)
 	code := p.Code
 	for pc := 0; pc < len(code); {
 		in := &code[pc]
@@ -496,12 +508,14 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				}
 			}
 			var res Result
-			if i.Trace != nil || i.DispatchHook != nil {
+			if i.Trace != nil {
 				res = i.EvalWords(words)
 			} else if sres, ok := i.spendStep(); !ok {
 				res = sres
 			} else {
+				start := i.stamp()
 				res = i.vmDispatch(r, aux.CacheSlot, words[0], words)
+				i.report(words[0], start)
 			}
 			if res.Code != OK {
 				if res.Code == Error {
@@ -565,12 +579,14 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				i.noteErrorLine(p.LitWords[aux.LitIdx])
 				return res, aux.BracketOK, vm.Value{}, false
 			}
+			region = i.stamp()
 			pc++
 
 		case vm.OpTestExpr:
 			aux := &p.Aux[in.Dst]
 			b, res := i.vmExprBool(r, p.Exprs[in.A])
 			if res.Code != OK {
+				i.report(aux.Name, region)
 				if res.Code == Error {
 					i.noteErrorLine(p.LitWords[aux.LitIdx])
 				}
@@ -585,6 +601,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 		case vm.OpIfBody:
 			aux := &p.Aux[in.Dst]
 			res, num, numOK := i.vmEvalBlock(r, &p.Blocks[in.A])
+			i.report(aux.Name, region)
 			if res.Code != OK {
 				if res.Code == Error {
 					i.noteErrorLine(p.LitWords[aux.LitIdx])
@@ -603,6 +620,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			case Break:
 				pc++ // falls through to OpSpecDone
 			default:
+				i.report(aux.Name, region)
 				if res.Code == Error {
 					i.noteErrorLine(p.LitWords[aux.LitIdx])
 				}
@@ -622,12 +640,12 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			pc++
 
 		case vm.OpSpecDone:
+			i.report(p.Aux[in.Dst].Name, region)
 			last, lastNumOK = Ok(""), false
 			pc++
 
-		case vm.OpSetVar:
+		case vm.OpSetVar, vm.OpGetVar, vm.OpIncr, vm.OpExprCmd:
 			aux := &p.Aux[in.Dst]
-			name := p.Names[in.A]
 			if !i.vmSpecFast(r, aux) {
 				res := i.vmRunGeneric(p, aux, in, regs)
 				if res.Code != OK {
@@ -641,128 +659,16 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
 				return res, aux.BracketOK, vm.Value{}, false
 			}
-			val := regs[in.B]
-			last = Ok(i.vmWriteVar(r, in.C, name, val))
-			if val.Kind() == vm.KInt {
-				lastNum, lastNumOK = val, true
-			} else {
-				lastNumOK = false
-			}
-			pc++
-
-		case vm.OpGetVar:
-			aux := &p.Aux[in.Dst]
-			name := p.Names[in.A]
-			if !i.vmSpecFast(r, aux) {
-				res := i.vmRunGeneric(p, aux, in, regs)
-				if res.Code != OK {
-					return res, aux.BracketOK, vm.Value{}, false
+			start := i.stamp()
+			res, num, numOK := i.vmSpecRun(r, p, in, regs)
+			i.report(aux.Name, start)
+			if res.Code != OK {
+				if res.Code == Error {
+					i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
 				}
-				last, lastNumOK = res, false
-				pc++
-				break
-			}
-			if res, ok := i.spendStep(); !ok {
-				i.noteErrorLine(p.LitWords[aux.LitIdx])
 				return res, aux.BracketOK, vm.Value{}, false
 			}
-			val, ok := i.vmReadVar(r, in.C, name)
-			if !ok {
-				res := Errf("can't read %q: no such variable", name)
-				i.noteErrorLine(p.LitWords[aux.LitIdx])
-				return res, aux.BracketOK, vm.Value{}, false
-			}
-			last, lastNumOK = Ok(val), false
-			pc++
-
-		case vm.OpIncr:
-			aux := &p.Aux[in.Dst]
-			name := p.Names[in.A]
-			if !i.vmSpecFast(r, aux) {
-				res := i.vmRunGeneric(p, aux, in, regs)
-				if res.Code != OK {
-					return res, aux.BracketOK, vm.Value{}, false
-				}
-				last, lastNumOK = res, false
-				pc++
-				break
-			}
-			if res, ok := i.spendStep(); !ok {
-				i.noteErrorLine(p.LitWords[aux.LitIdx])
-				return res, aux.BracketOK, vm.Value{}, false
-			}
-			t := i.vmVar(r, in.C, name)
-			if t == nil || t.isArr {
-				res := Errf("can't read %q: no such variable", name)
-				i.noteErrorLine(p.LitWords[aux.LitIdx])
-				return res, aux.BracketOK, vm.Value{}, false
-			}
-			var n int64
-			if t.numState == 1 && t.num.Kind() == vm.KInt {
-				n = t.num.Int()
-			} else {
-				pn, err := strconv.ParseInt(strings.TrimSpace(t.value), 0, 64)
-				if err != nil {
-					res := Errf("expected integer but got %q", t.value)
-					i.noteErrorLine(p.LitWords[aux.LitIdx])
-					return res, aux.BracketOK, vm.Value{}, false
-				}
-				n = pn
-			}
-			delta := int64(1)
-			if in.B >= 0 {
-				delta = p.Consts[in.B].Int()
-			}
-			n += delta
-			s := strconv.FormatInt(n, 10)
-			t.isArr = false
-			t.value = s
-			t.num = vm.IntValue(n)
-			t.numState = 1
-			last = Ok(s)
-			lastNum, lastNumOK = t.num, true
-			pc++
-
-		case vm.OpExprCmd:
-			aux := &p.Aux[in.Dst]
-			if !i.vmSpecFast(r, aux) {
-				res := i.vmRunGeneric(p, aux, in, regs)
-				if res.Code != OK {
-					return res, aux.BracketOK, vm.Value{}, false
-				}
-				last, lastNumOK = res, false
-				pc++
-				break
-			}
-			if res, ok := i.spendStep(); !ok {
-				i.noteErrorLine(p.LitWords[aux.LitIdx])
-				return res, aux.BracketOK, vm.Value{}, false
-			}
-			ep := p.Exprs[in.A]
-			if ep.Lowered() {
-				v, res := i.runExprProg(r, ep)
-				if res.Code != OK {
-					if res.Code == Error {
-						i.noteErrorLine(p.LitWords[aux.LitIdx])
-					}
-					return res, aux.BracketOK, vm.Value{}, false
-				}
-				last = Ok(v.Text())
-				if v.Kind() == vm.KInt {
-					lastNum, lastNumOK = v, true
-				} else {
-					lastNumOK = false
-				}
-			} else {
-				s, res := i.ExprString(ep.Src)
-				if res.Code != OK {
-					if res.Code == Error {
-						i.noteErrorLine(p.LitWords[aux.LitIdx])
-					}
-					return res, aux.BracketOK, vm.Value{}, false
-				}
-				last, lastNumOK = Ok(s), false
-			}
+			last, lastNum, lastNumOK = res, num, numOK
 			pc++
 
 		default:
@@ -770,6 +676,68 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 		}
 	}
 	return last, p.EndAtBracket, lastNum, lastNumOK
+}
+
+// vmSpecRun is the fast path of a set/incr/expr site whose step is
+// already charged: the command's Result plus, when that result is an
+// integer, its native value (the numOK channel).
+func (i *Interp) vmSpecRun(r *vmRun, p *vm.Program, in *vm.Instr, regs []vm.Value) (Result, vm.Value, bool) {
+	switch in.Op {
+	case vm.OpSetVar:
+		val := regs[in.B]
+		return Ok(i.vmWriteVar(r, in.C, p.Names[in.A], val)), val, val.Kind() == vm.KInt
+
+	case vm.OpGetVar:
+		name := p.Names[in.A]
+		val, ok := i.vmReadVar(r, in.C, name)
+		if !ok {
+			return Errf("can't read %q: no such variable", name), vm.Value{}, false
+		}
+		return Ok(val), vm.Value{}, false
+
+	case vm.OpIncr:
+		name := p.Names[in.A]
+		t := i.vmVar(r, in.C, name)
+		if t == nil || t.isArr {
+			return Errf("can't read %q: no such variable", name), vm.Value{}, false
+		}
+		var n int64
+		if t.numState == 1 && t.num.Kind() == vm.KInt {
+			n = t.num.Int()
+		} else {
+			pn, err := strconv.ParseInt(strings.TrimSpace(t.value), 0, 64)
+			if err != nil {
+				return Errf("expected integer but got %q", t.value), vm.Value{}, false
+			}
+			n = pn
+		}
+		if in.B >= 0 {
+			n += p.Consts[in.B].Int()
+		} else {
+			n++
+		}
+		s := strconv.FormatInt(n, 10)
+		t.isArr = false
+		t.value = s
+		t.num = vm.IntValue(n)
+		t.numState = 1
+		return Ok(s), t.num, true
+
+	default: // vm.OpExprCmd
+		ep := p.Exprs[in.A]
+		if !ep.Lowered() {
+			s, res := i.ExprString(ep.Src)
+			if res.Code != OK {
+				return res, vm.Value{}, false
+			}
+			return Ok(s), vm.Value{}, false
+		}
+		v, res := i.runExprProg(r, ep)
+		if res.Code != OK {
+			return res, vm.Value{}, false
+		}
+		return Ok(v.Text()), v, v.Kind() == vm.KInt
+	}
 }
 
 // vmSpecWords rebuilds the substituted word list of a simple specialized

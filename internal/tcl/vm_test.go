@@ -2,6 +2,7 @@ package tcl
 
 import (
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -139,10 +140,10 @@ func TestVMStepLimitParity(t *testing.T) {
 	}
 }
 
-// TestVMHookParity checks that Trace and DispatchHook observe the same
-// command sequence under vm evaluation: arming a hook drops the
-// specialized sites back to the generic dispatch path, so the hook's view
-// is identical to the classic evaluator's.
+// TestVMHookParity checks that Trace and DispatchHook, armed together,
+// observe the same command sequence under vm evaluation as under classic:
+// Trace needs each command's substituted words, so it drops the
+// specialized sites back to the generic dispatch path.
 func TestVMHookParity(t *testing.T) {
 	const script = `set a 1; incr a; if {$a > 1} { set b [expr {$a * 2}] }; foreach x {1 2} { set c $x }`
 	seq := func(mode EvalMode) (trace, hook []string) {
@@ -171,9 +172,144 @@ func TestVMHookParity(t *testing.T) {
 	}
 }
 
-// TestVMHookMidStream arms the hooks after the vm has already compiled
-// and specialized the script, which must flip the specialized sites back
-// to the generic (observable) path without recompilation.
+// hookOnlyScripts drive the hook-only parity leg: every specialized
+// opcode, errors raised inside if/while/foreach conditions and bodies,
+// break/continue/return leaving the specialized loops, a rebound set,
+// and generic dispatch around them.
+var hookOnlyScripts = []string{
+	`set a 1; set a; incr a; incr a 5; set b [expr {$a * 2}]; expr {$b + 1}`,
+	`set n v; set $n 3; incr $n; set v`,
+	`if {1 < 2} then {set r yes} else {set r no}`,
+	`if {0} {set r a} elseif {1} {set r b} else {set r c}; set r`,
+	`if {0} {set r x}; set r none`,
+	`set x 0; while {$x < 4} { incr x }; set x`,
+	`set s 0; foreach a {1 2 3 4} { incr s $a; incr s }; set s`,
+	`if {1} {error boom}`,
+	`if {[nosuch]} {set r 1}`,
+	`set x 0; while {$x < 3} { incr x; if {$x == 2} { incr missing } }`,
+	`while {$undefined} {}`,
+	`foreach v {1 2 3} { expr {$v / ($v - 2)} }`,
+	`catch {foreach v {a b} { error "in $v" }} msg; set msg`,
+	`set n 0; while {1} { incr n; if {$n > 2} break }; set n`,
+	`set l {}; foreach x {1 2 3 4} { if {$x % 2} continue; lappend l $x }; set l`,
+	`proc w {} { set k 0; while {1} { incr k; if {$k == 3} { return k$k } } }; w`,
+	`proc f {} { foreach x {a b c} { if {$x == "b"} { return $x } }; return none }; f`,
+	`proc g {n} { if {$n < 2} { return $n }; expr {[g [expr {$n-1}]] + [g [expr {$n-2}]]} }; g 6`,
+	`rename set oldset; proc set {args} { return rebound }; set a 1`,
+	`rename incr oldincr; proc incr {v} { upvar 1 $v x; set x [expr {$x + 10}] }; set q 1; incr q; set q`,
+	`while {1} { break }; foreach v {} { set never 1 }; expr {1 ? 2 : 3}`,
+}
+
+// dispatchLog runs script under mode with only DispatchHook armed and
+// returns every report as "depth:name", plus the result, ErrorInfo and
+// step count.
+func dispatchLog(mode EvalMode, script string, limit int64) (log []string, res Result, info string, steps int64) {
+	i := New()
+	i.SetEvalMode(mode)
+	i.Stdout = io.Discard
+	i.StepLimit = limit
+	i.DispatchHook = func(name string, depth int, d time.Duration) {
+		log = append(log, fmt.Sprintf("%d:%s", depth, name))
+	}
+	res = i.EvalScript(script)
+	return log, res, i.ErrorInfo, i.Steps()
+}
+
+// TestVMHookOnlyParity arms DispatchHook without Trace, which leaves the
+// vm on its specialized fast paths: each script must report the same
+// (depth, name) sequence with the same step count, result and ErrorInfo
+// as the classic referee. The step-limit sweep exhausts the budget at
+// every step of a mixed script, so a specialized site cut short at its
+// own charge, inside its body, or on its condition reports exactly what
+// classic reports. The fast-paths leg proves the premise: the hooked vm
+// really ran its specialized sites, not generic dispatch.
+func TestVMHookOnlyParity(t *testing.T) {
+	check := func(label, script string, limit int64) {
+		t.Helper()
+		logC, resC, infoC, stepsC := dispatchLog(EvalClassic, script, limit)
+		for _, mode := range []EvalMode{EvalCached, EvalVM} {
+			logM, resM, infoM, stepsM := dispatchLog(mode, script, limit)
+			if got, want := strings.Join(logM, " "), strings.Join(logC, " "); got != want {
+				t.Errorf("%s %s: dispatches\n got: %s\nwant: %s", mode, label, got, want)
+			}
+			if resM != resC || infoM != infoC || stepsM != stepsC {
+				t.Errorf("%s %s: got %+v/%q/%d steps, classic %+v/%q/%d steps",
+					mode, label, resM, infoM, stepsM, resC, infoC, stepsC)
+			}
+		}
+	}
+	for _, script := range hookOnlyScripts {
+		check(fmt.Sprintf("%q", script), script, 0)
+	}
+	const sweep = `set t 0; foreach n {1 2 3} { if {$n % 2} { incr t $n } else { set t [expr {$t * 2}] } }; while {$t < 12} { incr t }; set t`
+	_, _, _, total := dispatchLog(EvalClassic, sweep, 0)
+	for limit := int64(1); limit <= total; limit++ {
+		check(fmt.Sprintf("step limit %d", limit), sweep, limit)
+	}
+	t.Run("fast paths", testVMHookKeepsFastPaths)
+}
+
+// testVMHookKeepsFastPaths checks that DispatchHook alone does not push
+// the vm's specialized sites onto generic dispatch. After a warm hooked
+// run, the canonical set/incr/expr/if/while/foreach entries of the
+// command table are swapped for counting wrappers without advancing the
+// command epoch, so the specialization guards still pass; a hooked rerun
+// must report the same dispatches without reaching any wrapper.
+func testVMHookKeepsFastPaths(t *testing.T) {
+	const script = `set a 1; incr a; set b [expr {$a * 2}]; set b; if {$a > 1} {set c 1} else {set c 2}; while {$a < 5} {incr a}; foreach x {1 2} {set d $x}; set a`
+	i := New()
+	i.SetEvalMode(EvalVM)
+	var log []string
+	i.DispatchHook = func(name string, depth int, d time.Duration) { log = append(log, name) }
+	if res := i.EvalScript(script); res.Code != OK || res.Value != "5" {
+		t.Fatalf("warm run: %+v", res)
+	}
+	warm := strings.Join(log, " ")
+	generic := map[string]int{}
+	for name := range canonicalBuiltins {
+		name, cmd := name, i.commands[name]
+		i.commands[name] = func(in *Interp, args []string) Result {
+			generic[name]++
+			return cmd(in, args)
+		}
+	}
+	log = nil
+	if res := i.EvalScript(script); res.Code != OK || res.Value != "5" {
+		t.Fatalf("hooked rerun: %+v", res)
+	}
+	if len(generic) != 0 {
+		t.Errorf("hooked vm reached the command table for specialized sites: %v", generic)
+	}
+	if got := strings.Join(log, " "); got != warm {
+		t.Errorf("rerun dispatches %q, warm run %q", got, warm)
+	}
+}
+
+// TestVMHookedLoopAllocs guards the cost of observation: a vm loop of
+// specialized commands allocates no more per run with DispatchHook armed
+// than without it.
+func TestVMHookedLoopAllocs(t *testing.T) {
+	const script = `set s 0; set n 0; while {$n < 50} { incr n; set s [expr {$s + $n}]; if {$n % 2} { set odd $n } }; set s`
+	allocs := func(hooked bool) float64 {
+		i := New()
+		i.SetEvalMode(EvalVM)
+		if hooked {
+			calls := 0
+			i.DispatchHook = func(string, int, time.Duration) { calls++ }
+		}
+		if res := i.EvalScript(script); res.Code != OK || res.Value != "1275" {
+			t.Fatalf("hooked=%v: %+v", hooked, res)
+		}
+		return testing.AllocsPerRun(20, func() { i.EvalScript(script) })
+	}
+	if unhooked, hooked := allocs(false), allocs(true); hooked > unhooked {
+		t.Errorf("hooked loop allocates %.0f per run, unhooked %.0f", hooked, unhooked)
+	}
+}
+
+// TestVMHookMidStream arms DispatchHook after the vm has already compiled
+// and specialized the script: the specialized sites must start reporting
+// without recompilation.
 func TestVMHookMidStream(t *testing.T) {
 	const script = `set a 1; incr a 2; set a`
 	i := New()

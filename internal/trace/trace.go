@@ -29,7 +29,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"repro/internal/clock"
 )
 
 // Kind classifies one flight-recorder event.
@@ -186,8 +187,9 @@ type Recorder struct {
 	// jrn is the durable journal sink (nil = ring-only). Kept out of the
 	// mode word so Journaling() stays one pointer load for the call sites
 	// that build full payloads only when a journal will keep them.
-	jrn   atomic.Pointer[Journal]
-	epoch time.Time
+	jrn atomic.Pointer[Journal]
+	// epoch is the clock.Now reading at creation; Event.At counts from it.
+	epoch int64
 
 	mu   sync.Mutex
 	ring []Event
@@ -208,7 +210,7 @@ func New(n int) *Recorder {
 	if n <= 0 {
 		n = DefaultCapacity
 	}
-	return &Recorder{ring: make([]Event, n), epoch: time.Now()}
+	return &Recorder{ring: make([]Event, n), epoch: clock.Now()}
 }
 
 const recordBit = 1
@@ -363,21 +365,22 @@ func (r *Recorder) lenLocked() int {
 	return int(r.next)
 }
 
-// record is the shared slow path: copy one event into the ring (if armed),
-// append it to the journal (if attached), and render it (if the
-// diagnostics level shows its kind). Callers have already checked On().
+// record is the shared slow path: copy one event, stamped at now (a
+// clock.Now reading), into the ring (if armed), append it to the journal
+// (if attached), and render it (if the diagnostics level shows its kind).
+// Callers have already checked On().
 //
 // data is the full byte payload destined for the journal only; when nil,
 // textB (the uncapped byte payload, if any) stands in for it, so journaled
 // reads/writes/matches keep every byte while the ring slot keeps the
 // bounded preview.
-func (r *Recorder) record(k Kind, sid int32, a, b int64, flag bool, text string, textB []byte, aux string, auxB []byte, data []byte) {
+func (r *Recorder) record(now int64, k Kind, sid int32, a, b int64, flag bool, text string, textB []byte, aux string, auxB []byte, data []byte) {
 	mode := r.mode.Load()
 	if mode == 0 {
 		return
 	}
 	var ev Event
-	ev.At = int64(time.Since(r.epoch))
+	ev.At = now - r.epoch
 	ev.Kind = k
 	ev.SID = sid
 	ev.A, ev.B, ev.Flag = a, b, flag
@@ -426,7 +429,18 @@ func (r *Recorder) Record(k Kind, sid int32, a, b int64, flag bool, text, aux st
 	if !r.On() {
 		return
 	}
-	r.record(k, sid, a, b, flag, text, nil, aux, nil, nil)
+	r.record(clock.Now(), k, sid, a, b, flag, text, nil, aux, nil, nil)
+}
+
+// RecordAt is Record for a caller that has just read the clock itself:
+// the event is stamped with now, a clock.Now reading, instead of a second
+// read. The engine stamps each eval event with the reading that ended the
+// dispatch it reports.
+func (r *Recorder) RecordAt(now int64, k Kind, sid int32, a, b int64, flag bool, text, aux string) {
+	if !r.On() {
+		return
+	}
+	r.record(now, k, sid, a, b, flag, text, nil, aux, nil, nil)
 }
 
 // RecordBytes logs an event whose payloads are byte slices (chunk
@@ -436,7 +450,7 @@ func (r *Recorder) RecordBytes(k Kind, sid int32, a, b int64, flag bool, text, a
 	if !r.On() {
 		return
 	}
-	r.record(k, sid, a, b, flag, "", text, "", aux, nil)
+	r.record(clock.Now(), k, sid, a, b, flag, "", text, "", aux, nil)
 }
 
 // RecordData logs an event carrying an explicit full payload for the
@@ -446,7 +460,7 @@ func (r *Recorder) RecordData(k Kind, sid int32, a, b int64, flag bool, text, au
 	if !r.On() {
 		return
 	}
-	r.record(k, sid, a, b, flag, text, nil, aux, nil, data)
+	r.record(clock.Now(), k, sid, a, b, flag, text, nil, aux, nil, data)
 }
 
 // RecordAttempt logs one pattern attempt: pattern text plus a preview of
@@ -455,7 +469,7 @@ func (r *Recorder) RecordAttempt(sid int32, caseIdx int, bufLen int, matched boo
 	if !r.On() {
 		return
 	}
-	r.record(KindAttempt, sid, int64(caseIdx), int64(bufLen), matched, pattern, nil, "", previewTail(buf, AuxCap), nil)
+	r.record(clock.Now(), KindAttempt, sid, int64(caseIdx), int64(bufLen), matched, pattern, nil, "", previewTail(buf, AuxCap), nil)
 }
 
 // previewTail bounds b to its last n bytes (the tail is where the action

@@ -6,7 +6,39 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/clock"
 )
+
+// TestRecordAtKeepsCallerStamp checks that RecordAt stamps the event with
+// the caller's clock reading instead of reading the clock again, on the
+// same time base as Record.
+func TestRecordAtKeepsCallerStamp(t *testing.T) {
+	r := New(8)
+	r.SetRecording(true)
+	before := clock.Now()
+	r.Record(KindRead, 0, 0, 0, false, "now", "")
+	after := clock.Now()
+	r.RecordAt(before-1000, KindEval, -1, 5, 2, false, "set", "")
+	evs := r.Events()
+	if len(evs) != 2 {
+		t.Fatalf("got %d events, want 2", len(evs))
+	}
+	if at := evs[0].At; at < before-r.epoch || at > after-r.epoch {
+		t.Errorf("Record stamped %d, want within [%d, %d]", at, before-r.epoch, after-r.epoch)
+	}
+	if got, want := evs[1].At, before-1000-r.epoch; got != want {
+		t.Errorf("RecordAt stamped %d, want the caller's %d", got, want)
+	}
+	if evs[1].Kind != KindEval || evs[1].A != 5 || evs[1].B != 2 || evs[1].Text() != "set" {
+		t.Errorf("RecordAt payload = %+v", evs[1])
+	}
+	r.SetRecording(false)
+	r.RecordAt(after, KindEval, -1, 0, 0, false, "off", "")
+	if r.Total() != 2 {
+		t.Errorf("disabled recorder kept a RecordAt event")
+	}
+}
 
 func TestRingWraparound(t *testing.T) {
 	r := New(8)

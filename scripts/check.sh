@@ -31,11 +31,18 @@ go test -count=1 -shuffle=on -short ./...
 go test -race -count=1 ./internal/conformance
 
 # Bytecode-vm leg: the cross-mode equivalence table, step-limit and hook
-# parity, golden disassembly, and the mutation check proving the
-# differential harness has teeth — all under the race detector, plus a
-# goexpect run of a shipped script with -evalmode vm.
-go test -race -count=1 -run 'TestVM|TestEvalMode' ./internal/tcl
-go run ./cmd/goexpect -evalmode vm -transport pipe -sims -q scripts/passwd.exp >/dev/null
+# parity (Trace plus DispatchHook, and DispatchHook alone on the fast
+# paths), the hooked-loop allocation guard, golden disassembly, and the
+# mutation check proving the differential harness has teeth — all under
+# the race detector — plus the engine's default evaluator and its eval
+# ring events (one sequence in every mode, stamped at each dispatch's
+# end), a goexpect run of a shipped script on the default vm evaluator,
+# and one with -evalmode cached so the cached walker stays exercised end
+# to end.
+go test -race -count=1 -run 'TestVM|TestEvalMode|TestEvalCacheStats' ./internal/tcl
+go test -race -count=1 -run 'TestEvalEventsModeNeutral|TestEvalEventStampIsDispatchEnd|TestEngineDefaultsToVM' ./internal/core
+go run ./cmd/goexpect -transport pipe -sims -q scripts/passwd.exp >/dev/null
+go run ./cmd/goexpect -evalmode cached -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
 # Sharded-scheduler matrix leg: the shard unit tests plus a goexpect run
 # under -shards, proving the flag-wired path end to end.
