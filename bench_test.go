@@ -617,10 +617,10 @@ func BenchmarkEvalCacheHit(b *testing.B) {
 }
 
 func BenchmarkEvalCacheMiss(b *testing.B) {
-	// Caching disabled: every evaluation re-parses the script text, the
-	// seed implementation's behaviour.
+	// The classic evaluator: every evaluation re-parses the script text,
+	// the seed implementation's behaviour.
 	i := tcl.New()
-	i.SetEvalCacheSize(0)
+	i.SetEvalMode(tcl.EvalClassic)
 	if _, err := i.Eval(hotScript); err != nil {
 		b.Fatal(err)
 	}
@@ -651,7 +651,7 @@ func BenchmarkExprASTCached(b *testing.B) {
 
 func BenchmarkExprASTReparse(b *testing.B) {
 	i := tcl.New()
-	i.SetEvalCacheSize(0)
+	i.SetEvalMode(tcl.EvalClassic)
 	i.SetVar("x", "21")
 	i.SetVar("y", "3")
 	if _, res := i.ExprString(hotExpr); res.Code != tcl.OK {

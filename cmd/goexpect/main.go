@@ -12,11 +12,11 @@
 //	goexpect -shards N script          own sessions with N sharded event
 //	                                   loops instead of one pump
 //	                                   goroutine per session
-//	goexpect -evalmode cached script   pick the Tcl evaluation engine:
+//	goexpect -evalmode classic script  pick the Tcl evaluation engine:
 //	                                   vm (register bytecode with inline
-//	                                   caches; the default), classic
-//	                                   (re-parse everything), or cached
-//	                                   (parse-once skeletons)
+//	                                   caches; the default) or classic
+//	                                   (re-parse everything; the referee
+//	                                   the vm is proven against)
 //	goexpect -sims script              make the simulated programs
 //	                                   (rogue-sim, chess-sim, eliza-sim,
 //	                                   fsck-sim, tip-sim, passwd-sim,
@@ -98,7 +98,7 @@ func run() int {
 		quiet      = flag.Bool("q", false, "start with log_user 0 (script output only)")
 		timeout    = flag.Int("timeout", 0, "override the initial timeout variable (seconds; 0 keeps the default 10)")
 		shards     = flag.Int("shards", 0, "run sessions under a sharded scheduler with this many event loops (0 = one pump goroutine per session)")
-		evalmode   = flag.String("evalmode", "vm", `Tcl evaluation engine: "vm", "classic", or "cached"`)
+		evalmode   = flag.String("evalmode", "vm", `Tcl evaluation engine: "vm" or "classic"`)
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile taken at exit to this file")
 		stats      = flag.Bool("stats", false, "print an engine metrics summary (sessions, phase shares, latency percentiles) on stderr at exit")
@@ -139,7 +139,7 @@ func run() int {
 		*transport = "network"
 	}
 	if _, ok := tcl.ParseEvalMode(*evalmode); !ok {
-		fmt.Fprintf(os.Stderr, "goexpect: -evalmode: unknown mode %q (want classic, cached, or vm)\n", *evalmode)
+		fmt.Fprintf(os.Stderr, "goexpect: -evalmode: unknown mode %q (want vm or classic)\n", *evalmode)
 		return 2
 	}
 	logUser := !*quiet

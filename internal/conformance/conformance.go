@@ -1,6 +1,6 @@
 // Package conformance is the differential harness: it replays the shipped
 // scripts/*.exp and a table of engine scenarios through every engine
-// variant (rescan vs incremental matching × the classic/cached/vm Tcl
+// variant (rescan vs incremental matching × the classic/vm Tcl
 // evaluation modes) and through clean vs deterministically-faultified
 // transports (internal/faultify), then asserts that the observable
 // outcomes are identical.
@@ -51,14 +51,13 @@ type Variant struct {
 	// Matcher selects the glob scan strategy (rescan is the seed
 	// baseline; incremental is the NFA-feeding optimisation).
 	Matcher core.MatcherMode
-	// EvalCacheSize is passed to Interp.SetEvalCacheSize; 0 restores the
-	// classic parse-as-you-evaluate path.
-	EvalCacheSize int
 	// EvalMode, when non-empty, selects the interpreter's evaluation
-	// engine ("classic", "cached", or "vm" — see tcl.ParseEvalMode); empty
-	// keeps the engine default (vm), so every cell spells out the mode its
-	// name claims. The register-bytecode vm must be observably identical
-	// to the classic walker on every script, scenario, and fault schedule.
+	// engine ("classic" or "vm" — see tcl.ParseEvalMode). Empty keeps the
+	// engine default, the vm with its compile caches, as an engine built
+	// with no eval mode runs it; those cells are named "cached", so every
+	// name still says which evaluator its cell runs. The register-bytecode
+	// vm must be observably identical to the classic referee on every
+	// script, scenario, and fault schedule.
 	EvalMode string
 	// Shards > 0 runs the engine's sessions under a sharded scheduler
 	// with that many event loops instead of per-session pump goroutines.
@@ -81,33 +80,34 @@ type Variant struct {
 	Mux bool
 }
 
-// Variants is the full matrix: both matchers × the three evaluation
-// modes, plus the sharded-scheduler cells (shard counts pinned
-// explicitly — the default would collapse to GOMAXPROCS). Variants[0]
-// is the seed-faithful baseline every other cell is compared against.
+// Variants is the full matrix: both matchers × the classic referee, the
+// explicitly selected vm, and the engine default ("cached", the same vm
+// reached without naming it), plus the sharded-scheduler and transport
+// cells (shard counts pinned explicitly — the default would collapse to
+// GOMAXPROCS). Variants[0], the classic referee on the seed's rescan
+// matcher, is the baseline every cell is compared against.
 var Variants = []Variant{
-	{Name: "rescan-cached", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached"},
-	{Name: "incremental-cached", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached"},
 	{Name: "rescan-classic", Matcher: core.MatcherRescan, EvalMode: "classic"},
+	{Name: "rescan-cached", Matcher: core.MatcherRescan},
+	{Name: "incremental-cached", Matcher: core.MatcherIncremental},
 	{Name: "incremental-classic", Matcher: core.MatcherIncremental, EvalMode: "classic"},
-	{Name: "rescan-vm", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
-	{Name: "incremental-vm", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
-	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 1},
-	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8},
-	{Name: "incremental-cached-shard8", Matcher: core.MatcherIncremental, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8},
-	{Name: "rescan-vm-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 1},
-	{Name: "rescan-vm-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 8},
-	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Network: true},
-	{Name: "rescan-cached-net-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8, Network: true},
-	{Name: "rescan-vm-net", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Network: true},
-	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Mux: true},
-	{Name: "rescan-cached-mux-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8, Mux: true},
-	{Name: "rescan-vm-mux", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Mux: true},
+	{Name: "rescan-vm", Matcher: core.MatcherRescan, EvalMode: "vm"},
+	{Name: "incremental-vm", Matcher: core.MatcherIncremental, EvalMode: "vm"},
+	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, Shards: 1},
+	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, Shards: 8},
+	{Name: "incremental-cached-shard8", Matcher: core.MatcherIncremental, Shards: 8},
+	{Name: "rescan-vm-shard1", Matcher: core.MatcherRescan, EvalMode: "vm", Shards: 1},
+	{Name: "rescan-vm-shard8", Matcher: core.MatcherRescan, EvalMode: "vm", Shards: 8},
+	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, Network: true},
+	{Name: "rescan-cached-net-shard8", Matcher: core.MatcherRescan, Shards: 8, Network: true},
+	{Name: "rescan-vm-net", Matcher: core.MatcherRescan, EvalMode: "vm", Network: true},
+	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, Mux: true},
+	{Name: "rescan-cached-mux-shard8", Matcher: core.MatcherRescan, Shards: 8, Mux: true},
+	{Name: "rescan-vm-mux", Matcher: core.MatcherRescan, EvalMode: "vm", Mux: true},
 }
 
-// applyEval gives an interpreter the variant's evaluation settings.
+// applyEval gives an interpreter the variant's evaluation mode.
 func (v Variant) applyEval(i *tcl.Interp) {
-	i.SetEvalCacheSize(v.EvalCacheSize)
 	if m, ok := tcl.ParseEvalMode(v.EvalMode); ok {
 		i.SetEvalMode(m)
 	}
@@ -207,8 +207,8 @@ var Scripts = []ScriptCase{
 // testdata/: unlike the engine-scenario table (scenarios.go), which
 // drives sessions through the core API with no interpreter in the loop,
 // these compute every sent byte with procs, loops, and expr between
-// expect wakeups — so the eval-mode axis (classic/cached/vm) is load-
-// bearing for every cell. They run through RunScript with scriptsDir
+// expect wakeups — so the eval-mode axis (classic/vm) is load-bearing
+// for every cell. They run through RunScript with scriptsDir
 // pointed at the package testdata directory.
 var ScriptedScenarios = []ScriptCase{
 	{File: "vmdialog.exp", CompareUser: true},

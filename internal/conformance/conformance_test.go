@@ -17,13 +17,19 @@ const scriptsDir = "../../scripts"
 // TestVariantsNameTheirEvaluator pins each matrix cell to the evaluation
 // mode its name claims: an engine built the way RunScript builds one must
 // report that mode, so a change of the engine's default mode cannot
-// quietly turn the baseline or the cached cells into vm cells.
+// quietly turn the classic baseline into a vm cell, nor the "cached"
+// cells, which run the engine default, into classic ones.
 func TestVariantsNameTheirEvaluator(t *testing.T) {
 	for _, v := range Variants {
 		want := ""
 		for _, part := range strings.Split(v.Name, "-") {
 			if _, ok := tcl.ParseEvalMode(part); ok {
 				want = part
+			} else if part == "cached" {
+				if v.EvalMode != "" {
+					t.Errorf("%s: a cached cell runs the engine default, but selects %q", v.Name, v.EvalMode)
+				}
+				want = tcl.EvalVM.String()
 			}
 		}
 		if want == "" {
@@ -41,8 +47,9 @@ func TestVariantsNameTheirEvaluator(t *testing.T) {
 
 // TestConformanceScripts replays every shipped script through the full
 // variant × condition matrix and requires each cell's outcome to be
-// identical to the seed-faithful baseline (rescan matcher, cached eval,
-// clean transport).
+// identical to the baseline (rescan matcher, classic eval, clean
+// transport). The baseline's own cell reruns it, so a referee that does
+// not reproduce itself fails there rather than in every other cell.
 func TestConformanceScripts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("script matrix is wall-clock heavy (callback.exp sleeps 4s per cell)")
@@ -60,9 +67,6 @@ func TestConformanceScripts(t *testing.T) {
 			}
 			for _, v := range Variants {
 				for _, cond := range Conditions {
-					if v.Name == Variants[0].Name && cond.Name == Conditions[0].Name {
-						continue // the baseline itself
-					}
 					v, cond := v, cond
 					t.Run(v.Name+"/"+cond.Name, func(t *testing.T) {
 						t.Parallel()
@@ -86,22 +90,24 @@ func TestConformanceScripts(t *testing.T) {
 }
 
 // TestConformanceScriptedScenarios replays the interpreter-heavy
-// testdata fixtures across the three evaluation modes × every fault
-// schedule × scheduler shapes (including the shard1/shard8 legs),
-// anchored to the classic evaluator — the frozen referee — as baseline.
-// The fixtures compute each sent byte in Tcl, so a vm miscompile shows
-// up as a transcript or exit divergence here, not just in unit tests.
+// testdata fixtures across the classic referee, the selected vm and the
+// engine default ("cached", the vm unnamed) × every fault schedule ×
+// scheduler shapes (including the shard1/shard8 legs), anchored to the
+// classic evaluator — the frozen referee — as baseline, whose own cell
+// reruns it as in TestConformanceScripts. The fixtures compute each sent
+// byte in Tcl, so a vm miscompile shows up as a transcript or exit
+// divergence here, not just in unit tests.
 func TestConformanceScriptedScenarios(t *testing.T) {
 	variants := []Variant{
 		{Name: "classic", Matcher: core.MatcherRescan, EvalMode: "classic"},
-		{Name: "cached", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached"},
-		{Name: "vm", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm"},
+		{Name: "cached", Matcher: core.MatcherRescan},
+		{Name: "vm", Matcher: core.MatcherRescan, EvalMode: "vm"},
 		{Name: "classic-shard1", Matcher: core.MatcherRescan, EvalMode: "classic", Shards: 1},
-		{Name: "cached-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 1},
-		{Name: "vm-shard1", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 1},
+		{Name: "cached-shard1", Matcher: core.MatcherRescan, Shards: 1},
+		{Name: "vm-shard1", Matcher: core.MatcherRescan, EvalMode: "vm", Shards: 1},
 		{Name: "classic-shard8", Matcher: core.MatcherRescan, EvalMode: "classic", Shards: 8},
-		{Name: "cached-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "cached", Shards: 8},
-		{Name: "vm-shard8", Matcher: core.MatcherRescan, EvalCacheSize: tcl.DefaultEvalCacheSize, EvalMode: "vm", Shards: 8},
+		{Name: "cached-shard8", Matcher: core.MatcherRescan, Shards: 8},
+		{Name: "vm-shard8", Matcher: core.MatcherRescan, EvalMode: "vm", Shards: 8},
 	}
 	for _, sc := range ScriptedScenarios {
 		sc := sc
@@ -116,9 +122,6 @@ func TestConformanceScriptedScenarios(t *testing.T) {
 			}
 			for _, v := range variants {
 				for _, cond := range Conditions {
-					if v.Name == variants[0].Name && cond.Name == Conditions[0].Name {
-						continue
-					}
 					v, cond := v, cond
 					t.Run(v.Name+"/"+cond.Name, func(t *testing.T) {
 						t.Parallel()

@@ -40,7 +40,7 @@ const observerCall = `fold 7 [shift dialogue 3]`
 // the hook removed; the difference in ns/dispatch is the observer's price,
 // including any fast path that arming it turns off.
 func BenchmarkDispatchObserver(b *testing.B) {
-	for _, mode := range []string{"cached", "vm"} {
+	for _, mode := range []string{"classic", "vm"} {
 		for _, observed := range []bool{true, false} {
 			name := mode + "/bare"
 			if observed {

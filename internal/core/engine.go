@@ -104,11 +104,10 @@ type EngineOptions struct {
 	// caller's terminal, whose reads must be allowed to block.
 	Shards int
 	// EvalMode selects the interpreter's evaluation engine: "vm" (register
-	// bytecode with inline caches, the default), "classic" (re-parse every
-	// evaluation; the frozen referee), or "cached" (parse-once skeletons).
-	// Unknown or empty values keep the default; all three modes are
-	// observably identical — the conformance harness runs every scenario
-	// across them.
+	// bytecode with inline caches, the default) or "classic" (re-parse
+	// every evaluation; the frozen referee). Unknown or empty values keep
+	// the default; the two modes are observably identical — the
+	// conformance harness runs every scenario across them.
 	EvalMode string
 }
 
@@ -153,11 +152,9 @@ func NewEngine(opt EngineOptions) *Engine {
 	if opt.Shards > 0 {
 		e.sched = NewScheduler(SchedulerOptions{Shards: opt.Shards})
 	}
-	mode := tcl.EvalVM
 	if m, ok := tcl.ParseEvalMode(opt.EvalMode); ok {
-		mode = m
+		e.Interp.SetEvalMode(m)
 	}
-	e.Interp.SetEvalMode(mode)
 	e.Interp.Stdout = e.userOut
 	// Every Tcl command dispatch feeds the eval latency histogram and, when
 	// armed, the flight recorder (§3.3's trace, structurally). The event is

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/pattern"
+	"repro/internal/tcl"
 )
 
 // chunkedEmitter writes text in the given chunk sizes with tiny pauses, so
@@ -179,9 +180,9 @@ func TestCompiledGlobEngineEquivalentQuick(t *testing.T) {
 }
 
 // TestEngineCachedUncachedEquivalentQuick runs one randomly assembled
-// expect script through two engines — eval cache on (default) and off (the
-// seed's parse-as-you-go path) — against the same virtual program, and
-// requires identical results and identical state.
+// expect script through two engines — the default vm and the classic
+// evaluator (the seed's parse-as-you-go path) — against the same virtual
+// program, and requires identical results and identical state.
 func TestEngineCachedUncachedEquivalentQuick(t *testing.T) {
 	pieces := []string{
 		`set a [expr {$a * 2 + 1}]`,
@@ -204,13 +205,13 @@ func TestEngineCachedUncachedEquivalentQuick(t *testing.T) {
 		sb.WriteString(`set out "$a|$b"`)
 		script := sb.String()
 
-		run := func(cached bool) (string, string) {
+		run := func(vm bool) (string, string) {
 			var userOut lockedBuffer
 			off := false
 			e := NewEngine(EngineOptions{UserOut: &userOut, LogUser: &off})
 			defer e.Shutdown()
-			if !cached {
-				e.Interp.SetEvalCacheSize(0)
+			if !vm {
+				e.Interp.SetEvalMode(tcl.EvalClassic)
 			}
 			e.RegisterVirtual("echoer", lineServer("ready\n", func(line string) (string, bool) {
 				return "echo: " + line + "\n", true
@@ -224,7 +225,7 @@ func TestEngineCachedUncachedEquivalentQuick(t *testing.T) {
 		co, ce := run(true)
 		uo, ue := run(false)
 		if co != uo || ce != ue {
-			t.Logf("script:\n%s\ncached   = (%q, %q)\nuncached = (%q, %q)", script, co, ce, uo, ue)
+			t.Logf("script:\n%s\nvm      = (%q, %q)\nclassic = (%q, %q)", script, co, ce, uo, ue)
 			return false
 		}
 		return true

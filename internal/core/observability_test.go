@@ -312,10 +312,8 @@ func TestEvalEventsModeNeutral(t *testing.T) {
 	if classic == "" {
 		t.Fatal("classic run recorded no eval events")
 	}
-	for _, mode := range []string{"cached", "vm"} {
-		if got := strings.Join(evals(mode), " "); got != classic {
-			t.Errorf("%s eval events diverge from classic:\n got: %s\nwant: %s", mode, got, classic)
-		}
+	if got := strings.Join(evals("vm"), " "); got != classic {
+		t.Errorf("vm eval events diverge from classic:\n got: %s\nwant: %s", got, classic)
 	}
 }
 

@@ -8,16 +8,22 @@ import (
 	"testing"
 )
 
-// The eval cache must be invisible: every script and expression behaves
-// identically with caching on (the default) and off. These tests pin the
-// invalidation story (proc redefinition, rename) and the error-timing
-// subtleties (fail-soft parse errors, bracket return), then cross-check the
-// two evaluators over randomized scripts.
+// The vm's compile caches must be invisible: every script and expression
+// behaves identically under the vm (the default) and the classic
+// re-parsing referee. These tests pin the invalidation story (proc
+// redefinition, rename) and the error-timing subtleties (fail-soft parse
+// errors, bracket return), then cross-check the two evaluators over
+// randomized scripts.
 
-func newUncached() *Interp {
+func newClassic() *Interp {
 	i := New()
-	i.SetEvalCacheSize(0)
+	i.SetEvalMode(EvalClassic)
 	return i
+}
+
+// bothModes returns a fresh interpreter in each evaluation mode, vm first.
+func bothModes() map[string]*Interp {
+	return map[string]*Interp{"vm": New(), "classic": newClassic()}
 }
 
 func TestProcRedefinitionNeverStale(t *testing.T) {
@@ -68,22 +74,27 @@ func TestRenameNeverServesStaleDispatch(t *testing.T) {
 	}
 }
 
+// TestLoopBodyHitsCache checks that a loop body evaluated on every pass
+// compiles once. The vm inlines `while` bodies, so the loop is a `for`,
+// which it does not specialize: cmdFor runs its step and body scripts
+// through EvalScript on every pass, and every pass after the first must
+// hit the cache.
 func TestLoopBodyHitsCache(t *testing.T) {
 	i := New()
-	if _, err := i.Eval("set n 0\nwhile {$n < 50} {set n [expr {$n + 1}]}"); err != nil {
+	if _, err := i.Eval("for {set n 0} {$n < 50} {incr n} {set m [expr {$n + 1}]}"); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses, _ := i.EvalCacheStats()
-	if hits < 40 {
+	if hits < 40 || misses > 4 {
 		t.Errorf("loop body should hit the cache, got hits=%d misses=%d", hits, misses)
 	}
 }
 
 // TestEvalCacheStatsCountsActiveMode checks that EvalCacheStats counts the
-// lookups of the script cache the active mode uses. The vm runs the
-// foreach body inline and answers 49 of the 50 evaluations of double's
-// body from its front entry, consulting the skeleton cache only on its
-// one miss; the cached walker looks up both texts every iteration.
+// lookups of the vm's script cache. The vm runs the foreach body inline
+// and answers 49 of the 50 evaluations of double's body from its front
+// entry, compiling only on its one miss; the classic referee consults no
+// cache.
 func TestEvalCacheStatsCountsActiveMode(t *testing.T) {
 	items := make([]string, 50)
 	for k := range items {
@@ -91,43 +102,49 @@ func TestEvalCacheStatsCountsActiveMode(t *testing.T) {
 	}
 	script := "proc double {x} {expr {$x * 2}}; set s 0; foreach v {" + strings.Join(items, " ") +
 		"} {incr s [double $v]}; set s"
-	for _, mode := range []EvalMode{EvalCached, EvalVM} {
-		i := New()
-		i.SetEvalMode(mode)
+	for mode, i := range bothModes() {
 		if out, err := i.Eval(script); err != nil || out != "2450" {
 			t.Fatalf("%s: %q, %v", mode, out, err)
 		}
-		hits, misses, _ := i.EvalCacheStats()
+		hits, misses, evicted := i.EvalCacheStats()
+		if mode == "classic" {
+			if hits+misses+evicted != 0 {
+				t.Errorf("classic: stats %d/%d/%d, want none", hits, misses, evicted)
+			}
+			continue
+		}
 		if hits < 49 || misses == 0 || misses > 4 {
 			t.Errorf("%s: hits=%d misses=%d, want >= 49 hits over a handful of compiles", mode, hits, misses)
 		}
-		i.SetEvalCacheSize(DefaultEvalCacheSize)
-		if hits, misses, evicted := i.EvalCacheStats(); hits+misses+evicted != 0 {
-			t.Errorf("%s: stats survive a cache reset: %d/%d/%d", mode, hits, misses, evicted)
-		}
 	}
 }
 
+// TestCacheDisabledRestoresLegacyPath checks that the classic referee
+// evaluates without touching the vm's caches.
 func TestCacheDisabledRestoresLegacyPath(t *testing.T) {
-	i := newUncached()
+	i := newClassic()
 	if out, err := i.Eval("set x 5; expr {$x * 2}"); err != nil || out != "10" {
-		t.Fatalf("uncached eval: %q, %v", out, err)
+		t.Fatalf("classic eval: %q, %v", out, err)
 	}
 	if hits, misses, evicted := i.EvalCacheStats(); hits+misses+evicted != 0 {
-		t.Errorf("disabled cache reported stats %d/%d/%d", hits, misses, evicted)
+		t.Errorf("classic eval reported cache stats %d/%d/%d", hits, misses, evicted)
+	}
+	if n := i.vmCache.Len() + i.vmExprCache.Len(); n != 0 {
+		t.Errorf("classic eval cached %d programs", n)
 	}
 }
 
+// TestCacheBoundIsRespected evaluates more distinct scripts than the
+// cache holds: the vm's script cache stays at its bound and evicts.
 func TestCacheBoundIsRespected(t *testing.T) {
 	i := New()
-	i.SetEvalCacheSize(4)
-	for k := 0; k < 32; k++ {
+	for k := 0; k < DefaultEvalCacheSize+64; k++ {
 		if _, err := i.Eval(fmt.Sprintf("set v%d %d", k, k)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := i.evalCache.Len(); n > 4 {
-		t.Errorf("cache holds %d entries, bound is 4", n)
+	if n := i.vmCache.Len(); n > DefaultEvalCacheSize {
+		t.Errorf("cache holds %d entries, bound is %d", n, DefaultEvalCacheSize)
 	}
 	if _, _, evicted := i.EvalCacheStats(); evicted == 0 {
 		t.Error("expected evictions past the bound")
@@ -173,12 +190,10 @@ func TestFailSoftParseErrorTiming(t *testing.T) {
 			},
 		},
 	}
-	for _, mode := range []string{"cached", "uncached"} {
+	for _, mode := range []EvalMode{EvalVM, EvalClassic} {
 		for _, tc := range cases {
 			i := New()
-			if mode == "uncached" {
-				i.SetEvalCacheSize(0)
-			}
+			i.SetEvalMode(mode)
 			_, err := i.Eval(tc.script)
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Errorf("%s %q: err = %v, want %q", mode, tc.script, err, tc.wantErr)
@@ -203,12 +218,10 @@ func TestBracketReturnPosition(t *testing.T) {
 		{script: "set x [return 5; more]", wantErr: "missing close-bracket"},
 		{script: "set x [return 5; ]", wantErr: "missing close-bracket"},
 	}
-	for _, mode := range []string{"cached", "uncached"} {
+	for _, mode := range []EvalMode{EvalVM, EvalClassic} {
 		for _, tc := range cases {
 			i := New()
-			if mode == "uncached" {
-				i.SetEvalCacheSize(0)
-			}
+			i.SetEvalMode(mode)
 			out, err := i.Eval(tc.script)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -303,9 +316,9 @@ func randomScript(rng *rand.Rand) string {
 	return sb.String()
 }
 
-// TestCachedUncachedEquivalenceFuzz cross-checks the compiled evaluator
-// against the classic parse-as-you-evaluate path over randomized scripts:
-// identical completion codes, values, and global variable state. Scripts
+// TestCachedUncachedEquivalenceFuzz cross-checks the vm against the
+// classic parse-as-you-evaluate referee over randomized scripts: identical
+// completion codes, values, ErrorInfo, and global variable state. Scripts
 // are seeded so every interp starts with the referenced variables defined,
 // then each random script runs on both modes.
 func TestCachedUncachedEquivalenceFuzz(t *testing.T) {
@@ -315,31 +328,35 @@ func TestCachedUncachedEquivalenceFuzz(t *testing.T) {
 		"proc p0 {x} {return $x}; proc p1 {x} {return [expr {$x+1}]}; proc p2 {x} {return [expr {$x*2}]}"
 	for iter := 0; iter < 400; iter++ {
 		script := randomScript(rng)
-		cached := New()
-		uncached := newUncached()
-		for _, i := range []*Interp{cached, uncached} {
+		vmi := New()
+		classic := newClassic()
+		for _, i := range []*Interp{vmi, classic} {
 			if _, err := i.Eval(seedScript); err != nil {
 				t.Fatalf("seed: %v", err)
 			}
 		}
-		// Evaluate twice on the cached interp so the second pass replays
-		// from cache — the path that must not diverge.
-		resC := cached.EvalScript(script)
-		resC2 := cached.EvalScript(script)
-		resU := uncached.EvalScript(script)
-		resU2 := uncached.EvalScript(script)
-		if resC2 != resU2 {
-			t.Fatalf("iter %d: second-pass results diverge\nscript:\n%s\ncached:   %+v\nuncached: %+v",
-				iter, script, resC2, resU2)
+		// Evaluate twice so the second pass replays the memoized program
+		// and its primed inline caches — the path that must not diverge.
+		resV := vmi.EvalScript(script)
+		resV2 := vmi.EvalScript(script)
+		resC := classic.EvalScript(script)
+		resC2 := classic.EvalScript(script)
+		if resV2 != resC2 {
+			t.Fatalf("iter %d: second-pass results diverge\nscript:\n%s\nvm:      %+v\nclassic: %+v",
+				iter, script, resV2, resC2)
 		}
-		if resC != resU {
-			t.Fatalf("iter %d: first-pass results diverge\nscript:\n%s\ncached:   %+v\nuncached: %+v",
-				iter, script, resC, resU)
+		if resV != resC {
+			t.Fatalf("iter %d: first-pass results diverge\nscript:\n%s\nvm:      %+v\nclassic: %+v",
+				iter, script, resV, resC)
 		}
-		sc, su := snapshot(cached, resC2), snapshot(uncached, resU2)
-		if sc != su {
-			t.Fatalf("iter %d: state diverges\nscript:\n%s\ncached:\n%s\nuncached:\n%s",
-				iter, script, sc, su)
+		if vmi.ErrorInfo != classic.ErrorInfo {
+			t.Fatalf("iter %d: ErrorInfo diverges\nscript:\n%s\nvm:      %q\nclassic: %q",
+				iter, script, vmi.ErrorInfo, classic.ErrorInfo)
+		}
+		sv, sc := snapshot(vmi, resV2), snapshot(classic, resC2)
+		if sv != sc {
+			t.Fatalf("iter %d: state diverges\nscript:\n%s\nvm:\n%s\nclassic:\n%s",
+				iter, script, sv, sc)
 		}
 	}
 }
@@ -372,36 +389,38 @@ func randomExpr(rng *rand.Rand) string {
 	return sb.String()
 }
 
+// TestExprASTEquivalenceFuzz cross-checks the vm's compiled expressions
+// (cold, then from its cache) against the classic re-parsing evaluator.
 func TestExprASTEquivalenceFuzz(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const seed = "set a 5; set b 2; set f 1.5; set arr(k) 9"
-	cached := New()
-	uncached := newUncached()
-	for _, i := range []*Interp{cached, uncached} {
+	vmi := New()
+	classic := newClassic()
+	for _, i := range []*Interp{vmi, classic} {
 		if _, err := i.Eval(seed); err != nil {
 			t.Fatalf("seed: %v", err)
 		}
 	}
 	for iter := 0; iter < 600; iter++ {
 		expr := randomExpr(rng)
-		// Two passes on the cached side: miss then hit.
-		c1, r1 := cached.ExprString(expr)
-		c2, r2 := cached.ExprString(expr)
-		u, ru := uncached.ExprString(expr)
-		if c1 != c2 || r1 != r2 {
+		// Two passes on the vm side: miss then hit.
+		v1, r1 := vmi.ExprString(expr)
+		v2, r2 := vmi.ExprString(expr)
+		c, rc := classic.ExprString(expr)
+		if v1 != v2 || r1 != r2 {
 			t.Fatalf("iter %d: cache hit diverges from miss for %q: (%q,%+v) vs (%q,%+v)",
-				iter, expr, c1, r1, c2, r2)
+				iter, expr, v1, r1, v2, r2)
 		}
-		if c1 != u || r1 != ru {
-			t.Fatalf("iter %d: AST diverges from re-parse for %q:\nAST:      (%q, %+v)\nre-parse: (%q, %+v)",
-				iter, expr, c1, r1, u, ru)
+		if v1 != c || r1 != rc {
+			t.Fatalf("iter %d: vm diverges from classic for %q:\nvm:      (%q, %+v)\nclassic: (%q, %+v)",
+				iter, expr, v1, r1, c, rc)
 		}
 	}
 }
 
 func TestExprLazinessCached(t *testing.T) {
-	// The canonical laziness cases must hold on the cached path too,
-	// including on a cache hit.
+	// The canonical laziness cases must hold on the vm too, including on
+	// a cache hit.
 	i := New()
 	for pass := 0; pass < 2; pass++ {
 		if out, err := i.Eval("expr {1 || $nosuchvar}"); err != nil || out != "1" {
@@ -426,11 +445,7 @@ func TestExprLazinessCached(t *testing.T) {
 // share: quoted strings substitute even on untaken lazy sides (for strings,
 // parsing is substitution), while brackets and variables are skipped.
 func TestQuotedSideEffectsRunUntaken(t *testing.T) {
-	for _, mode := range []string{"cached", "uncached"} {
-		i := New()
-		if mode == "uncached" {
-			i.SetEvalCacheSize(0)
-		}
+	for mode, i := range bothModes() {
 		if _, err := i.Eval(`expr {1 || "[set touched 1]"}`); err != nil {
 			t.Fatalf("%s: %v", mode, err)
 		}

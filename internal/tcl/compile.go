@@ -2,22 +2,22 @@ package tcl
 
 import "strings"
 
-// The compile-once evaluator. Classic Tcl re-lexes every script string each
-// time it is evaluated, which makes loop bodies, proc bodies, and if arms pay
-// the full parser on every iteration. compileScript instead parses a script
-// string once into a command skeleton — commands of words, words of segments
-// (literal runs, $variable references, [bracket] scripts) — that the
-// interpreter can replay with only substitution work. Compiled skeletons are
-// pure functions of the script text, so they are memoized in a bounded LRU
-// keyed by the text itself (Interp.evalCache): redefining a proc or renaming
-// a command can never serve a stale body, because bodies are keyed by their
-// source and command dispatch stays by-name at evaluation time.
+// The skeleton compiler: the vm's script front end. Classic Tcl re-lexes
+// every script string each time it is evaluated; compileScript instead
+// parses a script string once into a command skeleton — commands of words,
+// words of segments (literal runs, $variable references, [bracket]
+// scripts) — which vm_compile.go lowers to bytecode. Skeletons are pure
+// functions of the script text, so the lowered programs are memoized by
+// that text (Interp.vmCache): redefining a proc or renaming a command can
+// never serve a stale body, because bodies are keyed by their source and
+// command dispatch stays by-name at evaluation time.
 //
 // Error timing is preserved exactly: the classic evaluator parses as it
 // goes, so a syntax error after a runnable prefix surfaces only once
 // evaluation reaches it. Compilation is therefore fail-soft — the commands
-// before a parse error are kept and the error is raised when (and only when)
-// execution arrives at that point.
+// before a parse error are kept, and the failing command is marked so the
+// vm hands it to the classic parser, which raises the error when (and only
+// when) execution arrives at that point.
 
 type segKind uint8
 
@@ -31,9 +31,8 @@ const (
 	segVarArr
 	// segVarArrOpen is a $name( reference whose ')' never arrives. The
 	// classic scanner substitutes the index as it looks for the paren, so
-	// an inner substitution failure outranks the missing-paren report;
-	// evaluation replays the index segments in order and only then raises
-	// `missing ")"`.
+	// an inner substitution failure outranks the missing-paren report; the
+	// vm leaves the command to the classic parser, which keeps that order.
 	segVarArrOpen
 	// segScript is a [command] substitution holding a compiled script.
 	segScript
@@ -58,9 +57,12 @@ type compiledWord struct {
 // classic evaluator exposes through error behavior.
 type compiledCmd struct {
 	words []compiledWord
+	// start is the offset in compiledScript.src where the classic parser
+	// begins this command.
+	start int
 	// litWords caches the substituted word slice when every word is
-	// literal, so replaying the command allocates nothing. Commands must
-	// treat their argument slice as read-only (they do).
+	// literal, so dispatching the lowered command allocates nothing.
+	// Commands must treat their argument slice as read-only (they do).
 	litWords []string
 	// bracketOK records whether the parser sits exactly on the terminating
 	// ']' after this command — the classic evaluator only accepts a
@@ -70,22 +72,23 @@ type compiledCmd struct {
 	// [script]; its nested prefix still runs (substitution reaches it and
 	// fails), but the command itself must never dispatch.
 	poisoned bool
-	// parseErr, when non-nil, is a word-level parse error (missing
-	// close-quote/brace, malformed variable reference). The classic
-	// evaluator substitutes as it parses, so the complete words before the
-	// failure and the partial segments of the failing word still run
-	// before the error surfaces; partial holds those segments.
-	parseErr *Result
-	partial  []wordSeg
+	// parseErr marks a word-level parse error (missing close-quote or
+	// close-brace, malformed variable reference). The classic evaluator
+	// substitutes as it parses, so the complete words before the failure
+	// and the failing word's prefix still run before the error surfaces;
+	// the vm leaves such a command to the classic parser.
+	parseErr bool
 }
 
 // compiledScript is the parse-once form of a script string.
 type compiledScript struct {
 	cmds []compiledCmd
-	// parseErr, when non-nil, is the parse error that terminated
-	// compilation; evaluation raises it only after the preceding commands
-	// have run, matching parse-as-you-evaluate timing.
-	parseErr *Result
+	// src is the text the command offsets index: the whole source string
+	// the compiler walked, which for a [bracket] script is the enclosing
+	// script's (or expression's) text. bracketed reports that the script is
+	// the inside of a command substitution, ending at an unquoted ']'.
+	src       string
+	bracketed bool
 	// end is the index just past the last consumed byte — for bracketed
 	// scripts, the position of the terminating ']'.
 	end int
@@ -95,16 +98,10 @@ type compiledScript struct {
 }
 
 // doomed reports that evaluating this script is guaranteed to end in a
-// parse error (script-level or in its final command), so nothing can be
-// parsed after it.
+// parse error in its final command, so nothing can be parsed after it.
 func (cs *compiledScript) doomed() bool {
-	if cs.parseErr != nil {
-		return true
-	}
-	if n := len(cs.cmds); n > 0 && cs.cmds[n-1].parseErr != nil {
-		return true
-	}
-	return false
+	n := len(cs.cmds)
+	return n > 0 && cs.cmds[n-1].parseErr
 }
 
 // compiler walks a script string producing compiledScript structures. It
@@ -123,7 +120,7 @@ func compileScript(src string, bracketed bool) *compiledScript {
 }
 
 func (c *compiler) compile(bracketed bool) *compiledScript {
-	cs := &compiledScript{}
+	cs := &compiledScript{src: c.src, bracketed: bracketed}
 	for {
 		c.skipCommandSeparators()
 		if c.done() {
@@ -139,22 +136,20 @@ func (c *compiler) compile(bracketed bool) *compiledScript {
 			c.skipComment()
 			continue
 		}
-		words, partial, wordErr, terminated, poisoned := c.compileCommand(bracketed)
-		if wordErr != nil {
-			// Word-level parse error: the words and partial segments
-			// before it still substitute (the classic evaluator ran them
-			// on the way to the error), then the error surfaces.
-			cs.cmds = append(cs.cmds, compiledCmd{
-				words:    words,
-				partial:  partial,
-				parseErr: wordErr,
-			})
+		start := c.pos
+		words, failed, terminated, poisoned := c.compileCommand(bracketed)
+		if failed {
+			// Word-level parse error: the words before it still
+			// substitute (the classic evaluator ran them on the way to
+			// the error), then the error surfaces.
+			cs.cmds = append(cs.cmds, compiledCmd{words: words, start: start, parseErr: true})
 			cs.end = c.pos
 			return cs
 		}
 		if len(words) > 0 {
 			cmd := compiledCmd{
 				words:     words,
+				start:     start,
 				bracketOK: c.pos < len(c.src) && c.src[c.pos] == ']',
 				poisoned:  poisoned,
 			}
@@ -194,50 +189,46 @@ func literalWords(words []compiledWord) []string {
 // compileCommand mirrors parser.parseCommand: it gathers the words of one
 // command, stopping at a newline or semicolon (consumed) or, in bracketed
 // mode, before ']'. poisoned reports that a word embeds a doomed nested
-// script; wordErr reports a word-level parse error, with partial holding
-// the failing word's already-compiled prefix segments. Either stops
+// script; failed reports a word-level parse error. Either stops
 // compilation of the enclosing script.
-func (c *compiler) compileCommand(bracketed bool) (words []compiledWord, partial []wordSeg, wordErr *Result, terminated, poisoned bool) {
+func (c *compiler) compileCommand(bracketed bool) (words []compiledWord, failed, terminated, poisoned bool) {
 	for {
 		if c.done() {
-			return words, nil, nil, false, false
+			return words, false, false, false
 		}
 		switch ch := c.src[c.pos]; {
 		case ch == '\n' || ch == ';':
 			c.pos++
-			return words, nil, nil, false, false
+			return words, false, false, false
 		case bracketed && ch == ']':
-			return words, nil, nil, true, false
+			return words, false, true, false
 		}
-		word, wordPartial, res, wordPoisoned := c.compileWord(bracketed)
+		word, res, wordPoisoned := c.compileWord(bracketed)
 		if res.Code != OK {
-			return words, wordPartial, &res, false, false
+			return words, true, false, false
 		}
 		words = append(words, word)
 		if wordPoisoned {
-			return words, nil, nil, false, true
+			return words, false, false, true
 		}
 		if !c.skipInterWordSpace() {
 			if c.done() {
-				return words, nil, nil, false, false
+				return words, false, false, false
 			}
 			continue
 		}
 	}
 }
 
-// compileWord compiles a single word starting at c.pos. On a parse error,
-// partial holds the word's already-compiled prefix segments — the classic
-// evaluator substituted those on the way to the error.
-func (c *compiler) compileWord(bracketed bool) (word compiledWord, partial []wordSeg, res Result, poisoned bool) {
+// compileWord compiles a single word starting at c.pos.
+func (c *compiler) compileWord(bracketed bool) (word compiledWord, res Result, poisoned bool) {
 	switch c.src[c.pos] {
 	case '{':
 		lit, res := c.parseBracedWord()
 		if res.Code != OK {
-			// Braced words substitute nothing, so there is no prefix.
-			return compiledWord{}, nil, res, false
+			return compiledWord{}, res, false
 		}
-		return compiledWord{lit: lit}, nil, Ok(""), false
+		return compiledWord{lit: lit}, Ok(""), false
 	case '"':
 		return c.compileQuotedWord(bracketed)
 	default:
@@ -245,55 +236,53 @@ func (c *compiler) compileWord(bracketed bool) (word compiledWord, partial []wor
 	}
 }
 
-func (c *compiler) compileQuotedWord(bracketed bool) (compiledWord, []wordSeg, Result, bool) {
+func (c *compiler) compileQuotedWord(bracketed bool) (compiledWord, Result, bool) {
 	c.pos++ // consume opening quote
 	var b segBuilder
 	for !c.done() {
 		if c.src[c.pos] == '"' {
 			c.pos++
 			if !c.atWordEnd() && !(bracketed && !c.done() && c.src[c.pos] == ']') {
-				// The word fully substituted before this check failed.
-				return compiledWord{}, wordSegs(b.word()),
-					Errf("extra characters after close-quote"), false
+				return compiledWord{}, Errf("extra characters after close-quote"), false
 			}
-			return b.word(), nil, Ok(""), false
+			return b.word(), Ok(""), false
 		}
 		res, poisoned := c.compileSubstUnit(&b)
 		if res.Code != OK {
-			return compiledWord{}, wordSegs(b.word()), res, false
+			return compiledWord{}, res, false
 		}
 		if poisoned {
-			return b.word(), nil, Ok(""), true
+			return b.word(), Ok(""), true
 		}
 	}
-	return compiledWord{}, wordSegs(b.word()), Errf("missing close-quote"), false
+	return compiledWord{}, Errf("missing close-quote"), false
 }
 
-func (c *compiler) compileBareWord(bracketed bool) (compiledWord, []wordSeg, Result, bool) {
+func (c *compiler) compileBareWord(bracketed bool) (compiledWord, Result, bool) {
 	var b segBuilder
 	for !c.done() {
 		ch := c.src[c.pos]
 		switch ch {
 		case ' ', '\t', '\r', '\n', ';':
-			return b.word(), nil, Ok(""), false
+			return b.word(), Ok(""), false
 		case ']':
 			if bracketed {
-				return b.word(), nil, Ok(""), false
+				return b.word(), Ok(""), false
 			}
 		case '\\':
 			if c.pos+1 < len(c.src) && c.src[c.pos+1] == '\n' {
-				return b.word(), nil, Ok(""), false
+				return b.word(), Ok(""), false
 			}
 		}
 		res, poisoned := c.compileSubstUnit(&b)
 		if res.Code != OK {
-			return compiledWord{}, wordSegs(b.word()), res, false
+			return compiledWord{}, res, false
 		}
 		if poisoned {
-			return b.word(), nil, Ok(""), true
+			return b.word(), Ok(""), true
 		}
 	}
-	return b.word(), nil, Ok(""), false
+	return b.word(), Ok(""), false
 }
 
 // compileSubstUnit compiles one substitution unit (the structural twin of
@@ -331,9 +320,7 @@ func (c *compiler) compileSubstUnit(b *segBuilder) (Result, bool) {
 		}
 		if !nested.endAtBracket {
 			// Input exhausted before the terminator: the nested commands
-			// still run before the error surfaces.
-			missing := Errf("missing close-bracket")
-			nested.parseErr = &missing
+			// still run before the missing-close-bracket error surfaces.
 			b.seg(wordSeg{kind: segScript, script: nested})
 			c.pos = nested.end
 			return Ok(""), true
@@ -383,17 +370,15 @@ func (c *compiler) compileVarRef() (wordSeg, int, Result, bool) {
 			}
 			if poisoned {
 				// A nested [script] inside the index carries a parse
-				// error; evaluating the index is guaranteed to fail, so
-				// park the poisoned segs and let evaluation raise it.
+				// error; substituting the index is guaranteed to fail,
+				// and the classic parser raises it.
 				w := ib.word()
 				return wordSeg{kind: segVarArr, text: name, index: wordSegs(w)},
 					sub.pos - c.pos, Ok(""), true
 			}
 		}
 		if sub.done() {
-			w := ib.word()
-			return wordSeg{kind: segVarArrOpen, text: name, index: wordSegs(w)},
-				sub.pos - c.pos, Ok(""), false
+			return wordSeg{kind: segVarArrOpen, text: name}, sub.pos - c.pos, Ok(""), false
 		}
 		sub.pos++ // consume ')'
 		w := ib.word()
@@ -446,132 +431,4 @@ func (b *segBuilder) word() compiledWord {
 	}
 	b.flush()
 	return compiledWord{segs: b.segs}
-}
-
-// --- evaluation ---------------------------------------------------------
-
-// runCompiled replays a compiled script. atBracket reports whether the
-// parser-equivalent position sits on the terminating ']' at the point the
-// script completed — the condition under which a [bracket] substitution
-// accepts a `return` completion code (see substCompiledSeg).
-func (i *Interp) runCompiled(cs *compiledScript) (Result, bool) {
-	last := Ok("")
-	for k := range cs.cmds {
-		cmd := &cs.cmds[k]
-		words, res := i.substCompiledWords(cmd)
-		if res.Code != OK {
-			return res, false
-		}
-		if cmd.parseErr != nil {
-			// Word-level parse error: the failing word's prefix segments
-			// still substitute (for their side effects and their own,
-			// earlier errors), then the parse error surfaces.
-			if _, res := i.substSegs(cmd.partial); res.Code != OK {
-				return res, false
-			}
-			return *cmd.parseErr, false
-		}
-		if cmd.poisoned {
-			// Unreachable by construction: a poisoned word always fails
-			// substitution. Guard anyway so a logic slip cannot dispatch a
-			// half-parsed command.
-			return Errf("internal: poisoned command survived substitution"), false
-		}
-		res = i.EvalWords(words)
-		if res.Code != OK {
-			if res.Code == Error {
-				i.noteErrorLine(words)
-			}
-			return res, cmd.bracketOK
-		}
-		last = res
-	}
-	if cs.parseErr != nil {
-		return *cs.parseErr, false
-	}
-	return last, cs.endAtBracket
-}
-
-// substCompiledWords produces the fully substituted argument words of one
-// command.
-func (i *Interp) substCompiledWords(cmd *compiledCmd) ([]string, Result) {
-	if cmd.litWords != nil {
-		return cmd.litWords, Ok("")
-	}
-	words := make([]string, len(cmd.words))
-	for k := range cmd.words {
-		w := &cmd.words[k]
-		if w.segs == nil {
-			words[k] = w.lit
-			continue
-		}
-		val, res := i.substSegs(w.segs)
-		if res.Code != OK {
-			return nil, res
-		}
-		words[k] = val
-	}
-	return words, Ok("")
-}
-
-// substSegs evaluates a segment list to its string value.
-func (i *Interp) substSegs(segs []wordSeg) (string, Result) {
-	// Single-segment words skip the builder entirely.
-	if len(segs) == 1 {
-		return i.substCompiledSeg(&segs[0])
-	}
-	var sb strings.Builder
-	for k := range segs {
-		val, res := i.substCompiledSeg(&segs[k])
-		if res.Code != OK {
-			return "", res
-		}
-		sb.WriteString(val)
-	}
-	return sb.String(), Ok("")
-}
-
-// substCompiledSeg evaluates one segment.
-func (i *Interp) substCompiledSeg(seg *wordSeg) (string, Result) {
-	switch seg.kind {
-	case segLiteral:
-		return seg.text, Ok("")
-	case segVar:
-		val, ok := i.GetVar(seg.text)
-		if !ok {
-			return "", Errf("can't read %q: no such variable", seg.text)
-		}
-		return val, Ok("")
-	case segVarArr:
-		idx, res := i.substSegs(seg.index)
-		if res.Code != OK {
-			return "", res
-		}
-		if v, ok := i.lookupVar(seg.text); ok && v.isArr {
-			if val, ok := v.arr[idx]; ok {
-				return val, Ok("")
-			}
-		}
-		return "", Errf("can't read %q: no such element in array", seg.text+"("+idx+")")
-	case segVarArrOpen:
-		if _, res := i.substSegs(seg.index); res.Code != OK {
-			return "", res
-		}
-		return "", Errf(`missing ")" in array reference`)
-	case segScript:
-		out, atBracket := i.runCompiled(seg.script)
-		if out.Code == Return {
-			// The classic evaluator only accepts a return that stops
-			// exactly on the terminating ']'.
-			if !atBracket {
-				return "", Errf("missing close-bracket")
-			}
-			return out.Value, Ok("")
-		}
-		if out.Code != OK {
-			return "", out
-		}
-		return out.Value, Ok("")
-	}
-	return "", Errf("internal: unknown segment kind %d", seg.kind)
 }

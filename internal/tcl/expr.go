@@ -145,23 +145,14 @@ func (i *Interp) ExprInt(text string) (int64, Result) {
 }
 
 func (i *Interp) exprValue(text string) (exprValue, Result) {
-	if i.evalMode == EvalClassic || i.exprCache == nil {
+	if i.evalMode == EvalClassic {
 		return i.exprValueUncached(text)
 	}
-	if i.evalMode == EvalVM && i.vmExprCache != nil {
-		return i.vmExprValue(text)
-	}
-	ast, ok := i.exprCache.Get(text)
-	if !ok {
-		ast = compileExpr(text)
-		i.exprCache.Put(text, ast)
-	}
-	return ast.run(i)
+	return i.vmExprValue(text)
 }
 
-// exprValueUncached is the classic re-parsing evaluator, kept as the
-// baseline when caching is disabled (SetEvalCacheSize(0)) and for
-// cached-vs-uncached equivalence tests.
+// exprValueUncached is the classic re-parsing evaluator: the referee of
+// EvalClassic, and the vm's fallback for an expression it did not lower.
 func (i *Interp) exprValueUncached(text string) (exprValue, Result) {
 	ep := &exprParser{interp: i, src: text}
 	v, res := ep.ternary(true)

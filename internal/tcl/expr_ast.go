@@ -2,70 +2,48 @@ package tcl
 
 import "strings"
 
-// The expr AST: a parse-once form of Tcl expressions, cached in
-// Interp.exprCache keyed by expression text. The classic evaluator
-// (exprParser) re-lexes the expression on every call; the AST keeps the
-// operator structure and defers only the value-dependent work — variable
-// reads, [command] scripts, quoted-string substitution, truth tests — to
-// evaluation. Laziness is preserved exactly as the runtime parser's `eval`
-// flag does it: every node is visited on every evaluation with a `taken`
-// flag, and untaken nodes skip variable reads, bracket scripts, and
-// operator application, while quoted strings substitute regardless (the
-// runtime parser substitutes them even on untaken sides, because for
-// strings parsing is substitution).
-//
-// Error timing is the subtle part. The classic evaluator interleaves
-// parsing with evaluation, so an evaluation error to the LEFT of a syntax
-// error surfaces first — it is reached first in the left-to-right walk.
-// Compilation therefore never returns parse errors directly: a parse error
-// becomes an errNode evaluated in source position (errors reached later
-// stay behind errors raised earlier), deferred checks (close parenthesis,
-// trailing garbage) become errAfterNodes that run their operand before
-// erroring, and compilation halts at the error exactly where the classic
-// parser stopped.
+// The expr AST: the vm's expression front end. The classic evaluator
+// (exprParser) re-lexes the expression on every call; compileExpr parses
+// it once into an operator tree that vm_compile.go lowers to bytecode,
+// deferring only the value-dependent work — variable reads, [command]
+// scripts, truth tests — to execution. Anything the lowering does not
+// express (a parse error, a quoted string that substitutes, a computed
+// array element, a ternary cut before its ':', a bracket whose untaken
+// lexical skip would end elsewhere) leaves the whole expression to the
+// classic evaluator, so the tree need only be exact where it lowers.
 
-// exprNode is one node of a compiled expression.
-type exprNode interface {
-	eval(i *Interp, taken bool) (exprValue, Result)
-}
+// exprNode is one node of a compiled expression: one of the node types
+// below.
+type exprNode any
 
-// exprAST is a compiled expression.
-type exprAST struct{ root exprNode }
-
-func (a *exprAST) run(i *Interp) (exprValue, Result) {
-	return a.root.eval(i, true)
-}
-
-// compileExpr parses text into an AST.
-func compileExpr(text string) *exprAST {
+// compileExpr parses text into an expression tree.
+func compileExpr(text string) exprNode {
 	ec := &exprCompiler{compiler: compiler{parser{src: text}}}
 	root := ec.ternary()
-	if !ec.halted {
-		ec.skipSpace()
-		if ec.pos < len(ec.src) {
-			// Trailing garbage: the classic parser raises this only after
-			// the full expression evaluated without error.
-			root = &errAfterNode{inner: root, err: Errf("syntax error in expression %q", text)}
-		}
+	ec.skipSpace()
+	if ec.halted || ec.pos < len(ec.src) {
+		// A parse error, a doomed embedded script, or trailing garbage:
+		// the classic parser raises it in source order.
+		return classicNode{}
 	}
-	return &exprAST{root: root}
+	return root
 }
 
 // exprCompiler mirrors exprParser's grammar, producing nodes instead of
 // values. It embeds compiler for the script-substitution machinery behind
 // quoted strings, variable references, and bracket operands. halted is set
-// when compilation hit a parse error or a poisoned embedded script; the
-// classic parser never looks past that point, so neither does compilation —
-// every level unwinds without consuming further operators.
+// when compilation hit a parse error or a poisoned embedded script; every
+// level then unwinds without consuming further operators, and the
+// expression is left to the classic evaluator.
 type exprCompiler struct {
 	compiler
 	halted bool
 }
 
-// fail records a parse error raised at this source position.
-func (ec *exprCompiler) fail(res Result) exprNode {
+// fail records a parse error at this source position.
+func (ec *exprCompiler) fail() exprNode {
 	ec.halted = true
-	return errNode{err: res}
+	return classicNode{}
 }
 
 func (ec *exprCompiler) skipSpace() {
@@ -92,14 +70,12 @@ func (ec *exprCompiler) ternary() exprNode {
 	ec.pos++ // consume '?'
 	left := ec.ternary()
 	if ec.halted {
-		return &ternNode{cond: cond, left: left}
+		return left
 	}
 	ec.skipSpace()
 	if ec.pos >= len(ec.src) || ec.src[ec.pos] != ':' {
-		// A nil right arm raises the missing-":" error after the cond and
-		// taken arm have evaluated, matching the classic order.
-		ec.halted = true
-		return &ternNode{cond: cond, left: left}
+		// Missing ":", raised after the cond and taken arm evaluated.
+		return ec.fail()
 	}
 	ec.pos++
 	right := ec.ternary()
@@ -124,9 +100,7 @@ func (ec *exprCompiler) and() exprNode {
 	return n
 }
 
-type applyFn func(op string, a, b exprValue) (exprValue, Result)
-
-func (ec *exprCompiler) binaryLevel(next func() exprNode, apply applyFn, ops ...string) exprNode {
+func (ec *exprCompiler) binaryLevel(next func() exprNode, ops ...string) exprNode {
 	n := next()
 	for !ec.halted {
 		op := ec.peekOp(ops...)
@@ -134,34 +108,34 @@ func (ec *exprCompiler) binaryLevel(next func() exprNode, apply applyFn, ops ...
 			break
 		}
 		ec.pos += len(op)
-		n = &binNode{op: op, apply: apply, lhs: n, rhs: next()}
+		n = &binNode{op: op, lhs: n, rhs: next()}
 	}
 	return n
 }
 
 func (ec *exprCompiler) bitOr() exprNode {
-	return ec.binaryLevel(ec.bitXor, applyIntOp, "|")
+	return ec.binaryLevel(ec.bitXor, "|")
 }
 func (ec *exprCompiler) bitXor() exprNode {
-	return ec.binaryLevel(ec.bitAnd, applyIntOp, "^")
+	return ec.binaryLevel(ec.bitAnd, "^")
 }
 func (ec *exprCompiler) bitAnd() exprNode {
-	return ec.binaryLevel(ec.equality, applyIntOp, "&")
+	return ec.binaryLevel(ec.equality, "&")
 }
 func (ec *exprCompiler) equality() exprNode {
-	return ec.binaryLevel(ec.relational, applyCompare, "==", "!=")
+	return ec.binaryLevel(ec.relational, "==", "!=")
 }
 func (ec *exprCompiler) relational() exprNode {
-	return ec.binaryLevel(ec.shift, applyCompare, "<=", ">=", "<", ">")
+	return ec.binaryLevel(ec.shift, "<=", ">=", "<", ">")
 }
 func (ec *exprCompiler) shift() exprNode {
-	return ec.binaryLevel(ec.additive, applyIntOp, "<<", ">>")
+	return ec.binaryLevel(ec.additive, "<<", ">>")
 }
 func (ec *exprCompiler) additive() exprNode {
-	return ec.binaryLevel(ec.multiplicative, applyArith, "+", "-")
+	return ec.binaryLevel(ec.multiplicative, "+", "-")
 }
 func (ec *exprCompiler) multiplicative() exprNode {
-	return ec.binaryLevel(ec.unaryLevel, applyArith, "*", "/", "%")
+	return ec.binaryLevel(ec.unaryLevel, "*", "/", "%")
 }
 
 func (ec *exprCompiler) unaryLevel() exprNode {
@@ -182,7 +156,7 @@ func (ec *exprCompiler) unaryLevel() exprNode {
 func (ec *exprCompiler) primary() exprNode {
 	ec.skipSpace()
 	if ec.pos >= len(ec.src) {
-		return ec.fail(Errf("premature end of expression"))
+		return ec.fail() // premature end of expression
 	}
 	switch c := ec.src[ec.pos]; {
 	case c == '(':
@@ -193,74 +167,70 @@ func (ec *exprCompiler) primary() exprNode {
 		}
 		ec.skipSpace()
 		if ec.pos >= len(ec.src) || ec.src[ec.pos] != ')' {
-			ec.halted = true
-			return &errAfterNode{inner: n, err: Errf("looking for close parenthesis")}
+			return ec.fail() // looking for close parenthesis
 		}
 		ec.pos++
 		return n
 	case c == '$':
 		seg, n, res, poisoned := ec.compileVarRef()
-		if res.Code != OK {
-			return ec.fail(res)
+		if res.Code != OK || poisoned {
+			return ec.fail()
 		}
 		ec.pos += n
-		if poisoned {
-			ec.halted = true
-		}
-		if seg.kind == segLiteral {
+		switch {
+		case seg.kind == segLiteral:
 			// A bare '$' substitutes to itself.
 			return litNode{v: strVal(seg.text)}
+		case seg.kind == segVar && plainVarName(seg.text):
+			return &varNode{name: seg.text}
 		}
-		return &varNode{seg: seg}
+		// Array elements, including ${a(b)} spellings, stay classic.
+		return classicNode{}
 	case c == '[':
 		// The untaken side of a lazy operator skips brackets lexically
-		// (exprParser.skipBracket); record whether that skip would have
-		// succeeded so untaken evaluation can reproduce its error.
+		// (exprParser.skipBracket) and parses on from where the skip ends.
+		// The bracket lowers only when that skip fails (an error either
+		// way, which skipOK records) or ends on the ']' the script parse
+		// ends on.
 		skipP := &exprParser{src: ec.src, pos: ec.pos}
-		_, skipRes := skipP.skipBracket()
+		skipN, skipRes := skipP.skipBracket()
 		ec.pos++
-		sub := &compiler{parser{src: ec.src, pos: ec.pos}}
-		nested := sub.compile(true)
-		switch {
-		case nested.doomed():
-			ec.halted = true
-			ec.pos = nested.end
-		case !nested.endAtBracket:
-			missing := Errf("missing close-bracket")
-			nested.parseErr = &missing
-			ec.halted = true
-			ec.pos = nested.end
-		default:
-			ec.pos = nested.end + 1 // consume ']'
+		nested := (&compiler{parser{src: ec.src, pos: ec.pos}}).compile(true)
+		if nested.doomed() || !nested.endAtBracket {
+			return ec.fail()
 		}
-		return &bracketNode{script: nested, skipOK: skipRes.Code == OK}
+		ec.pos = nested.end + 1 // consume ']'
+		skipOK := skipRes.Code == OK
+		if skipOK && skipP.pos+skipN != ec.pos {
+			return classicNode{}
+		}
+		return &bracketNode{script: nested, skipOK: skipOK}
 	case c == '"':
 		return ec.compileQuotedLoose()
 	case c == '{':
 		word, res := ec.parseBracedWordLoose()
 		if res.Code != OK {
-			return ec.fail(res)
+			return ec.fail()
 		}
 		return litNode{v: strVal(word)}
 	case c >= '0' && c <= '9' || c == '.':
 		v, n, res := scanExprNumber(ec.src, ec.pos)
 		ec.pos = n
 		if res.Code != OK {
-			return ec.fail(res)
+			return ec.fail()
 		}
 		return litNode{v: v}
 	case isVarNameChar(c):
 		return ec.funcCall()
 	default:
-		return ec.fail(Errf("syntax error in expression: unexpected %q", string(c)))
+		return ec.fail() // unexpected character
 	}
 }
 
-// compileQuotedLoose compiles a quoted-string operand to its substitution
-// segments (the expression form has no word-boundary check after the close
-// quote). An unterminated string still substitutes its prefix before the
-// missing-close-quote error, matching the classic substitute-as-you-parse
-// order.
+// compileQuotedLoose compiles a quoted-string operand (the expression form
+// has no word-boundary check after the close quote). Only a string with
+// nothing to substitute lowers: the classic evaluator substitutes quoted
+// strings even on untaken sides, so any other stays classic.
 func (ec *exprCompiler) compileQuotedLoose() exprNode {
 	ec.pos++ // consume opening quote
 	var b segBuilder
@@ -271,23 +241,13 @@ func (ec *exprCompiler) compileQuotedLoose() exprNode {
 			if w.segs == nil {
 				return litNode{v: strVal(w.lit)}
 			}
-			return &quotedNode{segs: w.segs}
+			return classicNode{}
 		}
-		res, poisoned := ec.compileSubstUnit(&b)
-		if res.Code != OK {
-			ec.halted = true
-			return &errAfterNode{inner: &quotedNode{segs: wordSegs(b.word())}, err: res}
-		}
-		if poisoned {
-			ec.halted = true
-			return &quotedNode{segs: wordSegs(b.word())}
+		if res, poisoned := ec.compileSubstUnit(&b); res.Code != OK || poisoned {
+			return ec.fail()
 		}
 	}
-	ec.halted = true
-	return &errAfterNode{
-		inner: &quotedNode{segs: wordSegs(b.word())},
-		err:   Errf("missing close-quote"),
-	}
+	return ec.fail() // missing close-quote
 }
 
 // funcCall compiles name(arg) math functions and bare boolean words.
@@ -303,17 +263,16 @@ func (ec *exprCompiler) funcCall() exprNode {
 		case "true", "yes", "on", "false", "no", "off":
 			return litNode{v: strVal(name)}
 		}
-		return ec.fail(Errf("syntax error in expression: unexpected bare word %q", name))
+		return ec.fail() // unexpected bare word
 	}
 	ec.pos++
 	arg := ec.ternary()
 	if ec.halted {
-		return &funcNode{name: name, arg: arg}
+		return arg
 	}
 	ec.skipSpace()
 	if ec.pos >= len(ec.src) || ec.src[ec.pos] != ')' {
-		ec.halted = true
-		return &errAfterNode{inner: arg, err: Errf("missing close parenthesis in function call")}
+		return ec.fail() // missing close parenthesis in function call
 	}
 	ec.pos++
 	return &funcNode{name: name, arg: arg}
@@ -321,88 +280,22 @@ func (ec *exprCompiler) funcCall() exprNode {
 
 // --- nodes --------------------------------------------------------------
 
-// errNode is a parse error in operand position: evaluation raises it when
-// the left-to-right walk reaches this point, regardless of takenness.
-type errNode struct{ err Result }
-
-func (n errNode) eval(*Interp, bool) (exprValue, Result) { return exprValue{}, n.err }
-
-// errAfterNode is a deferred parse check (close parenthesis, trailing
-// garbage, missing close-quote): the operand evaluates first — its errors
-// win — then the parse error is raised.
-type errAfterNode struct {
-	inner exprNode
-	err   Result
-}
-
-func (n *errAfterNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	if _, res := n.inner.eval(i, taken); res.Code != OK {
-		return exprValue{}, res
-	}
-	return exprValue{}, n.err
-}
+// classicNode marks a construct the vm does not lower; an expression that
+// holds one runs on the classic evaluator.
+type classicNode struct{}
 
 // litNode is a value fixed at compile time: numbers, braced strings, bare
 // boolean words, substitution-free quoted strings, and the lone '$'.
 type litNode struct{ v exprValue }
 
-func (n litNode) eval(*Interp, bool) (exprValue, Result) { return n.v, Ok("") }
+// varNode reads a plain scalar; untaken sides skip the read.
+type varNode struct{ name string }
 
-// varNode reads a variable at evaluation time; untaken sides skip the read.
-type varNode struct{ seg wordSeg }
-
-func (n *varNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	val, res := i.substCompiledSeg(&n.seg)
-	if res.Code != OK {
-		return exprValue{}, res
-	}
-	return operandValue(val), Ok("")
-}
-
-// bracketNode runs a compiled [command] script; untaken sides skip it but
-// reproduce the lexical skip's missing-close-bracket error.
+// bracketNode runs a [command] script; untaken sides skip it, failing
+// when the lexical skip would (skipOK false).
 type bracketNode struct {
 	script *compiledScript
 	skipOK bool
-}
-
-func (n *bracketNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	if !taken {
-		if !n.skipOK {
-			return exprValue{}, Errf("missing close-bracket")
-		}
-		return intVal(0), Ok("")
-	}
-	out, atBracket := i.runCompiled(n.script)
-	if out.Code == Return {
-		if !atBracket {
-			return exprValue{}, Errf("missing close-bracket")
-		}
-		return operandValue(out.Value), Ok("")
-	}
-	if out.Code != OK {
-		return exprValue{}, out
-	}
-	return operandValue(out.Value), Ok("")
-}
-
-// quotedNode substitutes a quoted string. The substitution runs even on
-// untaken sides — for strings, parsing is substitution in the classic
-// evaluator — but the value is discarded there.
-type quotedNode struct{ segs []wordSeg }
-
-func (n *quotedNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	val, res := i.substSegs(n.segs)
-	if res.Code != OK {
-		return exprValue{}, res
-	}
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	return strVal(val), Ok("")
 }
 
 type unNode struct {
@@ -410,148 +303,18 @@ type unNode struct {
 	operand exprNode
 }
 
-func (n *unNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	v, res := n.operand.eval(i, taken)
-	if res.Code != OK || !taken {
-		return v, res
-	}
-	return applyUnary(n.op, v)
-}
-
 type binNode struct {
 	op       string
-	apply    applyFn
 	lhs, rhs exprNode
-}
-
-func (n *binNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	a, res := n.lhs.eval(i, taken)
-	if res.Code != OK {
-		return a, res
-	}
-	b, res := n.rhs.eval(i, taken)
-	if res.Code != OK {
-		return b, res
-	}
-	if !taken {
-		return a, Ok("")
-	}
-	return n.apply(n.op, a, b)
 }
 
 type orNode struct{ lhs, rhs exprNode }
 
-func (n *orNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	v, res := n.lhs.eval(i, taken)
-	if res.Code != OK {
-		return v, res
-	}
-	lhs := false
-	if taken {
-		b, err := v.truth()
-		if err != nil {
-			return exprValue{}, Errf("%v", err)
-		}
-		lhs = b
-	}
-	rhs, res := n.rhs.eval(i, taken && !lhs)
-	if res.Code != OK {
-		return rhs, res
-	}
-	if !taken {
-		return v, Ok("")
-	}
-	if lhs {
-		return boolVal(true), Ok("")
-	}
-	b, err := rhs.truth()
-	if err != nil {
-		return exprValue{}, Errf("%v", err)
-	}
-	return boolVal(b), Ok("")
-}
-
 type andNode struct{ lhs, rhs exprNode }
 
-func (n *andNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	v, res := n.lhs.eval(i, taken)
-	if res.Code != OK {
-		return v, res
-	}
-	lhs := true
-	if taken {
-		b, err := v.truth()
-		if err != nil {
-			return exprValue{}, Errf("%v", err)
-		}
-		lhs = b
-	}
-	rhs, res := n.rhs.eval(i, taken && lhs)
-	if res.Code != OK {
-		return rhs, res
-	}
-	if !taken {
-		return v, Ok("")
-	}
-	if !lhs {
-		return boolVal(false), Ok("")
-	}
-	b, err := rhs.truth()
-	if err != nil {
-		return exprValue{}, Errf("%v", err)
-	}
-	return boolVal(b), Ok("")
-}
-
 type ternNode struct{ cond, left, right exprNode }
-
-func (n *ternNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	c, res := n.cond.eval(i, taken)
-	if res.Code != OK {
-		return c, res
-	}
-	take := false
-	if taken {
-		b, err := c.truth()
-		if err != nil {
-			return exprValue{}, Errf("%v", err)
-		}
-		take = b
-	}
-	l, res := n.left.eval(i, taken && take)
-	if res.Code != OK {
-		return l, res
-	}
-	if n.right == nil {
-		// Compilation halted before the ':' was seen; the classic parser
-		// raises this after the cond and taken arm evaluated.
-		return exprValue{}, Errf(`missing ":" in ternary expression`)
-	}
-	r, res := n.right.eval(i, taken && !take)
-	if res.Code != OK {
-		return r, res
-	}
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	if take {
-		return l, Ok("")
-	}
-	return r, Ok("")
-}
 
 type funcNode struct {
 	name string
 	arg  exprNode
-}
-
-func (n *funcNode) eval(i *Interp, taken bool) (exprValue, Result) {
-	a, res := n.arg.eval(i, taken)
-	if res.Code != OK {
-		return a, res
-	}
-	if !taken {
-		return intVal(0), Ok("")
-	}
-	return applyMathFunc(n.name, a)
 }

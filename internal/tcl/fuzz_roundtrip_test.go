@@ -10,14 +10,14 @@ import (
 // This file is the parser's round-trip fuzz harness: render a compiled
 // skeleton (compile.go) back into source text and require the result to
 // be a fixpoint — the rendered text must recompile cleanly, re-render to
-// itself byte-for-byte, and evaluate identically under the cached and
-// classic evaluators. The renderer is deliberately test-only: it proves
+// itself byte-for-byte, and evaluate identically under the vm and the
+// classic evaluator. The renderer is deliberately test-only: it proves
 // the skeleton retains everything the source said, which is exactly the
-// property the eval cache depends on.
+// property the vm's lowering depends on.
 
 // renderScript turns a compiled skeleton back into equivalent source
 // text. Trees that embed parse errors (doomed scripts, poisoned or
-// partial commands) are not renderable — they encode error *timing*, not
+// failing commands) are not renderable — they encode error *timing*, not
 // structure — so ok=false tells the caller to skip.
 func renderScript(cs *compiledScript) (string, bool) {
 	if cs.doomed() {
@@ -26,7 +26,7 @@ func renderScript(cs *compiledScript) (string, bool) {
 	cmds := make([]string, 0, len(cs.cmds))
 	for k := range cs.cmds {
 		cmd := &cs.cmds[k]
-		if cmd.parseErr != nil || cmd.poisoned {
+		if cmd.parseErr || cmd.poisoned {
 			return "", false
 		}
 		words := make([]string, 0, len(cmd.words))
@@ -122,11 +122,11 @@ func escapeLiteral(s string) string {
 // FuzzParseRoundTrip: for any input that parses cleanly, rendering the
 // skeleton must produce source that (1) recompiles without a parse
 // error, (2) is a render fixpoint — render(compile(r)) == r — and
-// (3) evaluates identically under the cached and classic evaluators.
+// (3) evaluates identically under the vm and the classic evaluator.
 // A failure in (1) or (2) means the skeleton dropped or distorted
 // structure; a failure in (3) means the two evaluators disagree about a
 // script whose structure is fully known — the sharpest divergence the
-// eval-cache axis of the conformance harness can hope to find.
+// eval axis of the conformance harness can hope to find.
 func FuzzParseRoundTrip(f *testing.F) {
 	// The shipped scripts are the richest clean inputs we have: real
 	// control flow, quoted prompts, bracket substitutions, comments.
@@ -167,21 +167,21 @@ func FuzzParseRoundTrip(f *testing.F) {
 		}
 
 		var outA, outB strings.Builder
-		cached := fuzzInterp(DefaultEvalCacheSize, &outA)
-		classic := fuzzInterp(0, &outB)
-		valA, errA := cached.Eval(r1)
+		vmi := fuzzInterp(EvalVM, &outA)
+		classic := fuzzInterp(EvalClassic, &outB)
+		valA, errA := vmi.Eval(r1)
 		valB, errB := classic.Eval(r1)
 		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error presence diverged on rendered form: cached=%v classic=%v r1=%q", errA, errB, r1)
+			t.Fatalf("error presence diverged on rendered form: vm=%v classic=%v r1=%q", errA, errB, r1)
 		}
 		if errA != nil && errA.Error() != errB.Error() {
-			t.Fatalf("error text diverged on rendered form:\ncached:  %s\nclassic: %s\nr1=%q", errA, errB, r1)
+			t.Fatalf("error text diverged on rendered form:\nvm:      %s\nclassic: %s\nr1=%q", errA, errB, r1)
 		}
 		if valA != valB {
-			t.Fatalf("result diverged on rendered form: cached=%q classic=%q r1=%q", valA, valB, r1)
+			t.Fatalf("result diverged on rendered form: vm=%q classic=%q r1=%q", valA, valB, r1)
 		}
 		if outA.String() != outB.String() {
-			t.Fatalf("output diverged on rendered form:\ncached:  %q\nclassic: %q\nr1=%q", outA.String(), outB.String(), r1)
+			t.Fatalf("output diverged on rendered form:\nvm:      %q\nclassic: %q\nr1=%q", outA.String(), outB.String(), r1)
 		}
 	})
 }

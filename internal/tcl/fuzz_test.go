@@ -3,15 +3,18 @@ package tcl
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/lru"
 )
 
 // fuzzInterp builds an interpreter hardened for differential fuzzing:
-// output captured, step-bounded, and with every command that touches the
-// process or filesystem (or reports wall-clock time, which would differ
-// between the two runs by construction) removed.
-func fuzzInterp(cacheSize int, out *strings.Builder) *Interp {
+// the requested evaluation mode, output captured, step-bounded, and with
+// every command that touches the process or filesystem (or reports
+// wall-clock time, which would differ between the two runs by
+// construction) removed.
+func fuzzInterp(mode EvalMode, out *strings.Builder) *Interp {
 	i := New()
-	i.SetEvalCacheSize(cacheSize)
+	i.SetEvalMode(mode)
 	i.Stdout = out
 	i.Stderr = out
 	i.StepLimit = 4000
@@ -21,13 +24,15 @@ func fuzzInterp(cacheSize int, out *strings.Builder) *Interp {
 	return i
 }
 
-// FuzzEvalCacheEquivalence feeds the same script to a cache-enabled and a
-// cache-disabled interpreter and requires identical results: same value,
-// same error text, same output, same step count. The compiled fast path
-// (compile.go) and the classic parser (parse.go) are independent
-// implementations of the same language, so any divergence is a bug in one
-// of them — this is the differential driver behind the conformance
-// harness's eval-cache axis.
+// FuzzEvalCacheEquivalence feeds the same script to a vm interpreter with
+// the default compile caches and to one whose script and expr LRUs hold a
+// single entry, so nearly every evaluation evicts and recompiles, and
+// requires identical results: same value, error text, ErrorInfo, output,
+// step count, and dispatch-hook log. Each interpreter then runs the
+// script a second time, so warm programs and primed inline caches face
+// their evicted, recompiled counterparts. The caches map source text to
+// a lowered program, so their size must be invisible; FuzzVMEquivalence
+// holds the vm to the classic referee.
 func FuzzEvalCacheEquivalence(f *testing.F) {
 	for _, s := range []string{
 		`set a 5; while {$a > 0} {incr a -1}; set a`,
@@ -54,27 +59,45 @@ func FuzzEvalCacheEquivalence(f *testing.F) {
 		if hasLongDigitRun(script, 8) {
 			t.Skip("pathological numeric literal")
 		}
-		var outA, outB strings.Builder
-		cached := fuzzInterp(DefaultEvalCacheSize, &outA)
-		classic := fuzzInterp(0, &outB)
+		var outA, outB, dispA, dispB strings.Builder
+		cached := fuzzModeInterp(EvalVM, &outA, &dispA)
+		thrash := fuzzModeInterp(EvalVM, &outB, &dispB)
+		thrash.vmCache = lru.New[string, *vmEntry](1)
+		thrash.vmExprCache = lru.New[string, *vmExprEntry](1)
 
-		valA, errA := cached.Eval(script)
-		valB, errB := classic.Eval(script)
+		for _, pass := range []string{"cold", "warm"} {
+			outA.Reset()
+			outB.Reset()
+			dispA.Reset()
+			dispB.Reset()
+			cached.ResetSteps()
+			thrash.ResetSteps()
+			cached.ErrorInfo, thrash.ErrorInfo = "", ""
 
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("error presence diverged: cached=%v classic=%v script=%q", errA, errB, script)
-		}
-		if errA != nil && errA.Error() != errB.Error() {
-			t.Fatalf("error text diverged:\ncached:  %s\nclassic: %s\nscript=%q", errA, errB, script)
-		}
-		if valA != valB {
-			t.Fatalf("result diverged: cached=%q classic=%q script=%q", valA, valB, script)
-		}
-		if outA.String() != outB.String() {
-			t.Fatalf("output diverged:\ncached:  %q\nclassic: %q\nscript=%q", outA.String(), outB.String(), script)
-		}
-		if sa, sb := cached.Steps(), classic.Steps(); sa != sb {
-			t.Fatalf("step count diverged: cached=%d classic=%d script=%q", sa, sb, script)
+			valA, errA := cached.Eval(script)
+			valB, errB := thrash.Eval(script)
+
+			if (errA == nil) != (errB == nil) {
+				t.Fatalf("%s: error presence diverged: cached=%v thrash=%v script=%q", pass, errA, errB, script)
+			}
+			if errA != nil && errA.Error() != errB.Error() {
+				t.Fatalf("%s: error text diverged:\ncached: %s\nthrash: %s\nscript=%q", pass, errA, errB, script)
+			}
+			if valA != valB {
+				t.Fatalf("%s: result diverged: cached=%q thrash=%q script=%q", pass, valA, valB, script)
+			}
+			if cached.ErrorInfo != thrash.ErrorInfo {
+				t.Fatalf("%s: ErrorInfo diverged:\ncached: %q\nthrash: %q\nscript=%q", pass, cached.ErrorInfo, thrash.ErrorInfo, script)
+			}
+			if outA.String() != outB.String() {
+				t.Fatalf("%s: output diverged:\ncached: %q\nthrash: %q\nscript=%q", pass, outA.String(), outB.String(), script)
+			}
+			if sa, sb := cached.Steps(), thrash.Steps(); sa != sb {
+				t.Fatalf("%s: step count diverged: cached=%d thrash=%d script=%q", pass, sa, sb, script)
+			}
+			if dispA.String() != dispB.String() {
+				t.Fatalf("%s: dispatch hook diverged:\ncached: %q\nthrash: %q\nscript=%q", pass, dispA.String(), dispB.String(), script)
+			}
 		}
 	})
 }

@@ -13,8 +13,7 @@ import (
 // dispatch's depth and name to disp, as an engine's always-on observer
 // would see it.
 func fuzzModeInterp(mode EvalMode, out, disp *strings.Builder) *Interp {
-	i := fuzzInterp(DefaultEvalCacheSize, out)
-	i.SetEvalMode(mode)
+	i := fuzzInterp(mode, out)
 	i.DispatchHook = func(name string, depth int, d time.Duration) {
 		disp.WriteString(strconv.Itoa(depth))
 		disp.WriteByte(':')
@@ -24,20 +23,22 @@ func fuzzModeInterp(mode EvalMode, out, disp *strings.Builder) *Interp {
 	return i
 }
 
-// FuzzVMEquivalence is the three-way differential driver behind the vm:
-// the same script runs under the classic walker (the frozen referee), the
-// cached skeleton evaluator, and the register bytecode vm, each with a
-// recording DispatchHook armed, and all three must agree on value, error
-// text, captured output, step count, and the hook's (depth, name)
-// sequence — the vm reports from its specialized fast paths. The
-// bytecode compiler, the skeleton compiler, and the classic parser are
-// three independent implementations of the same language, so any
-// divergence is a bug in one of them. Each script also runs twice in the
-// vm interpreter so warm inline caches and memoized programs are fuzzed,
-// not just the cold compile.
+// FuzzVMEquivalence is the differential driver behind the vm: the same
+// script runs under the classic walker (the frozen referee) and the
+// register bytecode vm, each with a recording DispatchHook armed, and both
+// must agree on value, error text, ErrorInfo, captured output, step count,
+// and the hook's (depth, name) sequence — the vm reports from its
+// specialized fast paths. The bytecode compiler and the classic parser are
+// independent implementations of the same language, so any divergence is
+// a bug in one of them; the commands and expressions the vm hands to the
+// classic evaluator are where ErrorInfo notes are written, so those are
+// compared too. Each script also runs twice in a second vm interpreter so
+// warm inline caches and memoized programs are fuzzed, not just the cold
+// compile.
 func FuzzVMEquivalence(f *testing.F) {
 	for _, s := range []string{
-		// The FuzzEvalCacheEquivalence seeds.
+		// The differential seeds shared with the conformance matrix's
+		// eval axis.
 		`set a 5; while {$a > 0} {incr a -1}; set a`,
 		`proc fib {n} { if {$n < 2} { return $n }; expr {[fib [expr {$n-1}]] + [fib [expr {$n-2}]]} }; fib 9`,
 		`foreach x {1 2 3} { puts "item $x" }`,
@@ -70,37 +71,34 @@ func FuzzVMEquivalence(f *testing.F) {
 		if hasLongDigitRun(script, 8) {
 			t.Skip("pathological numeric literal")
 		}
-		var outC, outK, outV, dispC, dispK, dispV strings.Builder
+		var outC, outV, dispC, dispV strings.Builder
 		classic := fuzzModeInterp(EvalClassic, &outC, &dispC)
-		cached := fuzzModeInterp(EvalCached, &outK, &dispK)
 		vmi := fuzzModeInterp(EvalVM, &outV, &dispV)
 
 		valC, errC := classic.Eval(script)
-		valK, errK := cached.Eval(script)
 		valV, errV := vmi.Eval(script)
 
-		check := func(mode string, val string, err error, out, disp string, steps int64) {
-			if (errC == nil) != (err == nil) {
-				t.Fatalf("%s error presence diverged: classic=%v %s=%v script=%q", mode, errC, mode, err, script)
-			}
-			if errC != nil && errC.Error() != err.Error() {
-				t.Fatalf("%s error text diverged:\nclassic: %s\n%s: %s\nscript=%q", mode, errC, mode, err, script)
-			}
-			if valC != val {
-				t.Fatalf("%s result diverged: classic=%q %s=%q script=%q", mode, valC, mode, val, script)
-			}
-			if outC.String() != out {
-				t.Fatalf("%s output diverged:\nclassic: %q\n%s: %q\nscript=%q", mode, outC.String(), mode, out, script)
-			}
-			if sc := classic.Steps(); sc != steps {
-				t.Fatalf("%s step count diverged: classic=%d %s=%d script=%q", mode, sc, mode, steps, script)
-			}
-			if dispC.String() != disp {
-				t.Fatalf("%s dispatch hook diverged:\nclassic: %q\n%s: %q\nscript=%q", mode, dispC.String(), mode, disp, script)
-			}
+		if (errC == nil) != (errV == nil) {
+			t.Fatalf("error presence diverged: classic=%v vm=%v script=%q", errC, errV, script)
 		}
-		check("cached", valK, errK, outK.String(), dispK.String(), cached.Steps())
-		check("vm", valV, errV, outV.String(), dispV.String(), vmi.Steps())
+		if errC != nil && errC.Error() != errV.Error() {
+			t.Fatalf("error text diverged:\nclassic: %s\nvm: %s\nscript=%q", errC, errV, script)
+		}
+		if valC != valV {
+			t.Fatalf("result diverged: classic=%q vm=%q script=%q", valC, valV, script)
+		}
+		if classic.ErrorInfo != vmi.ErrorInfo {
+			t.Fatalf("ErrorInfo diverged:\nclassic: %q\nvm: %q\nscript=%q", classic.ErrorInfo, vmi.ErrorInfo, script)
+		}
+		if outC.String() != outV.String() {
+			t.Fatalf("output diverged:\nclassic: %q\nvm: %q\nscript=%q", outC.String(), outV.String(), script)
+		}
+		if sc, sv := classic.Steps(), vmi.Steps(); sc != sv {
+			t.Fatalf("step count diverged: classic=%d vm=%d script=%q", sc, sv, script)
+		}
+		if dispC.String() != dispV.String() {
+			t.Fatalf("dispatch hook diverged:\nclassic: %q\nvm: %q\nscript=%q", dispC.String(), dispV.String(), script)
+		}
 
 		// Warm pass: a second vm interpreter runs the script twice so the
 		// memoized programs and primed inline caches face the same check.
@@ -112,6 +110,8 @@ func FuzzVMEquivalence(f *testing.F) {
 		vmi2.Eval(script)
 		classic2.ResetSteps()
 		vmi2.ResetSteps()
+		classic2.ErrorInfo = ""
+		vmi2.ErrorInfo = ""
 		outC2.Reset()
 		outV2.Reset()
 		dispC2.Reset()
@@ -126,6 +126,9 @@ func FuzzVMEquivalence(f *testing.F) {
 		}
 		if errC2 != nil && errV2 != nil && errC2.Error() != errV2.Error() {
 			t.Fatalf("warm vm error text diverged:\nclassic: %s\nvm: %s\nscript=%q", errC2, errV2, script)
+		}
+		if classic2.ErrorInfo != vmi2.ErrorInfo {
+			t.Fatalf("warm vm ErrorInfo diverged:\nclassic: %q\nvm: %q\nscript=%q", classic2.ErrorInfo, vmi2.ErrorInfo, script)
 		}
 	})
 }

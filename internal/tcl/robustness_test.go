@@ -8,10 +8,17 @@ import (
 	"testing/quick"
 )
 
+// quietStepLimit bounds every garbage-fed interpreter: a generated script
+// may loop forever (`while 1 ...`), and the properties below are about
+// panics, not termination.
+const quietStepLimit = 100_000
+
 // quietInterp builds an interpreter that cannot write to the test output
-// or execute external programs — for feeding it garbage.
+// or execute external programs, and that gives up after quietStepLimit
+// steps — for feeding it garbage.
 func quietInterp() *Interp {
 	i := New()
+	i.StepLimit = quietStepLimit
 	i.Stdout = io.Discard
 	i.Stderr = io.Discard
 	i.Unregister("exec")
@@ -43,38 +50,61 @@ func TestEvalArbitraryBytesNeverPanics(t *testing.T) {
 	}
 }
 
-// Property: scripts built from Tcl-ish tokens never panic either — this
-// drives deeper into the evaluator than raw bytes do.
-func TestEvalRandomTokenScriptsNeverPanic(t *testing.T) {
+// tokenScript builds the script TestEvalRandomTokenScriptsNeverPanic
+// evaluates for one generator seed.
+func tokenScript(seed int64) string {
 	tokens := []string{
 		"set", "a", "$a", "${a}", "[", "]", "{", "}", `"`, ";", "\n",
 		"expr", "1", "+", "if", "while", "proc", "foreach", "break",
 		"\\", "\\n", "$", "#", " ", "list", "lindex", "string", "match",
 		"uplevel", "upvar", "catch", "error", "return", "incr",
 	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		var sb strings.Builder
-		n := r.Intn(25)
-		for k := 0; k < n; k++ {
-			sb.WriteString(tokens[r.Intn(len(tokens))])
-			if r.Intn(3) == 0 {
-				sb.WriteByte(' ')
-			}
+	r := rand.New(rand.NewSource(seed))
+	var sb strings.Builder
+	n := r.Intn(25)
+	for k := 0; k < n; k++ {
+		sb.WriteString(tokens[r.Intn(len(tokens))])
+		if r.Intn(3) == 0 {
+			sb.WriteByte(' ')
 		}
+	}
+	return sb.String()
+}
+
+// Property: scripts built from Tcl-ish tokens never panic either — this
+// drives deeper into the evaluator than raw bytes do.
+func TestEvalRandomTokenScriptsNeverPanic(t *testing.T) {
+	f := func(seed int64) bool {
+		script := tokenScript(seed)
 		i := quietInterp()
 		i.MaxDepth = 50
 		defer func() {
 			if rec := recover(); rec != nil {
-				t.Logf("panic on script %q: %v", sb.String(), rec)
+				t.Logf("panic on script %q: %v", script, rec)
 				t.Fail()
 			}
 		}()
-		i.Eval(sb.String())
+		i.Eval(script)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEvalRandomTokenScriptLoopEndsAtStepLimit pins the draw that once
+// hung the property above: generator seed 0x239f5c47a56612f6 builds an
+// endless loop, which quietInterp's step limit must end with its error.
+func TestEvalRandomTokenScriptLoopEndsAtStepLimit(t *testing.T) {
+	script := tokenScript(0x239f5c47a56612f6)
+	if !strings.HasPrefix(script, "while 1 ") {
+		t.Fatalf("seed no longer builds the looping script: %q", script)
+	}
+	i := quietInterp()
+	i.MaxDepth = 50
+	_, err := i.Eval(script)
+	if err == nil || !strings.Contains(err.Error(), "step limit exceeded") {
+		t.Fatalf("%q: err = %v, want the step-limit error", script, err)
 	}
 }
 

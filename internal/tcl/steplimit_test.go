@@ -7,16 +7,16 @@ import (
 
 func TestStepLimitStopsFlatInfiniteLoop(t *testing.T) {
 	// MaxDepth cannot catch `while 1 {}` — it never recurses. StepLimit must.
-	for _, cache := range []int{DefaultEvalCacheSize, 0} {
+	for _, mode := range []EvalMode{EvalVM, EvalClassic} {
 		in := New()
-		in.SetEvalCacheSize(cache)
+		in.SetEvalMode(mode)
 		in.StepLimit = 10_000
 		_, err := in.Eval("while 1 {}")
 		if err == nil {
-			t.Fatalf("cache=%d: infinite loop terminated without error", cache)
+			t.Fatalf("%s: infinite loop terminated without error", mode)
 		}
 		if !strings.Contains(err.Error(), "step limit") {
-			t.Fatalf("cache=%d: err = %v, want step-limit error", cache, err)
+			t.Fatalf("%s: err = %v, want step-limit error", mode, err)
 		}
 	}
 }
@@ -43,23 +43,23 @@ for {set i 0} {$i < 8} {incr i} {
 }
 set acc
 `
-	run := func(cache int) int64 {
+	run := func(mode EvalMode) int64 {
 		in := New()
-		in.SetEvalCacheSize(cache)
+		in.SetEvalMode(mode)
 		out, err := in.Eval(script)
 		if err != nil {
-			t.Fatalf("cache=%d: %v", cache, err)
+			t.Fatalf("%s: %v", mode, err)
 		}
 		if out != "33" {
-			t.Fatalf("cache=%d: result %q, want 33", cache, out)
+			t.Fatalf("%s: result %q, want 33", mode, out)
 		}
 		return in.Steps()
 	}
-	cached, classic := run(DefaultEvalCacheSize), run(0)
-	if cached != classic {
-		t.Fatalf("step counts diverge: cached=%d classic=%d (StepLimit would be variant-dependent)", cached, classic)
+	vmSteps, classic := run(EvalVM), run(EvalClassic)
+	if vmSteps != classic {
+		t.Fatalf("step counts diverge: vm=%d classic=%d (StepLimit would be variant-dependent)", vmSteps, classic)
 	}
-	if cached == 0 {
+	if vmSteps == 0 {
 		t.Fatal("no steps charged")
 	}
 }

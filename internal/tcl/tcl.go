@@ -164,10 +164,10 @@ type Interp struct {
 	// with an error. MaxDepth only catches runaway *recursion*; StepLimit
 	// also catches flat infinite loops (`while 1 {}`), which makes it the
 	// safety net for fuzzing and other adversarial-input drivers. Steps
-	// are counted in EvalWords and EvalScript only — both the cached and
-	// the classic parse paths dispatch exclusively through those two
-	// entry points, so a given script costs the same number of steps
-	// regardless of SetEvalCacheSize. Zero means no limit.
+	// are charged where EvalWords and EvalScript charge them — the vm's
+	// inlined sites charge at the same points — so a given script costs
+	// the same number of steps under either evaluation mode. Zero means no
+	// limit.
 	StepLimit int64
 
 	depth       int
@@ -178,24 +178,16 @@ type Interp struct {
 	// DispatchHook is reporting (see DispatchEnd).
 	dispatchEnd int64
 
-	// evalCache memoizes compiled script skeletons keyed by script text, so
-	// proc bodies, loop bodies, and if arms parse once instead of per
-	// evaluation. exprCache does the same for expr ASTs. Keying by source
-	// text makes invalidation automatic: redefining a proc or renaming a
-	// command changes which body text is evaluated (dispatch stays by-name
-	// at eval time), never which compilation a text maps to. A nil cache
-	// selects the classic parse-as-you-evaluate path.
-	evalCache *lru.Cache[string, *compiledScript]
-	exprCache *lru.Cache[string, *exprAST]
-
-	// evalMode selects the engine behind EvalScript and expr: the cached
-	// tree walker (default), the classic re-parsing evaluator, or the
-	// bytecode vm. The vm caches hold lowered programs plus their
-	// inline-cache arrays; cacheSize remembers the configured bound.
+	// evalMode selects the engine behind EvalScript and expr: the bytecode
+	// vm (default) or the classic re-parsing evaluator. The vm caches hold
+	// lowered programs plus their inline-cache arrays, keyed by source
+	// text, so proc bodies, loop bodies, if arms and expressions compile
+	// once. Keying by text makes invalidation automatic: redefining a proc
+	// or renaming a command changes which body text is evaluated (dispatch
+	// stays by-name at eval time), never which program a text maps to.
 	evalMode    EvalMode
 	vmCache     *lru.Cache[string, *vmEntry]
 	vmExprCache *lru.Cache[string, *vmExprEntry]
-	cacheSize   int
 
 	// One-entry front caches ahead of the vm LRUs: the steady state
 	// re-evaluates the same text (loop bodies, proc bodies), where a
@@ -221,7 +213,7 @@ type Interp struct {
 	varEpoch uint64
 }
 
-// DefaultEvalCacheSize bounds the script and expr compile caches. A few
+// DefaultEvalCacheSize bounds the vm's script and expr caches. A few
 // hundred entries covers every distinct proc body, loop body, and expression
 // in scripts far larger than the paper's examples while keeping worst-case
 // retained memory small.
@@ -238,8 +230,10 @@ func New() *Interp {
 		MaxDepth: 1000,
 		cmdEpoch: 1,
 		varEpoch: 1,
+
+		vmCache:     lru.New[string, *vmEntry](DefaultEvalCacheSize),
+		vmExprCache: lru.New[string, *vmExprEntry](DefaultEvalCacheSize),
 	}
-	i.SetEvalCacheSize(DefaultEvalCacheSize)
 	registerCoreCommands(i)
 	registerStringCommands(i)
 	registerListCommands(i)
@@ -492,42 +486,12 @@ func (i *Interp) Eval(script string) (string, error) {
 	}
 }
 
-// SetEvalCacheSize rebounds the script and expr compile caches to n entries,
-// dropping any cached compilations. n <= 0 disables caching entirely,
-// restoring the classic parse-as-you-evaluate path (useful as an
-// equivalence/benchmark baseline).
-func (i *Interp) SetEvalCacheSize(n int) {
-	i.cacheSize = n
-	i.vmFront, i.vmFrontKey, i.vmFrontHits = nil, "", 0
-	i.vmExprFront, i.vmExprFrontKey = nil, ""
-	if n <= 0 {
-		i.evalCache = nil
-		i.exprCache = nil
-		i.vmCache = nil
-		i.vmExprCache = nil
-		return
-	}
-	i.evalCache = lru.New[string, *compiledScript](n)
-	i.exprCache = lru.New[string, *exprAST](n)
-	if i.vmCache != nil || i.evalMode == EvalVM {
-		i.vmCache = lru.New[string, *vmEntry](n)
-		i.vmExprCache = lru.New[string, *vmExprEntry](n)
-	}
-}
-
-// EvalCacheStats reports cumulative hit/miss/eviction counts for the active
-// mode's script cache: under vm, the program cache (its front entry's hits
-// plus its LRU), otherwise the skeleton cache; zeros when caching is
-// disabled.
+// EvalCacheStats reports cumulative hit/miss/eviction counts for the vm's
+// script cache: its front entry's hits plus its LRU. Classic evaluation
+// consults no cache and adds nothing.
 func (i *Interp) EvalCacheStats() (hits, misses, evicted uint64) {
-	if i.evalMode == EvalVM && i.vmCache != nil {
-		hits, misses, evicted = i.vmCache.Stats()
-		return hits + i.vmFrontHits, misses, evicted
-	}
-	if i.evalCache == nil {
-		return 0, 0, 0
-	}
-	return i.evalCache.Stats()
+	hits, misses, evicted = i.vmCache.Stats()
+	return hits + i.vmFrontHits, misses, evicted
 }
 
 // EvalScript evaluates a script and returns the raw completion Result,
@@ -542,19 +506,10 @@ func (i *Interp) EvalScript(script string) Result {
 	}
 	i.depth++
 	defer func() { i.depth-- }()
-	if i.evalMode == EvalClassic || i.evalCache == nil {
+	if i.evalMode == EvalClassic {
 		return i.evalScript(script, false).Result
 	}
-	if i.evalMode == EvalVM && i.vmCache != nil {
-		return i.vmEvalScript(script)
-	}
-	cs, ok := i.evalCache.Get(script)
-	if !ok {
-		cs = compileScript(script, false)
-		i.evalCache.Put(script, cs)
-	}
-	res, _ := i.runCompiled(cs)
-	return res
+	return i.vmEvalScript(script)
 }
 
 // spendStep charges one evaluation step against StepLimit. It returns

@@ -60,9 +60,6 @@ func writeProgram(b *strings.Builder, p *Program, ind string) {
 		fmt.Fprintf(b, "%sforeach f%d = list=l%d var=n%d slot=%d\n",
 			ind, k, f.List, f.Name, f.VarSlot)
 	}
-	for k, r := range p.Raises {
-		fmt.Fprintf(b, "%sraise x%d = code=%d %q\n", ind, k, r.Code, r.Msg)
-	}
 	for k, bl := range p.Blocks {
 		fmt.Fprintf(b, "%sblock b%d src=%q\n", ind, k, bl.Src)
 		if bl.Prog != nil {
@@ -96,8 +93,6 @@ func operands(p *Program, in Instr) string {
 		return fmt.Sprintf("host#%d", in.A)
 	case OpJump:
 		return fmt.Sprintf("-> %04d", in.A)
-	case OpRaise:
-		return fmt.Sprintf("x%d", in.A)
 	case OpSpecEnter:
 		return fmt.Sprintf("a%d generic-> %04d", in.Dst, in.A)
 	case OpTestExpr:

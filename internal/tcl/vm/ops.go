@@ -8,11 +8,10 @@ package vm
 // jump-threaded into the instruction stream so loop iterations never
 // re-enter the generic dispatcher. Anything the compiler cannot express —
 // words with computed array indices, commands carrying parse errors — is
-// lowered to OpCmd, which replays the original compiled command through the
-// classic substitution machinery. The fallback makes lowering total: every
-// script compiles, and the bytecode's observable behavior (results, errors,
-// ErrorInfo, step counts) is identical to the tree-walking evaluator's by
-// construction at every point where the two diverge in speed.
+// lowered to OpCmd, which hands that one command to the host's classic
+// parser. The fallback makes lowering total: every script compiles, and
+// wherever the bytecode does not run a command itself, the classic
+// evaluator — the referee the bytecode is proven against — runs it.
 
 // Op is a script-machine opcode.
 type Op uint8
@@ -37,15 +36,12 @@ const (
 	// Words are LitWords[aux.LitIdx] when every word is literal, else
 	// r[A .. A+B). Equivalent to EvalWords on the substituted words.
 	OpInvoke
-	// OpCmd replays host command #A (one compiledCmd of the source script)
-	// through the classic substitute-then-dispatch path. Universal
-	// fallback; the host table lives alongside the program.
+	// OpCmd runs host command #A (one command of the source script) on
+	// the classic parse-substitute-dispatch path. Universal fallback; the
+	// host table lives alongside the program.
 	OpCmd
 	// OpJump continues at pc = A.
 	OpJump
-	// OpRaise returns Raises[A] as the script result (a deferred parse
-	// error raised in source position).
-	OpRaise
 	// OpSpecEnter opens a specialized if/while/foreach: verify the command
 	// word still binds the canonical builtin (slot aux.SpecSlot) and that
 	// no Trace/DispatchHook is armed, then charge the dispatch step. On
@@ -81,7 +77,7 @@ const (
 var opNames = [...]string{
 	OpConst: "const", OpVarRead: "var", OpArrRead: "arr", OpConcat: "concat",
 	OpBracket: "bracket", OpInvoke: "invoke", OpCmd: "cmd", OpJump: "jump",
-	OpRaise: "raise", OpSpecEnter: "spec", OpTestExpr: "test",
+	OpSpecEnter: "spec", OpTestExpr: "test",
 	OpIfBody: "ifbody", OpLoopBody: "loop", OpForeachNext: "fornext",
 	OpSpecDone: "done", OpSetVar: "setvar", OpGetVar: "getvar",
 	OpIncr: "incr", OpExprCmd: "exprcmd",
@@ -126,12 +122,6 @@ type ForeachAux struct {
 	VarSlot int32 // variable inline-cache slot for the loop variable
 }
 
-// Raise is a deferred parse error replayed in source position.
-type Raise struct {
-	Code int32 // tcl completion code (1 = error)
-	Msg  string
-}
-
 // Block is a nested script: the lowered program plus its source text. The
 // source is the compile→disasm→recompile identity key and the executor's
 // last-resort fallback (re-entering EvalScript) if Prog is absent.
@@ -159,7 +149,6 @@ type Program struct {
 	Exprs    []*ExprProg
 	Aux      []CmdAux
 	Foreach  []ForeachAux
-	Raises   []Raise
 	// HostCmds counts the OpCmd fallback entries; the host-side table of
 	// original commands is carried next to the program by its owner.
 	HostCmds int32
@@ -176,10 +165,10 @@ type Program struct {
 // Expressions compile to their own instruction set over Value registers,
 // with the classic evaluator's laziness encoded as a runtime `taken` flag:
 // &&, ||, and ?: push a control frame, flip takenness for the lazy side,
-// and the join op selects or discards results exactly as the AST walker
-// does. Untaken sides still execute — variable reads and operator
-// application are skipped, value flow is preserved — so error order and
-// side effects match the classic evaluator operator for operator.
+// and the join op selects or discards results. Untaken sides still
+// execute — variable reads and operator application are skipped, value
+// flow is preserved — so error order and side effects match the classic
+// evaluator operator for operator.
 
 // EOp is an expression-machine opcode.
 type EOp uint8
@@ -196,7 +185,7 @@ const (
 	// EUnary applies operator byte B to r[A]; untaken passes r[A] through.
 	EUnary
 	// Binary operators, contiguous and in BinOp order: r[Dst] = r[A] op
-	// r[B]; untaken sides yield r[A] (the lhs), matching the AST walker.
+	// r[B]; untaken sides yield r[A] (the lhs).
 	EAdd
 	ESub
 	EMul
@@ -264,8 +253,8 @@ type EInstr struct {
 
 // ExprProg is one compiled expression. A nil Code means the expression
 // uses a construct the compiler does not lower (quoted substitutions,
-// computed array elements, parse errors); the executor then falls back to
-// the classic AST for Src. Slot numbers are owned by the enclosing
+// computed array elements, parse errors); the host's classic evaluator
+// then runs Src. Slot numbers are owned by the enclosing
 // program tree (or by the standalone expression entry).
 type ExprProg struct {
 	Code   []EInstr

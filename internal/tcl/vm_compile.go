@@ -8,15 +8,15 @@ import (
 )
 
 // The bytecode lowering pass. lowerScript turns a compiled skeleton
-// (compile.go) into a vm.Program; lowerExprText turns an expression AST
+// (compile.go) into a vm.Program; lowerExprText turns an expression tree
 // (expr_ast.go) into a vm.ExprProg. Lowering is total by construction:
 // any command the compiler cannot express in specialized ops — parse
 // errors, poisoned words, computed array indices — becomes an OpCmd that
-// replays the original compiledCmd through the classic substitution
-// machinery, and any expression construct outside the lowered subset
-// leaves a Code==nil ExprProg whose executor falls back to the AST. The
-// classic evaluator therefore remains the sole semantic referee; the
-// bytecode only ever reproduces it faster.
+// hands that one command to the classic parser, and any expression
+// construct outside the lowered subset leaves a Code==nil ExprProg that
+// the classic expression evaluator runs. The classic evaluator therefore
+// remains the sole semantic referee; the bytecode only ever reproduces it
+// faster.
 //
 // Everything here is deterministic: pools are filled in first-use walk
 // order and no map is ever iterated, which is what makes the golden
@@ -29,7 +29,7 @@ type vmPool struct {
 	cmdSlots  int32
 	varSlots  int32
 	specSlots int32
-	hosts     []*compiledCmd
+	hosts     []vmHost
 }
 
 func (p *vmPool) cmdSlot() int32 { s := p.cmdSlots; p.cmdSlots++; return s }
@@ -38,8 +38,8 @@ func (p *vmPool) varSlot() int32 { s := p.varSlots; p.varSlots++; return s }
 
 func (p *vmPool) specSlot() int32 { s := p.specSlots; p.specSlots++; return s }
 
-func (p *vmPool) host(c *compiledCmd) int32 {
-	p.hosts = append(p.hosts, c)
+func (p *vmPool) host(cs *compiledScript, c *compiledCmd) int32 {
+	p.hosts = append(p.hosts, vmHost{src: cs.src, start: c.start, bracketed: cs.bracketed})
 	return int32(len(p.hosts) - 1)
 }
 
@@ -48,8 +48,8 @@ func (p *vmPool) counts() vm.SlotCounts {
 }
 
 // lowerRootScript lowers a top-level skeleton, returning the program and
-// the host table its OpCmd fallbacks replay.
-func lowerRootScript(cs *compiledScript) (*vm.Program, []*compiledCmd) {
+// the host table its OpCmd fallbacks parse.
+func lowerRootScript(cs *compiledScript) (*vm.Program, []vmHost) {
 	pool := &vmPool{}
 	p := lowerScript(cs, pool)
 	p.Slots = pool.counts()
@@ -57,7 +57,7 @@ func lowerRootScript(cs *compiledScript) (*vm.Program, []*compiledCmd) {
 }
 
 // lowerRootExpr lowers a standalone expression (the vm expr cache entry).
-func lowerRootExpr(src string) (*vm.ExprProg, []*compiledCmd, vm.SlotCounts) {
+func lowerRootExpr(src string) (*vm.ExprProg, []vmHost, vm.SlotCounts) {
 	pool := &vmPool{}
 	p := lowerExprText(src, pool)
 	return p, pool.hosts, pool.counts()
@@ -79,7 +79,6 @@ type progBuilder struct {
 	exprs    []*vm.ExprProg
 	aux      []vm.CmdAux
 	foreach  []vm.ForeachAux
-	raises   []vm.Raise
 	hostCmds int32
 	nreg     int32
 	maxReg   int32
@@ -92,15 +91,12 @@ func lowerScript(cs *compiledScript, pool *vmPool) *vm.Program {
 		nameIx:  make(map[string]int32),
 	}
 	for k := range cs.cmds {
-		b.lowerCmd(&cs.cmds[k])
-	}
-	if cs.parseErr != nil {
-		b.emit(vm.Instr{Op: vm.OpRaise, A: b.raise(*cs.parseErr)})
+		b.lowerCmd(cs, &cs.cmds[k])
 	}
 	return &vm.Program{
 		Code: b.code, Consts: b.consts, Names: b.names,
 		LitWords: b.litWords, Lists: b.lists, Blocks: b.blocks,
-		Exprs: b.exprs, Aux: b.aux, Foreach: b.foreach, Raises: b.raises,
+		Exprs: b.exprs, Aux: b.aux, Foreach: b.foreach,
 		HostCmds: b.hostCmds, NRegs: b.maxReg,
 		EndAtBracket: cs.endAtBracket,
 	}
@@ -150,11 +146,6 @@ func (b *progBuilder) list(items []string) int32 {
 	return int32(len(b.lists) - 1)
 }
 
-func (b *progBuilder) raise(res Result) int32 {
-	b.raises = append(b.raises, vm.Raise{Code: int32(res.Code), Msg: res.Value})
-	return int32(len(b.raises) - 1)
-}
-
 func (b *progBuilder) addAux(a vm.CmdAux) int32 {
 	b.aux = append(b.aux, a)
 	return int32(len(b.aux) - 1)
@@ -177,13 +168,14 @@ func (b *progBuilder) expr(src string) int32 {
 	return int32(len(b.exprs) - 1)
 }
 
-// lowerCmd lowers one command: specialized ops when the shape allows,
-// the generic inline-cached invoke otherwise, and the OpCmd classic
-// replay for anything outside the lowered subset.
-func (b *progBuilder) lowerCmd(cmd *compiledCmd) {
-	if cmd.parseErr != nil || cmd.poisoned || !canLowerWords(cmd) {
+// lowerCmd lowers one command of cs: specialized ops when the shape
+// allows, the generic inline-cached invoke otherwise, and an OpCmd that
+// hands the command to the classic parser for anything outside the
+// lowered subset.
+func (b *progBuilder) lowerCmd(cs *compiledScript, cmd *compiledCmd) {
+	if cmd.parseErr || cmd.poisoned || !canLowerWords(cmd) {
 		b.hostCmds++
-		b.emit(vm.Instr{Op: vm.OpCmd, A: b.pool.host(cmd)})
+		b.emit(vm.Instr{Op: vm.OpCmd, A: b.pool.host(cs, cmd)})
 		return
 	}
 	if b.trySpec(cmd) {
@@ -523,14 +515,13 @@ func (b *progBuilder) tryForeach(cmd *compiledCmd) bool {
 
 // --- expression lowering ------------------------------------------------
 
-// lowerExprText compiles an expression to bytecode, or to an AST-fallback
-// entry (Code == nil) when the tree uses constructs outside the lowered
-// subset: quoted strings (which substitute even untaken), computed array
-// elements, parse errors, and ternaries cut short before their ':'.
+// lowerExprText compiles an expression to bytecode, or to a Code == nil
+// entry, which the classic evaluator runs, when the tree holds a construct
+// outside the lowered subset (see classicNode).
 func lowerExprText(src string, pool *vmPool) *vm.ExprProg {
 	p := &vm.ExprProg{Src: src}
-	ast := compileExpr(src)
-	if !canLowerExprNode(ast.root) {
+	root := compileExpr(src)
+	if !canLowerExprNode(root) {
 		return p
 	}
 	b := &exprBuilder{
@@ -539,8 +530,8 @@ func lowerExprText(src string, pool *vmPool) *vm.ExprProg {
 		nameIx:  make(map[string]int32),
 		funcIx:  make(map[string]int32),
 	}
-	root := b.lower(ast.root)
-	b.code = append(b.code, vm.EInstr{Op: vm.EEnd, A: root})
+	r := b.lower(root)
+	b.code = append(b.code, vm.EInstr{Op: vm.EEnd, A: r})
 	p.Code = b.code
 	p.Consts = b.consts
 	p.Names = b.names
@@ -553,11 +544,7 @@ func lowerExprText(src string, pool *vmPool) *vm.ExprProg {
 
 func canLowerExprNode(n exprNode) bool {
 	switch t := n.(type) {
-	case litNode:
-		return true
-	case *varNode:
-		return t.seg.kind == segVar && plainVarName(t.seg.text)
-	case *bracketNode:
+	case litNode, *varNode, *bracketNode:
 		return true
 	case *unNode:
 		return canLowerExprNode(t.operand)
@@ -571,8 +558,7 @@ func canLowerExprNode(n exprNode) bool {
 	case *orNode:
 		return canLowerExprNode(t.lhs) && canLowerExprNode(t.rhs)
 	case *ternNode:
-		return t.right != nil && canLowerExprNode(t.cond) &&
-			canLowerExprNode(t.left) && canLowerExprNode(t.right)
+		return canLowerExprNode(t.cond) && canLowerExprNode(t.left) && canLowerExprNode(t.right)
 	case *funcNode:
 		return canLowerExprNode(t.arg)
 	}
@@ -593,7 +579,7 @@ func vmValueOf(v exprValue) vm.Value {
 // foldExprNode evaluates a constant subtree at compile time. Folding only
 // succeeds when every operator application succeeds, so a folded subtree
 // is provably side-effect- and error-free; its untaken-side value can
-// differ from the AST walker's (which threads lhs values through untaken
+// differ from the executor's (which threads lhs values through untaken
 // operators), but untaken values are discarded at every lazy join, so the
 // difference is unobservable.
 func foldExprNode(n exprNode) (vm.Value, bool) {
@@ -702,7 +688,7 @@ func (b *exprBuilder) lower(n exprNode) int32 {
 	case *varNode:
 		dst := b.reg()
 		b.code = append(b.code, vm.EInstr{
-			Op: vm.EVar, Dst: dst, A: b.name(t.seg.text), B: b.pool.varSlot(),
+			Op: vm.EVar, Dst: dst, A: b.name(t.name), B: b.pool.varSlot(),
 		})
 		return dst
 	case *bracketNode:

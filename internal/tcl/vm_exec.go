@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/lru"
 	"repro/internal/tcl/vm"
 )
 
@@ -28,26 +27,21 @@ import (
 type EvalMode uint8
 
 const (
-	// EvalCached is the default: parse-once skeletons and expr ASTs,
-	// memoized by source text, replayed by the tree walker.
-	EvalCached EvalMode = iota
+	// EvalVM is the default: scripts and expressions are compiled once,
+	// lowered to register bytecode with inline caches and native numeric
+	// values, and memoized by source text.
+	EvalVM EvalMode = iota
 	// EvalClassic re-parses every script on every evaluation — the frozen
-	// referee the other modes are proven against.
+	// referee the vm is proven against, and the evaluator the vm hands
+	// whatever it does not lower.
 	EvalClassic
-	// EvalVM lowers cached skeletons to register bytecode with inline
-	// caches and native numeric values.
-	EvalVM
 )
 
 func (m EvalMode) String() string {
-	switch m {
-	case EvalClassic:
+	if m == EvalClassic {
 		return "classic"
-	case EvalVM:
-		return "vm"
-	default:
-		return "cached"
 	}
+	return "vm"
 }
 
 // ParseEvalMode maps the -evalmode flag spellings to a mode.
@@ -55,36 +49,15 @@ func ParseEvalMode(s string) (EvalMode, bool) {
 	switch s {
 	case "classic":
 		return EvalClassic, true
-	case "cached":
-		return EvalCached, true
 	case "vm":
 		return EvalVM, true
 	}
-	return EvalCached, false
+	return EvalVM, false
 }
 
-// SetEvalMode selects the evaluation engine. Entering vm mode allocates
-// the bytecode caches (and restores the compile caches if they were
-// disabled, since the vm compiles through them).
-func (i *Interp) SetEvalMode(m EvalMode) {
-	i.evalMode = m
-	i.vmFront, i.vmFrontKey = nil, ""
-	i.vmExprFront, i.vmExprFrontKey = nil, ""
-	if m != EvalVM {
-		return
-	}
-	if i.evalCache == nil {
-		i.SetEvalCacheSize(DefaultEvalCacheSize)
-	}
-	if i.vmCache == nil {
-		n := i.cacheSize
-		if n <= 0 {
-			n = DefaultEvalCacheSize
-		}
-		i.vmCache = lru.New[string, *vmEntry](n)
-		i.vmExprCache = lru.New[string, *vmExprEntry](n)
-	}
-}
+// SetEvalMode selects the evaluation engine. The vm's program caches
+// survive a switch, so state and compiled programs carry across modes.
+func (i *Interp) SetEvalMode(m EvalMode) { i.evalMode = m }
 
 // EvalMode reports the active evaluation engine.
 func (i *Interp) EvalMode() EvalMode { return i.evalMode }
@@ -115,16 +88,25 @@ type specCache struct {
 	ok    bool
 }
 
+// vmHost is one OpCmd fallback: a command the vm did not lower, located by
+// the source text it was compiled from, the offset where the classic
+// parser starts it, and whether it sits inside a [bracket] substitution.
+type vmHost struct {
+	src       string
+	start     int
+	bracketed bool
+}
+
 // vmRun is the mutable runtime state of one cached program tree: the
 // OpCmd host table and the inline-cache arrays its slots index.
 type vmRun struct {
-	hosts []*compiledCmd
+	hosts []vmHost
 	cmds  []cmdCache
 	vars  []varCache
 	specs []specCache
 }
 
-func newVMRun(hosts []*compiledCmd, sc vm.SlotCounts) vmRun {
+func newVMRun(hosts []vmHost, sc vm.SlotCounts) vmRun {
 	return vmRun{
 		hosts: hosts,
 		cmds:  make([]cmdCache, sc.Cmds),
@@ -139,11 +121,9 @@ type vmEntry struct {
 	run  vmRun
 }
 
-// vmExprEntry is one vm expression-cache entry; ast is the classic
-// fallback when the expression did not lower.
+// vmExprEntry is one vm expression-cache entry.
 type vmExprEntry struct {
 	prog *vm.ExprProg
-	ast  *exprAST
 	run  vmRun
 }
 
@@ -175,12 +155,7 @@ func (i *Interp) vmEvalScript(script string) Result {
 		var ok bool
 		e, ok = i.vmCache.Get(script)
 		if !ok {
-			cs, csok := i.evalCache.Get(script)
-			if !csok {
-				cs = compileScript(script, false)
-				i.evalCache.Put(script, cs)
-			}
-			prog, hosts := lowerRootScript(cs)
+			prog, hosts := lowerRootScript(compileScript(script, false))
 			e = &vmEntry{prog: prog, run: newVMRun(hosts, prog.Slots)}
 			i.vmCache.Put(script, e)
 		}
@@ -190,7 +165,8 @@ func (i *Interp) vmEvalScript(script string) Result {
 	return res
 }
 
-// vmExprValue is exprValue's vm-mode body.
+// vmExprValue is exprValue's vm-mode body. An expression that did not
+// lower runs on the classic evaluator.
 func (i *Interp) vmExprValue(text string) (exprValue, Result) {
 	e := i.vmExprFront
 	if e == nil || i.vmExprFrontKey != text {
@@ -199,15 +175,12 @@ func (i *Interp) vmExprValue(text string) (exprValue, Result) {
 		if !ok {
 			prog, hosts, slots := lowerRootExpr(text)
 			e = &vmExprEntry{prog: prog, run: newVMRun(hosts, slots)}
-			if !prog.Lowered() {
-				e.ast = compileExpr(text)
-			}
 			i.vmExprCache.Put(text, e)
 		}
 		i.vmExprFront, i.vmExprFrontKey = e, text
 	}
-	if e.ast != nil {
-		return e.ast.run(i)
+	if !e.prog.Lowered() {
+		return i.exprValueUncached(text)
 	}
 	v, res := i.runExprProg(&e.run, e.prog)
 	if res.Code != OK {
@@ -246,10 +219,10 @@ func (i *Interp) pushRegs(n int32) int {
 	return base
 }
 
-// runProgram executes a lowered script, mirroring runCompiled's
-// contract: the Result plus whether execution ended on a terminating
-// ']', plus the native-value channel for the final result (see the
-// package comment above).
+// runProgram executes a lowered script, mirroring parser.run's contract:
+// the Result plus whether execution ended on a terminating ']', plus the
+// native-value channel for the final result (see the package comment
+// above).
 func (i *Interp) runProgram(r *vmRun, p *vm.Program) (Result, bool, vm.Value, bool) {
 	base := i.pushRegs(p.NRegs)
 	res, atBracket, num, numOK := i.execProgram(r, p, base)
@@ -446,7 +419,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			val, ok := i.vmReadVar(r, in.B, name)
 			if !ok {
 				// A failed substitution aborts the command with no step
-				// charged and no ErrorInfo note, like substCompiledSeg.
+				// charged and no ErrorInfo note, like parser.varSubst.
 				return Errf("can't read %q: no such variable", name), false, vm.Value{}, false
 			}
 			regs[in.Dst] = vm.StringValue(val)
@@ -527,38 +500,30 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			pc++
 
 		case vm.OpCmd:
-			// Classic replay of one original command, byte for byte the
-			// loop body of runCompiled.
-			cmd := r.hosts[in.A]
-			words, res := i.substCompiledWords(cmd)
-			if res.Code != OK {
-				return res, false, vm.Value{}, false
+			// The classic referee runs the one command the vm did not
+			// lower: parse it from its source offset, substituting as it
+			// goes, then dispatch it as parser.run does.
+			h := &r.hosts[in.A]
+			cp := &parser{interp: i, src: h.src, pos: h.start}
+			words, out, _ := cp.parseCommand(h.bracketed)
+			if out.Code != OK {
+				return out.Result, false, vm.Value{}, false
 			}
-			if cmd.parseErr != nil {
-				if _, res := i.substSegs(cmd.partial); res.Code != OK {
-					return res, false, vm.Value{}, false
+			if len(words) > 0 {
+				res := i.EvalWords(words)
+				if res.Code != OK {
+					if res.Code == Error {
+						i.noteErrorLine(words)
+					}
+					atBracket := cp.pos < len(cp.src) && cp.src[cp.pos] == ']'
+					return res, atBracket, vm.Value{}, false
 				}
-				return *cmd.parseErr, false, vm.Value{}, false
+				last, lastNumOK = res, false
 			}
-			if cmd.poisoned {
-				return Errf("internal: poisoned command survived substitution"), false, vm.Value{}, false
-			}
-			res = i.EvalWords(words)
-			if res.Code != OK {
-				if res.Code == Error {
-					i.noteErrorLine(words)
-				}
-				return res, cmd.bracketOK, vm.Value{}, false
-			}
-			last, lastNumOK = res, false
 			pc++
 
 		case vm.OpJump:
 			pc = int(in.A)
-
-		case vm.OpRaise:
-			rz := &p.Raises[in.A]
-			return Result{Code: Code(rz.Code), Value: rz.Msg}, false, vm.Value{}, false
 
 		case vm.OpSpecEnter:
 			aux := &p.Aux[in.Dst]
@@ -848,10 +813,10 @@ func (i *Interp) execExpr(r *vmRun, p *vm.ExprProg, base int) (vm.Value, Result)
 		// Each binary operator gets its own case so dispatch is a single
 		// jump-table hop with the int⊗int path inline; the mixed/string
 		// path falls through to ApplyBinary. Untaken binaries pass the
-		// lhs through, as the walker does. Int semantics (flooring,
-		// zero checks, shift bounds, error strings) mirror applyArith,
-		// applyIntOp and applyCompare exactly; the differential fuzzer
-		// holds the two in lockstep.
+		// lhs through. Int semantics (flooring, zero checks, shift
+		// bounds, error strings) mirror applyArith, applyIntOp and
+		// applyCompare exactly; the differential fuzzer holds the two in
+		// lockstep.
 		case vm.EAdd:
 			if !taken {
 				regs[in.Dst] = regs[in.A]

@@ -11,7 +11,7 @@ import (
 )
 
 // vmEquivScripts is the cross-mode conformance table: every script runs
-// under classic, cached, and vm evaluation and must produce identical
+// under classic and vm evaluation and must produce identical
 // results, error text, ErrorInfo traces, output, and step counts. The
 // list deliberately covers every specialized opcode (set/incr/expr/if/
 // while/foreach), the generic dispatch path, substitution errors, and
@@ -92,21 +92,19 @@ func TestVMEquivalence(t *testing.T) {
 	for _, script := range vmEquivScripts {
 		for _, warm := range []bool{false, true} {
 			rc, infoC, stepsC, outC := runEquiv(EvalClassic, script, warm)
-			for _, mode := range []EvalMode{EvalCached, EvalVM} {
-				rm, infoM, stepsM, outM := runEquiv(mode, script, warm)
-				label := fmt.Sprintf("%s warm=%v script=%q", mode, warm, script)
-				if rc != rm {
-					t.Errorf("%s: result classic=%+v got=%+v", label, rc, rm)
-				}
-				if infoC != infoM {
-					t.Errorf("%s: errorinfo classic=%q got=%q", label, infoC, infoM)
-				}
-				if stepsC != stepsM {
-					t.Errorf("%s: steps classic=%d got=%d", label, stepsC, stepsM)
-				}
-				if outC != outM {
-					t.Errorf("%s: output classic=%q got=%q", label, outC, outM)
-				}
+			rm, infoM, stepsM, outM := runEquiv(EvalVM, script, warm)
+			label := fmt.Sprintf("warm=%v script=%q", warm, script)
+			if rc != rm {
+				t.Errorf("%s: result classic=%+v vm=%+v", label, rc, rm)
+			}
+			if infoC != infoM {
+				t.Errorf("%s: errorinfo classic=%q vm=%q", label, infoC, infoM)
+			}
+			if stepsC != stepsM {
+				t.Errorf("%s: steps classic=%d vm=%d", label, stepsC, stepsM)
+			}
+			if outC != outM {
+				t.Errorf("%s: output classic=%q vm=%q", label, outC, outM)
 			}
 		}
 	}
@@ -114,12 +112,12 @@ func TestVMEquivalence(t *testing.T) {
 
 // TestVMStepLimitParity pins the satellite requirement that step counts
 // are variant-neutral: a tight StepLimit must trip at the same step with
-// the same error text in all three modes.
+// the same error text in both modes.
 func TestVMStepLimitParity(t *testing.T) {
 	const script = `set n 0; while {1} { incr n }`
 	var ref Result
 	var refSteps int64
-	for k, mode := range []EvalMode{EvalClassic, EvalCached, EvalVM} {
+	for k, mode := range []EvalMode{EvalClassic, EvalVM} {
 		i := New()
 		i.SetEvalMode(mode)
 		i.StepLimit = 500
@@ -161,14 +159,12 @@ func TestVMHookParity(t *testing.T) {
 		return trace, hook
 	}
 	traceC, hookC := seq(EvalClassic)
-	for _, mode := range []EvalMode{EvalCached, EvalVM} {
-		traceM, hookM := seq(mode)
-		if strings.Join(traceC, "\n") != strings.Join(traceM, "\n") {
-			t.Errorf("%s trace diverged:\nclassic:\n%s\ngot:\n%s", mode, strings.Join(traceC, "\n"), strings.Join(traceM, "\n"))
-		}
-		if strings.Join(hookC, "\n") != strings.Join(hookM, "\n") {
-			t.Errorf("%s dispatch hook diverged:\nclassic:\n%s\ngot:\n%s", mode, strings.Join(hookC, "\n"), strings.Join(hookM, "\n"))
-		}
+	traceM, hookM := seq(EvalVM)
+	if strings.Join(traceC, "\n") != strings.Join(traceM, "\n") {
+		t.Errorf("trace diverged:\nclassic:\n%s\nvm:\n%s", strings.Join(traceC, "\n"), strings.Join(traceM, "\n"))
+	}
+	if strings.Join(hookC, "\n") != strings.Join(hookM, "\n") {
+		t.Errorf("dispatch hook diverged:\nclassic:\n%s\nvm:\n%s", strings.Join(hookC, "\n"), strings.Join(hookM, "\n"))
 	}
 }
 
@@ -227,15 +223,13 @@ func TestVMHookOnlyParity(t *testing.T) {
 	check := func(label, script string, limit int64) {
 		t.Helper()
 		logC, resC, infoC, stepsC := dispatchLog(EvalClassic, script, limit)
-		for _, mode := range []EvalMode{EvalCached, EvalVM} {
-			logM, resM, infoM, stepsM := dispatchLog(mode, script, limit)
-			if got, want := strings.Join(logM, " "), strings.Join(logC, " "); got != want {
-				t.Errorf("%s %s: dispatches\n got: %s\nwant: %s", mode, label, got, want)
-			}
-			if resM != resC || infoM != infoC || stepsM != stepsC {
-				t.Errorf("%s %s: got %+v/%q/%d steps, classic %+v/%q/%d steps",
-					mode, label, resM, infoM, stepsM, resC, infoC, stepsC)
-			}
+		logM, resM, infoM, stepsM := dispatchLog(EvalVM, script, limit)
+		if got, want := strings.Join(logM, " "), strings.Join(logC, " "); got != want {
+			t.Errorf("%s: dispatches\n got: %s\nwant: %s", label, got, want)
+		}
+		if resM != resC || infoM != infoC || stepsM != stepsC {
+			t.Errorf("%s: got %+v/%q/%d steps, classic %+v/%q/%d steps",
+				label, resM, infoM, stepsM, resC, infoC, stepsC)
 		}
 	}
 	for _, script := range hookOnlyScripts {
@@ -329,7 +323,7 @@ func TestVMHookMidStream(t *testing.T) {
 }
 
 func TestEvalModeRoundTrip(t *testing.T) {
-	for _, m := range []EvalMode{EvalClassic, EvalCached, EvalVM} {
+	for _, m := range []EvalMode{EvalClassic, EvalVM} {
 		got, ok := ParseEvalMode(m.String())
 		if !ok || got != m {
 			t.Errorf("ParseEvalMode(%q) = %v, %v", m.String(), got, ok)
@@ -339,10 +333,9 @@ func TestEvalModeRoundTrip(t *testing.T) {
 		t.Errorf("ParseEvalMode accepted unknown mode")
 	}
 	i := New()
-	if i.EvalMode() != EvalCached {
-		t.Errorf("default mode = %v, want cached", i.EvalMode())
+	if i.EvalMode() != EvalVM {
+		t.Errorf("default mode = %v, want vm", i.EvalMode())
 	}
-	i.SetEvalMode(EvalVM)
 	if res := i.EvalScript(`set a 5; expr {$a * 2}`); res.Value != "10" {
 		t.Fatalf("vm eval: %+v", res)
 	}
@@ -388,5 +381,94 @@ func TestVMMutationDetected(t *testing.T) {
 	rv := i.EvalScript(script)
 	if rc == rv {
 		t.Fatalf("mutation was not detected: classic=%+v vm=%+v", rc, rv)
+	}
+}
+
+// fallbackShapes are the scripts the vm does not lower in full: each
+// holds a command it hands to the classic parser (OpCmd) or an expression
+// it leaves to the classic evaluator.
+var fallbackShapes = []struct {
+	name, script string
+	cmds, exprs  int // fallback sites the lowered program must hold
+}{
+	{"parse error mid-command", `set a 1; set b [set a] "unclosed`, 1, 0},
+	{"poisoned bracket", `set a 1; set b [set c 2; set d {x]`, 1, 0},
+	{"array ref without close paren", `set a(1) x; set b $a(1`, 1, 0},
+	{"braced element name", `set a(b) 7; set c ${a(b)}; set c`, 1, 0},
+	{"computed array index", `set i 2; set a(2) z; set b $a($i); set b`, 1, 0},
+	{"failing computed-index command", `set i 2; set a(2) z; error "at $a($i)"`, 1, 0},
+	{"return on the close bracket", `set i 1; set a(1) q; set r [return $a($i)]; set r`, 1, 0},
+	{"return short of the close bracket", `set i 1; set a(1) q; set r [return $a($i); ]`, 1, 0},
+	{"computed index in an expression bracket", `set i 1; set a(1) 4; expr {[set b $a($i)] + $i}`, 1, 0},
+	{"quoted string on untaken && side", `set r [expr {0 && "[set touched 1]"}]; list $r $touched`, 0, 1},
+	{"ternary cut before colon", `set v 1; expr {$v ? [incr v] }`, 0, 1},
+	{"untaken bracket skip ends early", `expr {0 && [set x "]"]}`, 0, 1},
+	{"doomed bracket on untaken side", `expr {0 && [set x "abc] )}`, 0, 1},
+}
+
+// fallbacks counts the OpCmd sites and unlowered expressions in a
+// lowered program tree.
+func fallbacks(p *vm.Program) (cmds, exprs int) {
+	for _, in := range p.Code {
+		if in.Op == vm.OpCmd {
+			cmds++
+		}
+	}
+	add := func(c, x int) { cmds, exprs = cmds+c, exprs+x }
+	for _, b := range p.Blocks {
+		if b.Prog != nil {
+			add(fallbacks(b.Prog))
+		}
+	}
+	for _, e := range p.Exprs {
+		if !e.Lowered() {
+			exprs++
+			continue
+		}
+		for _, b := range e.Blocks {
+			add(fallbacks(b.Prog))
+		}
+	}
+	return cmds, exprs
+}
+
+// shapeRun evaluates script twice on one interpreter (cold, then warm)
+// with a recording DispatchHook, flattening each pass's result,
+// ErrorInfo, step count and (depth, name) log.
+func shapeRun(mode EvalMode, script string) []string {
+	i := New()
+	i.SetEvalMode(mode)
+	i.Stdout = io.Discard
+	var log []string
+	i.DispatchHook = func(name string, depth int, d time.Duration) {
+		log = append(log, fmt.Sprintf("%d:%s", depth, name))
+	}
+	var passes []string
+	for pass := 0; pass < 2; pass++ {
+		log = nil
+		res := i.EvalScript(script)
+		passes = append(passes, fmt.Sprintf("%+v errorinfo=%q steps=%d hook=[%s]",
+			res, i.ErrorInfo, i.Steps(), strings.Join(log, " ")))
+	}
+	return passes
+}
+
+// TestVMFallbackShapes runs every fallback shape cold and warm under the
+// vm and the classic referee: the result, error, ErrorInfo, steps and
+// dispatch-hook log must match on both passes, and the lowered program
+// must really hold the fallback the shape names.
+func TestVMFallbackShapes(t *testing.T) {
+	for _, sh := range fallbackShapes {
+		prog, _ := lowerRootScript(compileScript(sh.script, false))
+		if cmds, exprs := fallbacks(prog); cmds != sh.cmds || exprs != sh.exprs {
+			t.Errorf("%s: lowered with %d OpCmd and %d classic expressions, want %d and %d",
+				sh.name, cmds, exprs, sh.cmds, sh.exprs)
+		}
+		classic, vmRuns := shapeRun(EvalClassic, sh.script), shapeRun(EvalVM, sh.script)
+		for pass := range classic {
+			if classic[pass] != vmRuns[pass] {
+				t.Errorf("%s pass %d:\nclassic: %s\n     vm: %s", sh.name, pass, classic[pass], vmRuns[pass])
+			}
+		}
 	}
 }

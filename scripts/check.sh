@@ -24,7 +24,7 @@ go test -race -short ./...
 go test -count=1 -shuffle=on -short ./...
 
 # Differential conformance: replay every shipped script and engine
-# scenario through the matcher × eval-cache × fault-schedule matrix —
+# scenario through the matcher × eval-mode × fault-schedule matrix —
 # including the sharded-scheduler variants (-shards 1 and 8) — and
 # require identical outcomes. Divergences print a seed + minimized fault
 # schedule as the repro recipe.
@@ -37,12 +37,12 @@ go test -race -count=1 ./internal/conformance
 # the race detector — plus the engine's default evaluator and its eval
 # ring events (one sequence in every mode, stamped at each dispatch's
 # end), a goexpect run of a shipped script on the default vm evaluator,
-# and one with -evalmode cached so the cached walker stays exercised end
-# to end.
+# and one with -evalmode classic so the referee stays exercised end to
+# end through the CLI.
 go test -race -count=1 -run 'TestVM|TestEvalMode|TestEvalCacheStats' ./internal/tcl
 go test -race -count=1 -run 'TestEvalEventsModeNeutral|TestEvalEventStampIsDispatchEnd|TestEngineDefaultsToVM' ./internal/core
 go run ./cmd/goexpect -transport pipe -sims -q scripts/passwd.exp >/dev/null
-go run ./cmd/goexpect -evalmode cached -transport pipe -sims -q scripts/passwd.exp >/dev/null
+go run ./cmd/goexpect -evalmode classic -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
 # Sharded-scheduler matrix leg: the shard unit tests plus a goexpect run
 # under -shards, proving the flag-wired path end to end.
@@ -163,8 +163,11 @@ go run ./cmd/benchreport -exp e21 -json BENCH_8.json -statsguard 3
 
 # Bytecode-vm economics snapshot + guard: rerun the E22 pricing into
 # BENCH_9.json. vmguard: the vm must stay at least 3x faster than the
-# cached evaluator on the E15 eval and expr benchmarks, and its
-# differential sweep must show zero divergences from the classic referee.
+# retired cached evaluator on the E15 eval and expr benchmarks — its
+# measured speedup over classic divided by the cached evaluator's
+# committed BENCH_9 speedup over classic (3.70x eval, 4.83x expr) — and
+# its differential sweep must show zero divergences from the classic
+# referee.
 go run ./cmd/benchreport -exp e22 -json BENCH_9.json -vmguard 3
 
 # Gateway-scaling snapshot + guard: build expectd, start two -mux
