@@ -82,7 +82,7 @@ type Config struct {
 	// Spawn options passed through to the transport layer.
 	SpawnOptions proc.Options
 	// NetOptions configures the socket transport for SpawnNetwork sessions
-	// (buffer caps, segment pool, legacy copying mode, poller opt-out).
+	// (buffer caps, segment pool, poller opt-out).
 	// ReadBuf defaults from SpawnOptions.BufferCap when unset.
 	NetOptions netx.Options
 	// Ingest, when non-nil, receives copied/handed-off byte accounting
@@ -234,7 +234,7 @@ func SpawnNetwork(cfg *Config, name, addr string) (*Session, error) {
 	stopFork := opt.Prof.Start(metrics.PhaseFork)
 	var nc *netx.Conn
 	var err error
-	if cfg != nil && cfg.Sched != nil && !nopt.Legacy {
+	if cfg != nil && cfg.Sched != nil {
 		// Defer ingest: the adopting shard chooses between its readiness
 		// loop (linux, zero goroutines per connection) and the fallback
 		// reader goroutine. If adoption falls through to a pump, the first

@@ -335,11 +335,9 @@ func (sh *shard) attachNetIngest(s *Session) {
 	if !ok {
 		return
 	}
-	if nc.OwnedEnabled() {
-		if p := sh.netPoller(); p != nil {
-			if err := p.Register(nc); err == nil {
-				return
-			}
+	if p := sh.netPoller(); p != nil {
+		if err := p.Register(nc); err == nil {
+			return
 		}
 	}
 	nc.StartIngest()

@@ -35,7 +35,7 @@ import (
 // sharded} schedulers, same seeded dialogue mix as E17. The acceptance
 // bar mirrors E17's: 10k sharded socket sessions stay within 2x the
 // per-dialogue cost of the 64-session goroutine baseline (also over
-// sockets). scripts/check.sh pins the ratio via benchreport -netguard.
+// sockets). benchreport's guards pin the ratio.
 func NetworkScaling(repoRoot string) (Result, error) {
 	const (
 		shardCount = 8

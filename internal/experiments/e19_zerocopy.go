@@ -13,26 +13,18 @@ import (
 // into the match buffer's backing, with the per-connection reader
 // goroutines collapsed into one readiness loop per shard on linux.
 //
-// The referee is the PR 5 data path, frozen behind netx.Options.Legacy:
-// a reader goroutine per connection copying every chunk into a slab
-// inbox, the scheduler copying it out into scratch, and the gap buffer
-// copying it in again — three copies and roughly one allocation per
-// chunk. The comparison runs both configurations over the same expectd
-// daemon with the same seeded dialogue schedule, so the only variable is
-// the ingest architecture.
-//
-// Two gates ride this sweep (scripts/check.sh, via benchreport):
-//   - -memguard: bytes-copied-per-dialogue and ingest-allocs-per-dialogue
-//     at 10k sharded sessions must drop by at least the given percentage
-//     versus the legacy referee.
-//   - -goroguard: ingest goroutines at 10k connections (goroutine peak
-//     minus the 10k driver goroutines) must stay under the given ceiling —
-//     O(shards), not O(connections).
+// The guards on this sweep (cmd/benchreport/guards.go) bound the 10k
+// sharded cell absolutely: copied bytes and ingest allocations per
+// dialogue at most 60% of the copying ingest path's figures in
+// BENCH_6.json (1278.64 B, 1388.8 allocs per 1k dialogues) — that path
+// was this sweep's referee until it was deleted — and at most 256
+// goroutines added by spawning the 10k sessions: O(shards), not
+// O(connections).
 //
 // Workers run with load.Config.NoWrap: a faultify-wrapped stream hides
 // the transport capabilities and deliberately keeps a feeder goroutine,
 // which the conformance equivalence matrix covers; here it would only
-// blur both gates with a constant neither side is measuring.
+// blur the guards with a constant they are not measuring.
 func ZeroCopyIngest(repoRoot string) (Result, error) {
 	const (
 		shardCount = 8
@@ -51,20 +43,16 @@ func ZeroCopyIngest(repoRoot string) (Result, error) {
 		sessions int
 		mode     string
 		shards   int
-		legacy   bool
 		res      *load.Result
 		nsPerD   float64
 	}
 	cells := []cell{
-		{64, "goroutine", 0, false, nil, 0},
-		{64, "sharded", shardCount, false, nil, 0},
-		{1000, "goroutine", 0, false, nil, 0},
-		{1000, "sharded", shardCount, false, nil, 0},
-		{10000, "goroutine", 0, false, nil, 0},
-		{10000, "sharded", shardCount, false, nil, 0},
-		// The referee: 10k sharded on the frozen copying path, the
-		// BENCH_5.json configuration the acceptance bar compares against.
-		{10000, "sharded", shardCount, true, nil, 0},
+		{64, "goroutine", 0, nil, 0},
+		{64, "sharded", shardCount, nil, 0},
+		{1000, "goroutine", 0, nil, 0},
+		{1000, "sharded", shardCount, nil, 0},
+		{10000, "goroutine", 0, nil, 0},
+		{10000, "sharded", shardCount, nil, 0},
 	}
 
 	for i := range cells {
@@ -79,16 +67,15 @@ func ZeroCopyIngest(repoRoot string) (Result, error) {
 			Shards:    c.shards,
 			Seed:      seed,
 			Net:       addrs,
-			LegacyNet: c.legacy,
 			NoWrap:    true,
 			Prof:      metrics.NewProfiler(),
 		})
 		if err != nil {
-			return Result{}, fmt.Errorf("e19 %s/%d sessions (legacy=%v): %w", c.mode, c.sessions, c.legacy, err)
+			return Result{}, fmt.Errorf("e19 %s/%d sessions: %w", c.mode, c.sessions, err)
 		}
 		if res.Errors != 0 || res.Dropped != 0 {
-			return Result{}, fmt.Errorf("e19 %s/%d sessions (legacy=%v): %d errors, %d dropped",
-				c.mode, c.sessions, c.legacy, res.Errors, res.Dropped)
+			return Result{}, fmt.Errorf("e19 %s/%d sessions: %d errors, %d dropped",
+				c.mode, c.sessions, res.Errors, res.Dropped)
 		}
 		c.res = res
 		c.nsPerD = float64(res.Elapsed.Nanoseconds()) / float64(res.Dialogues)
@@ -99,58 +86,33 @@ func ZeroCopyIngest(repoRoot string) (Result, error) {
 		return Result{}, fmt.Errorf("e19 shutdown: %w", err)
 	}
 
-	find := func(sessions int, mode string, legacy bool) *cell {
-		for i := range cells {
-			c := &cells[i]
-			if c.sessions == sessions && c.mode == mode && c.legacy == legacy {
-				return c
-			}
-		}
-		return nil
-	}
-
-	t := &table{header: []string{"sessions", "scheduler", "ingest", "copied B/dlg", "allocs/1k dlg", "goroutines", "ns/dialogue"}}
+	t := &table{header: []string{"sessions", "scheduler", "copied B/dlg", "allocs/1k dlg", "spawn goroutines", "ns/dialogue"}}
 	m := map[string]float64{}
 	for i := range cells {
 		c := &cells[i]
-		ing := "zerocopy"
-		if c.legacy {
-			ing = "legacy"
-		}
-		t.add(fmt.Sprintf("%d", c.sessions), c.mode, ing,
-			fmt.Sprintf("%.0f", c.res.BytesCopiedPerDlg),
+		t.add(fmt.Sprintf("%d", c.sessions), c.mode,
+			fmt.Sprintf("%.1f", c.res.BytesCopiedPerDlg),
 			fmt.Sprintf("%.1f", c.res.IngestAllocsPer1k),
-			fmt.Sprintf("%d", c.res.GoroutinePeak),
+			fmt.Sprintf("%d", c.res.SpawnGoroutines),
 			fmt.Sprintf("%.0f", c.nsPerD))
-		key := fmt.Sprintf("%d_%s_%s", c.sessions, c.mode, ing)
+		// The zerocopy suffix keeps BENCH_6.json's metric names.
+		key := fmt.Sprintf("%d_%s_zerocopy", c.sessions, c.mode)
 		m["ns_per_dialogue_"+key] = c.nsPerD
 		m["bytes_copied_per_dialogue_"+key] = c.res.BytesCopiedPerDlg
 		m["ingest_allocs_per_1k_dialogues_"+key] = c.res.IngestAllocsPer1k
-		m["goroutine_peak_"+key] = float64(c.res.GoroutinePeak)
+		m["spawn_goroutines_"+key] = float64(c.res.SpawnGoroutines)
 		if total := c.res.BytesCopied + c.res.BytesHandedOff; total > 0 {
 			m["handoff_share_pct_"+key] = 100 * float64(c.res.BytesHandedOff) / float64(total)
 		}
 	}
 	m["expectd_served_sessions"] = float64(served)
 
-	zc := find(10000, "sharded", false)
-	ref := find(10000, "sharded", true)
-	copiedDrop := 100 * (1 - zc.res.BytesCopiedPerDlg/ref.res.BytesCopiedPerDlg)
-	allocDrop := 100 * (1 - zc.res.IngestAllocsPer1k/ref.res.IngestAllocsPer1k)
-	ingestGoro := float64(zc.res.GoroutinePeak - zc.sessions)
-	m["bytes_copied_drop_pct_10k"] = copiedDrop
-	m["ingest_allocs_drop_pct_10k"] = allocDrop
-	m["ingest_goroutines_10k_sharded"] = ingestGoro
+	zc := &cells[len(cells)-1] // 10k sharded
+	m["ingest_goroutines_10k_sharded"] = float64(zc.res.SpawnGoroutines)
 	if zc.res.SegmentLeases > 0 {
 		m["segment_reuse_pct_10k"] = 100 * float64(zc.res.SegmentReuses) / float64(zc.res.SegmentLeases)
 	}
 
-	verdict := fmt.Sprintf(
-		"at 10k sharded socket sessions, ownership transfer cuts copied bytes per dialogue by %.0f%% and ingest allocations by %.0f%% vs the copying referee, with %.0f ingest goroutines above the 10k drivers (legacy keeps one reader per connection); expectd drained clean after %d sessions",
-		copiedDrop, allocDrop, ingestGoro, served)
-	if copiedDrop < 40 || allocDrop < 40 {
-		verdict = fmt.Sprintf("UNDER BAR: copied-bytes drop %.0f%%, ingest-alloc drop %.0f%% (bar: 40%% each)", copiedDrop, allocDrop)
-	}
 	return Result{
 		ID:    "E19",
 		Title: "zero-copy socket ingest via segment ownership transfer",
@@ -159,6 +121,8 @@ func ZeroCopyIngest(repoRoot string) (Result, error) {
 			`per-shard readiness loop save at 10k-connection scale`,
 		Table:   t.String(),
 		Metrics: m,
-		Verdict: verdict,
+		Verdict: fmt.Sprintf(
+			"at 10k sharded socket sessions, ownership transfer copies %.1f B per dialogue with %.1f ingest allocations per 1k dialogues (the deleted copying path: 1279 B, 1388.8), and spawning the sessions added %d goroutines; expectd drained clean after %d sessions",
+			zc.res.BytesCopiedPerDlg, zc.res.IngestAllocsPer1k, zc.res.SpawnGoroutines, served),
 	}, nil
 }

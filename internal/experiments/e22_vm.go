@@ -63,8 +63,8 @@ func vmDiffRun(mode tcl.EvalMode, script string) string {
 // to register bytecode with a constant pool, interned variable slots, and
 // inline caches. The classic evaluator stays the frozen referee: the
 // experiment also sweeps a differential script table across both modes and
-// reports the divergence count, which the -vmguard benchreport gate
-// requires to be zero.
+// reports the divergence count, which a benchreport guard requires to be
+// zero.
 func VMBytecode() (Result, error) {
 	t := &table{header: []string{"hot path", "classic", "vm", "vm vs classic"}}
 	m := map[string]float64{}
@@ -131,7 +131,7 @@ set total`
 
 	// Differential sweep: classic is the referee; the vm must match it
 	// byte-for-byte on result, error, output, and step count, cold and
-	// warm. Any divergence fails the -vmguard gate regardless of speed.
+	// warm. Any divergence fails the guard regardless of speed.
 	divergences := 0
 	for _, s := range vmDiffScripts {
 		if vmDiffRun(tcl.EvalVM, s) != vmDiffRun(tcl.EvalClassic, s) {

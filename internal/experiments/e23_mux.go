@@ -30,8 +30,8 @@ import (
 // 100k per-dialogue cost must stay within 2x the committed 10k-session
 // socket baseline from BENCH_5.json (E18's 10k sharded cell) — scaling
 // sessions 10x while shedding 99.9% of the sockets may not cost more
-// than 2x per dialogue. scripts/check.sh pins that via benchreport
-// -muxguard, which also fails on any dirty drain.
+// than 2x per dialogue. benchreport's guards pin that, and fail on any
+// dirty drain.
 func MuxGatewayScaling(repoRoot string) (Result, error) {
 	const (
 		shardCount   = 8
@@ -115,7 +115,7 @@ func MuxGatewayScaling(repoRoot string) (Result, error) {
 
 	// Hot-drain certification at full fan-in: SIGTERM both gateways and
 	// require the GOAWAY-then-drain exit. A dirty drain is a metric, not
-	// an experiment error — the -muxguard gate is what fails on it.
+	// an experiment error — benchreport's guard is what fails on it.
 	dirty := 0
 	var served uint64
 	var drainNote string

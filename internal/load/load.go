@@ -151,11 +151,6 @@ type Config struct {
 	// MuxStreamsPerConn bounds concurrent streams per pooled connection
 	// (0 = the netx default of 2048).
 	MuxStreamsPerConn int
-	// LegacyNet pins network sessions to the copying slab ingest path —
-	// reader goroutine per connection, no segment pool, no readiness
-	// loop. It is the frozen referee the E19 zero-copy comparison
-	// measures against.
-	LegacyNet bool
 	// NoWrap drops the flaky worker's faultify transport wrapper, so
 	// every session stays on the raw event-capable transport. E19 uses
 	// it to isolate the ingest architecture: a wrapped stream hides the
@@ -224,10 +219,9 @@ type Result struct {
 	QueueDepthPeak []int
 	Dropped        uint64
 
-	// Ingest accounting (network mode only; zero otherwise): what the
-	// socket→match-buffer data path did to every payload byte, and the
-	// per-dialogue quotients the E19 memguard gate compares across the
-	// legacy and zero-copy configurations.
+	// Ingest accounting (network and gateway modes; zero otherwise):
+	// what the socket→match-buffer data path did to every payload byte,
+	// and the per-dialogue quotients E19 bounds.
 	BytesCopied       int64
 	BytesHandedOff    int64
 	IngestAllocs      int64
@@ -236,10 +230,13 @@ type Result struct {
 	BytesCopiedPerDlg float64
 	IngestAllocsPer1k float64 // ingest allocations per 1000 dialogues
 
-	// GoroutinePeak is the highest runtime.NumGoroutine() sampled during
-	// the dialogue phase — the O(conns) vs O(shards) ingest-goroutine
-	// evidence at 10k sessions.
-	GoroutinePeak int
+	// SpawnGoroutines is how many goroutines spawning the K sessions
+	// added, counted just before the first spawn and just after the last,
+	// before any worker starts its dialogues: a pump per session without
+	// a scheduler, a reader per socket without a poller, one poller per
+	// shard with one — the O(conns) vs O(shards) ingest evidence E19
+	// bounds.
+	SpawnGoroutines int
 
 	// Gateway-mode reporting (zero otherwise): pooled TCP connections
 	// live at the end of the dialogue phase — the "K sessions over how
@@ -295,7 +292,6 @@ func (w *worker) respawn() error {
 		SID:      int32(w.id),
 		Ingest:   w.ingest,
 	}
-	cfg.NetOptions.Legacy = w.cfg.LegacyNet
 	cfg.NetOptions.Pool = w.pool
 	var program proc.Program
 	name, addr := "", ""
@@ -447,9 +443,7 @@ func Run(cfg Config) (*Result, error) {
 	var pool *netx.SegmentPool
 	if cfg.Net != nil || len(cfg.MuxAddrs) > 0 {
 		ingest = &metrics.IngestStats{}
-		if !cfg.LegacyNet {
-			pool = netx.NewSegmentPool(netx.Options{}.ReadChunk(), ingest)
-		}
+		pool = netx.NewSegmentPool(netx.Options{}.ReadChunk(), ingest)
 	}
 
 	// Gateway mode shares one connection pool across every worker: that
@@ -486,6 +480,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	workers := make([]*worker, cfg.Sessions)
+	goroBefore := runtime.NumGoroutine()
 	for i := range workers {
 		workers[i] = &worker{
 			id:     i,
@@ -503,28 +498,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Sample the goroutine count through the dialogue phase: the ingest
-	// architecture shows up here as O(sessions) reader goroutines versus
-	// O(shards) readiness loops.
-	goroPeak := runtime.NumGoroutine()
-	sampleStop := make(chan struct{})
-	var sampleDone sync.WaitGroup
-	sampleDone.Add(1)
-	go func() {
-		defer sampleDone.Done()
-		tick := time.NewTicker(25 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				if n := runtime.NumGoroutine(); n > goroPeak {
-					goroPeak = n
-				}
-			case <-sampleStop:
-				return
-			}
-		}
-	}()
+	spawnGoroutines := runtime.NumGoroutine() - goroBefore
 
 	start := time.Now()
 	var end time.Time
@@ -556,11 +530,6 @@ func Run(cfg Config) (*Result, error) {
 		// socket count carrying all K sessions.
 		muxStats = muxPool.Stats()
 	}
-	close(sampleStop)
-	sampleDone.Wait()
-	if n := runtime.NumGoroutine(); n > goroPeak {
-		goroPeak = n
-	}
 
 	for _, w := range workers {
 		w.s.Close()
@@ -583,7 +552,7 @@ func Run(cfg Config) (*Result, error) {
 	if elapsed > 0 {
 		res.DialoguesPerSec = float64(res.Dialogues) / elapsed.Seconds()
 	}
-	res.GoroutinePeak = goroPeak
+	res.SpawnGoroutines = spawnGoroutines
 	if muxPool != nil {
 		res.MuxConns = muxStats.Conns
 		res.MuxStreamsOpened = muxStats.Opened

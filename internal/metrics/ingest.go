@@ -2,30 +2,28 @@ package metrics
 
 import "sync/atomic"
 
-// IngestStats is the wire-ingest scoreboard behind the E19 memguard gate:
-// it counts, with one atomic add per event, what the socket→engine data
-// path did to every byte. The legacy (PR 5) path copies each chunk three
-// times — socket buffer → inbox slab, slab → scheduler scratch, scratch →
-// gap buffer — and allocates on most of those hops; the zero-copy path
-// (pooled segments whose ownership transfers whole, netx → inbox →
-// matchBuffer backing) should drive both counters toward zero. The load
-// workbench threads one IngestStats through netx.Options and core.Config
-// and reports the per-dialogue quotients.
+// IngestStats is the wire-ingest scoreboard behind E19's copied-byte and
+// ingest-alloc guards: it counts, with one atomic add per event, what the
+// socket→engine data path did to every byte. Pooled segments whose
+// ownership transfers whole (netx → inbox → matchBuffer backing) keep
+// both counters near zero in the steady state. The load workbench
+// threads one IngestStats through netx.Options and core.Config and
+// reports the per-dialogue quotients.
 //
 // A nil *IngestStats is a valid no-op sink, like Profiler and Counters.
 type IngestStats struct {
 	// bytesCopied counts payload bytes physically copied between buffers
-	// on the ingest path (inbox slab writes, TryRead copy-outs, gap-buffer
-	// appends, feeder chunk duplication). The steady-state zero-copy path
-	// adds nothing here.
+	// on the ingest path (TryRead copy-outs, gap-buffer appends, feeder
+	// chunk duplication, the gateway client's demux copy). The
+	// steady-state socket path adds nothing here.
 	bytesCopied atomic.Int64
 	// bytesHandedOff counts payload bytes whose buffer changed owner
 	// without being copied: a leased segment queued whole, or adopted as
 	// gap-buffer backing.
 	bytesHandedOff atomic.Int64
 	// ingestAllocs counts heap allocations the ingest path performed for
-	// payload bytes: inbox slab growth, feeder chunk clones, gap-buffer
-	// reallocation, and segment-pool misses. Pool hits add nothing.
+	// payload bytes: feeder chunk clones, gap-buffer reallocation, and
+	// segment-pool misses. Pool hits add nothing.
 	ingestAllocs atomic.Int64
 	// segLeases / segReuses count pool traffic: every Get is a lease, and
 	// a lease satisfied from the free list (no allocation) is a reuse.

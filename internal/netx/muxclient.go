@@ -300,7 +300,7 @@ type muxConn struct {
 // openStream registers a fresh stream id and sends the OPEN frame.
 func (mc *muxConn) openStream(program string) (*MuxStream, error) {
 	st := &MuxStream{mc: mc, program: program, done: make(chan struct{})}
-	st.in.init(mc.p.opt.streamBuf(), mc.pool.Size(), false, mc.p.opt.Stats)
+	st.in.init(mc.p.opt.streamBuf(), mc.pool.Size(), mc.p.opt.Stats)
 	mc.smu.Lock()
 	id := mc.nextID
 	mc.nextID++
@@ -540,9 +540,6 @@ func (st *MuxStream) TryReadOwned() (proc.Owned, bool, error) {
 	}
 	return g, ok, err
 }
-
-// OwnedEnabled reports that muxed ingest always runs the segment path.
-func (st *MuxStream) OwnedEnabled() bool { return true }
 
 // SetReadNotify installs the level-triggered doorbell.
 func (st *MuxStream) SetReadNotify(fn func()) { st.in.setNotify(fn) }

@@ -47,9 +47,9 @@ type Poller struct {
 }
 
 // ErrPollerUnavailable reports that a connection cannot join a readiness
-// loop (legacy/NoPoller options, a non-syscall net.Conn, a closed
-// poller, or a platform without epoll) and should fall back to its own
-// reader goroutine via StartIngest.
+// loop (Options.NoPoller, a non-syscall net.Conn, a closed poller, or a
+// platform without epoll) and should fall back to its own reader
+// goroutine via StartIngest.
 var ErrPollerUnavailable = errors.New("netx: readiness poller unavailable")
 
 // maxPollReads bounds how many segments one readiness event may drain
@@ -93,7 +93,7 @@ func NewPoller() (*Poller, error) {
 // ErrPollerUnavailable (or any registration failure) the connection is
 // left deferred and the caller should StartIngest the fallback reader.
 func (p *Poller) Register(n *Conn) error {
-	if n.opt.Legacy || n.opt.NoPoller {
+	if n.opt.NoPoller {
 		return ErrPollerUnavailable
 	}
 	sc, ok := n.c.(syscall.Conn)

@@ -167,9 +167,9 @@ func TestPollerBackpressureRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPollerRefusesIneligible: legacy and NoPoller connections must be
-// declined with ErrPollerUnavailable, leaving them deferred so the
-// caller's fallback (StartIngest) still works.
+// TestPollerRefusesIneligible: a NoPoller connection must be declined
+// with ErrPollerUnavailable, leaving it deferred so the caller's
+// fallback (StartIngest) still works.
 func TestPollerRefusesIneligible(t *testing.T) {
 	defer testutil.LeakCheck(t, 10, 5*time.Second)()
 	srv, err := NewServer("127.0.0.1:0", func(stdin io.Reader, stdout io.Writer) error {
@@ -190,25 +190,17 @@ func TestPollerRefusesIneligible(t *testing.T) {
 	}
 	defer p.Close()
 
-	for _, tc := range []struct {
-		name string
-		opt  Options
-	}{
-		{"legacy", Options{Legacy: true}},
-		{"nopoller", Options{NoPoller: true}},
-	} {
-		nc, err := DialDeferred(srv.Addr(), tc.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Register(nc); !errors.Is(err, ErrPollerUnavailable) {
-			t.Errorf("%s: Register err = %v, want ErrPollerUnavailable", tc.name, err)
-		}
-		if got := nc.mode.Load(); got != modeDeferred {
-			t.Errorf("%s: refused conn left in mode %d, want deferred", tc.name, got)
-		}
-		nc.Close()
+	nc, err := DialDeferred(srv.Addr(), Options{NoPoller: true})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if err := p.Register(nc); !errors.Is(err, ErrPollerUnavailable) {
+		t.Errorf("Register err = %v, want ErrPollerUnavailable", err)
+	}
+	if got := nc.mode.Load(); got != modeDeferred {
+		t.Errorf("refused conn left in mode %d, want deferred", got)
+	}
+	nc.Close()
 }
 
 // TestPollerRefusesStartedIngest: once a fallback reader owns the read

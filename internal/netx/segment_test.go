@@ -84,7 +84,7 @@ func TestInboxPutSegAfterCloseRead(t *testing.T) {
 	st := &metrics.IngestStats{}
 	p := NewSegmentPool(64, st)
 	var q inbox
-	q.init(256, p.Size(), false, st)
+	q.init(256, p.Size(), st)
 
 	g := p.Get()
 	g.n = copy(g.buf, "queued")
@@ -121,7 +121,7 @@ func TestInboxPutSegAfterCloseRead(t *testing.T) {
 func TestSegmentIngestSteadyStateAllocs(t *testing.T) {
 	p := NewSegmentPool(128, nil)
 	var q inbox
-	q.init(1024, p.Size(), false, nil)
+	q.init(1024, p.Size(), nil)
 	payload := []byte("twelve bytes")
 
 	bad := false

@@ -363,20 +363,17 @@ type Owned interface {
 // OwnedReader is the ownership-transfer read half of a zero-copy
 // transport: TryReadOwned pops one whole owned chunk without copying,
 // returning ok=false when nothing is buffered and (nil, true, io.EOF)
-// once the stream is finished and drained. OwnedEnabled lets a transport
-// that implements the interface decline at runtime (e.g. a legacy-mode
-// connection that still buffers through a copying slab).
+// once the stream is finished and drained.
 type OwnedReader interface {
 	TryReadOwned() (Owned, bool, error)
-	OwnedEnabled() bool
 }
 
 // OwnedCapable reports whether the transport can hand output chunks to
 // the engine by ownership transfer. Requires the event pair too — owned
 // ingest rides the same doorbell discipline as TryRead.
 func (p *Process) OwnedCapable() bool {
-	or, ok := p.rw.(OwnedReader)
-	return ok && or.OwnedEnabled() && p.EventCapable()
+	_, ok := p.rw.(OwnedReader)
+	return ok && p.EventCapable()
 }
 
 // TryReadOwned forwards to the transport's ownership-transfer read;

@@ -77,9 +77,11 @@ go test -race -count=1 -run 'TestCrashRecoverySoak|TestExpectdCheckpointRestore'
 go test -race -count=1 ./internal/netx/mux ./internal/netx
 # The frame writer's flusher, DATA merge and drain are reached by several
 # goroutines per connection: rerun its battery, the many-sessions round
-# trip (a stream's served count must settle before its CLOSE is sent) and
-# the drain tests ten times under the race detector.
-go test -race -count=10 -run 'FrameWriter|TestMuxRoundTripManySessionsOneConn|TestMuxShutdown' ./internal/netx
+# trip (a stream's served count must settle before its CLOSE is sent),
+# the drain tests, and the gateway stdin queue (the demux loop parks on a
+# full StreamBuf and a program's exit must unpark it) ten times under the
+# race detector.
+go test -race -count=10 -run 'FrameWriter|TestMuxRoundTripManySessionsOneConn|TestMuxShutdown|TestStdinQueue|TestMuxStreamBuf' ./internal/netx
 go test -race -count=1 -run 'TestTransportContract/mux|TestConformanceScenarios' ./internal/proc ./internal/conformance
 go test -race -count=1 -run 'TestMuxModeConservation|TestMuxCrashRecoverySoak' ./internal/load
 
@@ -94,38 +96,28 @@ go test -race -fuzz=FuzzShardHash -fuzztime=10s ./internal/core
 go test -race -fuzz=FuzzJournalRoundTrip -fuzztime=10s ./internal/trace
 go test -race -fuzz=FuzzMuxFrameRoundTrip -fuzztime=10s ./internal/netx/mux
 
-# Perf snapshot + trace-overhead guard: regenerate the hot-path benchmarks
-# (E15: eval/glob/gap-buffer) and the flight-recorder overhead + latency
-# histograms (E16) into BENCH_3.json, and fail if a present-but-disabled
-# recorder costs the expect hot loop more than 2% per wakeup.
-go run ./cmd/benchreport -exp e15,e16 -json BENCH_3.json -guard 2
+# Evaluation snapshots + guards. Each benchreport run below regenerates
+# one BENCH_*.json and then checks every row of cmd/benchreport/guards.go
+# whose experiment ran; the rows carry the bounds and their reasons.
+# Rows that compare against a committed snapshot read it before -json
+# rewrites it.
+#
+# Hot-path benchmarks (E15) and flight-recorder overhead (E16).
+go run ./cmd/benchreport -exp e15,e16 -json BENCH_3.json
 
-# Shard-scaling snapshot + tail-latency guard: rerun the E17 session
-# sweep against the committed BENCH_4.json and fail if the 1k-session
-# sharded p99 wakeup-to-match latency regressed by more than 10%, then
-# refresh the snapshot.
-go run ./cmd/benchreport -exp e17 -baseline BENCH_4.json -p99guard 10 -json BENCH_4.json
+# Shard-scaling session sweep (E17), against the committed BENCH_4.json.
+go run ./cmd/benchreport -exp e17 -json BENCH_4.json
 
-# Network-scaling snapshot + guard: build expectd, run the E18 loopback
-# socket sweep (64 → 10k sessions against one daemon), require the
-# daemon to drain clean on SIGTERM, and fail if 10k sharded costs more
-# than 2x the 64-session goroutine baseline per dialogue.
-go run ./cmd/benchreport -exp e18 -json BENCH_5.json -netguard 2
+# Network scaling (E18): build expectd, run the loopback socket sweep (64
+# → 10k sessions against one daemon), and require a clean SIGTERM drain.
+go run ./cmd/benchreport -exp e18 -json BENCH_5.json
 
-# Zero-copy ingest snapshot + guards: rerun the socket sweep on the
-# segment-ownership path against the frozen copying referee. memguard:
-# copied bytes and ingest allocations per dialogue at 10k sharded
-# sessions must both drop >= 40% vs legacy. goroguard: ingest goroutines
-# at 10k connections stay O(shards) — at most 256 above the drivers,
-# not one reader per connection.
-go run ./cmd/benchreport -exp e19 -json BENCH_6.json -memguard 40 -goroguard 256
+# Zero-copy ingest (E19): the socket sweep on the segment-ownership path.
+go run ./cmd/benchreport -exp e19 -json BENCH_6.json
 
-# Replay economics snapshot + guards: rerun the E20 journal/checkpoint
-# pricing. replayguard: a journal-armed soak may cost at most 10% more
-# per dialogue than ring-only. ckptguard: the checkpoint/restore
-# round-trip p99 may not regress more than 25% against the committed
-# BENCH_7.json, then refresh the snapshot.
-go run ./cmd/benchreport -exp e20 -baseline BENCH_7.json -replayguard 10 -ckptguard 25 -json BENCH_7.json
+# Replay economics (E20): journal and checkpoint pricing, against the
+# committed BENCH_7.json.
+go run ./cmd/benchreport -exp e20 -json BENCH_7.json
 
 # Telemetry plane leg: the registry/exposition unit tier and the admin
 # endpoint battery under the race detector, then the two end-to-end
@@ -155,25 +147,13 @@ kill -TERM "$epid"
 wait "$epid"
 rm -rf "$tmpd"
 
-# Telemetry economics snapshot + guard: rerun the E21 pricing into
-# BENCH_8.json. statsguard: scraping /metrics at 1 Hz may cost at most
-# 3% per dialogue, and an armed-but-unscraped plane at most a third of
-# that (1%).
-go run ./cmd/benchreport -exp e21 -json BENCH_8.json -statsguard 3
+# Telemetry economics (E21).
+go run ./cmd/benchreport -exp e21 -json BENCH_8.json
 
-# Bytecode-vm economics snapshot + guard: rerun the E22 pricing into
-# BENCH_9.json. vmguard: the vm must stay at least 3x faster than the
-# retired cached evaluator on the E15 eval and expr benchmarks — its
-# measured speedup over classic divided by the cached evaluator's
-# committed BENCH_9 speedup over classic (3.70x eval, 4.83x expr) — and
-# its differential sweep must show zero divergences from the classic
-# referee.
-go run ./cmd/benchreport -exp e22 -json BENCH_9.json -vmguard 3
+# Bytecode-vm economics (E22).
+go run ./cmd/benchreport -exp e22 -json BENCH_9.json
 
-# Gateway-scaling snapshot + guard: build expectd, start two -mux
-# gateway processes, and drive the E23 sweep — 100k concurrent sessions
-# multiplexed over ≤64 pooled TCP connections per process — into
-# BENCH_10.json. muxguard: the 100k-session per-dialogue cost may be at
-# most 2x the committed 10k one-socket-per-session baseline (BENCH_5's
-# E18 sharded cell), and both gateways must drain clean on SIGTERM.
-go run ./cmd/benchreport -exp e23 -json BENCH_10.json -muxguard 2
+# Gateway scaling (E23): build expectd, start two -mux gateway processes,
+# and drive 100k concurrent sessions multiplexed over ≤64 pooled TCP
+# connections per process; both gateways must drain clean on SIGTERM.
+go run ./cmd/benchreport -exp e23 -json BENCH_10.json
