@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -11,13 +10,13 @@ import (
 	"repro/internal/tcl"
 )
 
-// This file is the migration half of the replay subsystem: a serializable
-// snapshot of live session state — match buffer, counters, stream
-// disposition, and any pending Expect call — that can cross a process
-// boundary and resume on the other side. Checkpoints are what let expectd
-// survive a crash mid-soak (cmd/expectd -checkpoint/-restore) and what
-// Scheduler.Migrate hands between shards conceptually: the shard handoff
-// moves the live structures, the checkpoint moves their portable image.
+// This file is the checkpoint half of the replay subsystem: a
+// serializable snapshot of live session state — match buffer, counters,
+// stream disposition, and any pending Expect call — that can cross a
+// process boundary and resume on the other side. Checkpoints are what let
+// expectd survive a crash mid-soak (cmd/expectd -checkpoint/-restore).
+// Within a process a session never moves: it stays on the shard that
+// adopted it until it ends (shard.go invariant 1).
 
 // CaseSpec is the portable form of one expect case: kind plus source
 // pattern. Compiled forms (regexp programs, glob NFAs) are rebuilt on
@@ -221,19 +220,6 @@ func (e *Engine) RestoreGlobals(ec *EngineCheckpoint) {
 		return
 	}
 	e.Interp.RestoreGlobals(ec.Globals)
-}
-
-// MigrateSession moves spawn id's session to shard dst — the sid-level
-// face of Scheduler.Migrate.
-func (e *Engine) MigrateSession(id, dst int) error {
-	if e.sched == nil {
-		return errors.New("core: migrate: engine has no sharded scheduler")
-	}
-	s, ok := e.SessionByID(id)
-	if !ok {
-		return fmt.Errorf("core: migrate: no session %d", id)
-	}
-	return e.sched.Migrate(s, dst)
 }
 
 // ResumeExpect re-issues a checkpointed pending Expect with whatever

@@ -215,159 +215,6 @@ func TestSchedulerCheckpointSeesParkedOp(t *testing.T) {
 	<-done
 }
 
-// The tentpole property: a session migrates between shards while an
-// Expect is parked, and the op resolves on the destination when the
-// child finally speaks. Event-capable transport — the doorbell must be
-// re-aimed at the destination loop.
-func TestMigrateMidExpect(t *testing.T) {
-	sc := NewScheduler(SchedulerOptions{Shards: 2})
-	defer sc.Stop()
-	release := make(chan struct{})
-	s, err := SpawnProgram(&Config{Sched: sc}, "gate", func(stdin io.Reader, stdout io.Writer) error {
-		<-release
-		io.WriteString(stdout, "token done\n")
-		io.Copy(io.Discard, stdin)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		res *MatchResult
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, err := s.ExpectTimeout(10*time.Second, Glob("*done*"))
-		resCh <- outcome{res, err}
-	}()
-	waitParked(t, sc, s)
-
-	src := s.ShardIndex()
-	dst := 1 - src
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ShardIndex(); got != dst {
-		t.Fatalf("after migrate ShardIndex = %d, want %d", got, dst)
-	}
-	// Migrating to the shard that already owns it is a no-op.
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
-
-	close(release)
-	out := <-resCh
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if !strings.Contains(out.res.Text, "done") {
-		t.Fatalf("migrated expect matched %q", out.res.Text)
-	}
-	s.Close()
-}
-
-// Feeder-path migration: a pipe transport has a dedicated reader that
-// keeps posting to the old shard forever; chunks must still reach the
-// buffer in order and wake the op on the new owner.
-func TestMigrateFeederSession(t *testing.T) {
-	sc := NewScheduler(SchedulerOptions{Shards: 2})
-	defer sc.Stop()
-	s, err := SpawnPipeCommand(&Config{Sched: sc}, "cat")
-	if err != nil {
-		t.Skipf("cannot spawn cat: %v", err)
-	}
-	if s.ShardIndex() < 0 {
-		t.Fatal("pipe session not shard-owned")
-	}
-	type outcome struct {
-		res *MatchResult
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, err := s.ExpectTimeout(10*time.Second, Glob("*hello-echo*"))
-		resCh <- outcome{res, err}
-	}()
-	waitParked(t, sc, s)
-
-	dst := 1 - s.ShardIndex()
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Send("hello-echo\n"); err != nil {
-		t.Fatal(err)
-	}
-	out := <-resCh
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if !strings.Contains(out.res.Text, "hello-echo") {
-		t.Fatalf("matched %q", out.res.Text)
-	}
-	s.Close()
-}
-
-// A parked deadline travels with the migration: the destination loop
-// must fire it.
-func TestMigrateTimeoutFiresOnDestination(t *testing.T) {
-	sc := NewScheduler(SchedulerOptions{Shards: 2})
-	defer sc.Stop()
-	s, err := SpawnProgram(&Config{Sched: sc}, "mute", func(stdin io.Reader, stdout io.Writer) error {
-		io.Copy(io.Discard, stdin)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	type outcome struct {
-		res *MatchResult
-		err error
-	}
-	resCh := make(chan outcome, 1)
-	go func() {
-		res, err := s.ExpectTimeout(400*time.Millisecond, Glob("*never*"), TimeoutCase())
-		resCh <- outcome{res, err}
-	}()
-	waitParked(t, sc, s)
-	dst := 1 - s.ShardIndex()
-	if err := sc.Migrate(s, dst); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case out := <-resCh:
-		if out.err != nil {
-			t.Fatal(out.err)
-		}
-		if !out.res.TimedOut {
-			t.Fatalf("want timeout case, got %+v", out.res)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("migrated deadline never fired on the destination")
-	}
-	s.Close()
-}
-
-func TestMigrateErrors(t *testing.T) {
-	sc := NewScheduler(SchedulerOptions{Shards: 2})
-	defer sc.Stop()
-	s, err := SpawnProgram(&Config{Sched: sc}, "p", func(stdin io.Reader, stdout io.Writer) error {
-		io.Copy(io.Discard, stdin)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Migrate(s, 99); err == nil {
-		t.Fatal("out-of-range shard accepted")
-	}
-	manual := NewManualSession(nil, "m")
-	if err := sc.Migrate(manual, 0); err == nil {
-		t.Fatal("pump/manual session migrated")
-	}
-	s.Close()
-}
-
 func TestEngineCheckpointGlobalsRoundTrip(t *testing.T) {
 	e := NewEngine(EngineOptions{})
 	if _, err := e.Run("set greeting hello\nset cfg(retries) 3\nset cfg(host) deep"); err != nil {
@@ -389,28 +236,5 @@ func TestEngineCheckpointGlobalsRoundTrip(t *testing.T) {
 	}
 	if v, _ := e2.Interp.GlobalGet("cfg(host)"); v != "deep" {
 		t.Fatalf("cfg(host) = %q", v)
-	}
-}
-
-func TestEngineMigrateSessionByID(t *testing.T) {
-	e := NewEngine(EngineOptions{Shards: 2})
-	defer e.Shutdown()
-	e.RegisterVirtual("mute", func(stdin io.Reader, stdout io.Writer) error {
-		io.Copy(io.Discard, stdin)
-		return nil
-	})
-	s, id, err := e.Spawn("mute")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := 1 - s.ShardIndex()
-	if err := e.MigrateSession(id, dst); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.ShardIndex(); got != dst {
-		t.Fatalf("ShardIndex = %d, want %d", got, dst)
-	}
-	if err := e.MigrateSession(id+100, 0); err == nil {
-		t.Fatal("unknown spawn id migrated")
 	}
 }

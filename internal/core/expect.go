@@ -117,7 +117,7 @@ func (s *Session) ExpectMatch(glob string) (*MatchResult, error) {
 // with the corresponding case index.
 func (s *Session) ExpectTimeout(d time.Duration, cases ...Case) (*MatchResult, error) {
 	op := s.newExpectOp(d, cases)
-	if sh := s.owningShard(); sh != nil {
+	if sh := s.shard; sh != nil {
 		return sh.runExpect(op)
 	}
 

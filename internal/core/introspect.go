@@ -99,15 +99,12 @@ type ShardSnapshot struct {
 // briefly live in only one), sorted by SID for deterministic output.
 func (sh *shard) inspect(now time.Time) ShardSnapshot {
 	snap := ShardSnapshot{
-		Shard:     sh.idx,
-		PeakDepth: int(sh.depthPeak.Load()),
-		Dropped:   sh.dropped.Load(),
-		Wakeup:    sh.wake.Summary("wakeup"),
+		Shard:      sh.idx,
+		QueueDepth: sh.backlog(),
+		PeakDepth:  int(sh.depthPeak.Load()),
+		Dropped:    sh.dropped.Load(),
+		Wakeup:     sh.wake.Summary("wakeup"),
 	}
-	sh.dirtyMu.Lock()
-	dirty := len(sh.dirty)
-	sh.dirtyMu.Unlock()
-	snap.QueueDepth = len(sh.cmds) + dirty
 
 	seen := make(map[*Session]struct{}, len(sh.sessions))
 	collect := func(s *Session) {
@@ -145,21 +142,30 @@ func (sh *shard) inspect(now time.Time) ShardSnapshot {
 	return snap
 }
 
+// backlog samples the shard's current queue depth: queued messages plus
+// dirty sessions awaiting a sweep. Safe from any goroutine.
+func (sh *shard) backlog() int {
+	sh.dirtyMu.Lock()
+	d := len(sh.dirty)
+	sh.dirtyMu.Unlock()
+	return len(sh.cmds) + d
+}
+
 // requestInspect posts msgInspect and waits for the loop's reply,
 // following the CheckpointSession request/reply shape. A stopped or
 // draining loop yields an empty snapshot instead of an error: the
 // telemetry plane must stay readable while the daemon drains, and an
 // empty shard is the truthful answer once its loop has exited.
 func (sh *shard) requestInspect() ShardSnapshot {
-	mig := &migration{insp: make(chan ShardSnapshot, 1)}
+	insp := make(chan ShardSnapshot, 1)
 	select {
-	case sh.cmds <- shardMsg{kind: msgInspect, mig: mig}:
+	case sh.cmds <- shardMsg{kind: msgInspect, insp: insp}:
 		sh.noteDepth(len(sh.cmds))
 	case <-sh.done:
 		return ShardSnapshot{Shard: sh.idx}
 	}
 	select {
-	case snap := <-mig.insp:
+	case snap := <-insp:
 		return snap
 	case <-sh.done:
 		return ShardSnapshot{Shard: sh.idx}
@@ -207,30 +213,30 @@ func (sc *Scheduler) ShardWakeups() []*metrics.Histogram {
 }
 
 // RegisterMetrics publishes the scheduler's per-shard gauges and the
-// merged wakeup histogram. Queue depth, peak, and dropped come from the
-// lock-free accessors; the per-shard session and parked-op gauges take a
-// loop snapshot per render, which is what makes them consistent with the
-// loops' own view. Safe on a nil scheduler or registry.
+// merged wakeup histogram. Queue depth, peak, and dropped are read from
+// the shards without a loop round-trip; the per-shard session and
+// parked-op gauges take a loop snapshot per render, which is what makes
+// them consistent with the loops' own view. Safe on a nil scheduler or
+// registry.
 func (sc *Scheduler) RegisterMetrics(r *metrics.Registry) {
 	if sc == nil || r == nil {
 		return
 	}
-	shardVec := func(vals func() []int) func() map[string]float64 {
+	shardVec := func(val func(*shard) int) func() map[string]float64 {
 		return func() map[string]float64 {
-			vs := vals()
-			out := make(map[string]float64, len(vs))
-			for i, v := range vs {
-				out[shardLabel(i)] = float64(v)
+			out := make(map[string]float64, len(sc.shards))
+			for i, sh := range sc.shards {
+				out[shardLabel(i)] = float64(val(sh))
 			}
 			return out
 		}
 	}
 	r.GaugeVec("expect_shard_queue_depth",
 		"Queued messages plus dirty sessions awaiting a sweep, per shard.",
-		"shard", shardVec(sc.QueueDepths))
+		"shard", shardVec((*shard).backlog))
 	r.GaugeVec("expect_shard_queue_peak",
 		"High-water shard backlog since start, per shard.",
-		"shard", shardVec(sc.PeakQueueDepths))
+		"shard", shardVec(func(sh *shard) int { return int(sh.depthPeak.Load()) }))
 	r.Counter("expect_shard_dropped_total",
 		"Events lost at the drain deadline across all shards (zero on a clean run).",
 		func() float64 { return float64(sc.Dropped()) })
@@ -295,7 +301,7 @@ func (e *Engine) SessionInfos() []SessionInfo {
 	}
 	out := make([]SessionInfo, 0, len(sessions))
 	for _, s := range sessions {
-		if info, ok := bySID[s.sid]; ok && s.owningShard() != nil {
+		if info, ok := bySID[s.sid]; ok && s.shard != nil {
 			out = append(out, info)
 			continue
 		}

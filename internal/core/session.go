@@ -144,7 +144,9 @@ type Session struct {
 
 	// Sharded-scheduler state (nil/zero for pump-driven sessions): the
 	// owning shard, the hash key it was assigned with, and the ingest
-	// flags its loop coordinates on.
+	// flags its loop coordinates on. adopt writes shard once, before the
+	// session is returned, and it never changes (shard.go invariant 1),
+	// so it is read without the lock.
 	shard      *shard
 	shardKey   uint64
 	notifyMode bool
@@ -389,29 +391,10 @@ func newSession(cfg *Config, name string, p *proc.Process, rw io.ReadWriteCloser
 // ShardIndex returns the shard that owns this session, or -1 for
 // pump-driven sessions.
 func (s *Session) ShardIndex() int {
-	sh := s.owningShard()
-	if sh == nil {
+	if s.shard == nil {
 		return -1
 	}
-	return sh.idx
-}
-
-// owningShard reads the current shard owner under the session lock;
-// Migrate rewrites it mid-life, so unlocked reads of s.shard are only
-// safe before adoption completes.
-func (s *Session) owningShard() *shard {
-	s.mu.Lock()
-	sh := s.shard
-	s.mu.Unlock()
-	return sh
-}
-
-// setShard flips the ownership pointer; called only from the source
-// loop's detach step.
-func (s *Session) setShard(sh *shard) {
-	s.mu.Lock()
-	s.shard = sh
-	s.mu.Unlock()
+	return s.shard.idx
 }
 
 // isTransient reports whether a read/write error is a retryable transient

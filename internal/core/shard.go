@@ -2,8 +2,6 @@ package core
 
 import (
 	"container/heap"
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,18 +21,31 @@ import (
 //
 // Ownership invariants:
 //
-//  1. A session is ingested by exactly one shard for its whole life; the
-//     assignment (ShardHash over a per-scheduler key) never changes.
+//  1. A session is owned by exactly one shard for its whole life: adopt
+//     picks it (ShardHash over a per-scheduler key) and writes s.shard
+//     once, before the session is published, so any goroutine may read
+//     the field unlocked.
 //  2. Only the owning shard's loop appends to the match buffer, applies
-//     EOF, steps expect ops, and closes pumpDone for a sharded session.
-//  3. Event-capable transports (unwrapped virtual duplexes) are drained
-//     with non-blocking TryRead from the loop itself — no goroutine at
-//     all. Blocking transports (pty, pipe, fault-wrapped) keep one
-//     dedicated reader feeding the shard through its bounded queue.
+//     EOF, and steps expect ops for a sharded session. It also closes
+//     pumpDone, unless it has already exited; then a feeder's final EOF
+//     does (postFeeder).
+//  3. Event-capable transports (unwrapped virtual duplexes and sockets)
+//     are drained with non-blocking TryRead/TryReadOwned from the loop
+//     itself when their doorbell rings; a socket's bytes reach its inbox
+//     through the shard's readiness poller (or, without one, the
+//     connection's own reader). Blocking transports (pty, pipe,
+//     fault-wrapped) keep one dedicated reader feeding the shard through
+//     its bounded queue.
 //  4. Expect calls are admitted by the loop with an immediate synchronous
 //     match attempt, so output or EOF ingested before admission is
 //     observed at admission — there is no window in which a child that
-//     already exited can strand a waiter (see TestShardedEOFNoMissedWakeup).
+//     already exited can strand a waiter (TestShardedEOFBeforeExpectResolves).
+//  5. adopt checks stopped and queues msgRegister under stopMu's read
+//     lock, and Stop sets stopped under the write lock before it signals
+//     a loop; a draining loop exits only with an empty queue or at the
+//     drain deadline, when shutdown releases what is left. So a spawn
+//     racing Stop is registered or falls back to a pump, never stranded
+//     (TestSchedulerStopRacingSpawn).
 //
 // Session.mu stays: Send, Interact, Select, and the introspection
 // accessors still run on caller goroutines, and the shard takes the same
@@ -69,8 +80,6 @@ func ShardHash(key uint64, n int) int {
 type SchedulerOptions struct {
 	// Shards is the number of event loops; <= 0 means GOMAXPROCS.
 	Shards int
-	// QueueCap bounds each shard's message queue (default 1024).
-	QueueCap int
 	// Rec, when non-nil, supplies one flight recorder per shard; the
 	// shard records its ingest stream (register/read/EOF) into it.
 	Rec func(shard int) *trace.Recorder
@@ -82,7 +91,8 @@ type SchedulerOptions struct {
 type Scheduler struct {
 	shards  []*shard
 	nextKey atomic.Uint64
-	stopped atomic.Bool
+	stopMu  sync.RWMutex // orders adopt against Stop (invariant 5)
+	stopped bool
 
 	// observer, when set before any session is adopted, is called from
 	// the owning shard's loop at registration — the test hook behind the
@@ -96,16 +106,12 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	qc := opt.QueueCap
-	if qc <= 0 {
-		qc = defaultQueueCap
-	}
 	sc := &Scheduler{shards: make([]*shard, n)}
 	for i := range sc.shards {
 		sh := &shard{
 			idx:      i,
 			sched:    sc,
-			cmds:     make(chan shardMsg, qc),
+			cmds:     make(chan shardMsg, defaultQueueCap),
 			wakeCh:   make(chan struct{}, 1),
 			stopCh:   make(chan struct{}),
 			done:     make(chan struct{}),
@@ -120,26 +126,6 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 		go sh.loop()
 	}
 	return sc
-}
-
-// NumShards returns the shard count.
-func (sc *Scheduler) NumShards() int { return len(sc.shards) }
-
-// ShardRecorder returns shard i's flight recorder (nil unless
-// SchedulerOptions.Rec supplied one).
-func (sc *Scheduler) ShardRecorder(i int) *trace.Recorder { return sc.shards[i].rec }
-
-// QueueDepths samples each shard's current backlog: queued messages plus
-// dirty sessions awaiting a sweep.
-func (sc *Scheduler) QueueDepths() []int {
-	out := make([]int, len(sc.shards))
-	for i, sh := range sc.shards {
-		sh.dirtyMu.Lock()
-		d := len(sh.dirty)
-		sh.dirtyMu.Unlock()
-		out[i] = len(sh.cmds) + d
-	}
-	return out
 }
 
 // PeakQueueDepths returns the high-water backlog each shard has seen.
@@ -167,7 +153,14 @@ func (sc *Scheduler) Dropped() uint64 {
 // ideally WaitPumpDrained) first; a loop still owning live sessions keeps
 // servicing them for drainGrace before failing their waiters.
 func (sc *Scheduler) Stop() {
-	if sc == nil || sc.stopped.Swap(true) {
+	if sc == nil {
+		return
+	}
+	sc.stopMu.Lock()
+	already := sc.stopped
+	sc.stopped = true
+	sc.stopMu.Unlock()
+	if already {
 		return
 	}
 	for _, sh := range sc.shards {
@@ -186,9 +179,14 @@ func (sc *Scheduler) Stop() {
 
 // adopt hashes s onto a shard and hands ownership of its read side to
 // that shard's loop. Returns nil (caller falls back to a pump goroutine)
-// if the scheduler is stopped.
+// if the scheduler is stopped. The read lock spans the stopped check and
+// the registration post (invariant 5); the post may wait on a full queue
+// but not forever, because the loop never takes stopMu and cannot begin
+// its drain before Stop holds it.
 func (sc *Scheduler) adopt(s *Session) *shard {
-	if sc == nil || sc.stopped.Load() {
+	sc.stopMu.RLock()
+	defer sc.stopMu.RUnlock()
+	if sc.stopped {
 		return nil
 	}
 	key := sc.nextKey.Add(1)
@@ -223,14 +221,6 @@ const (
 	msgChunk
 	msgEOF
 	msgExpect
-	// msgStep asks the owner to re-attempt a session's parked ops — sent
-	// when a non-owning shard applied a chunk on a migrated session's
-	// behalf (its feeder still targets the old queue).
-	msgStep
-	// msgDetach (to the source loop) and msgAttach (to the destination
-	// loop) are the two halves of Scheduler.Migrate.
-	msgDetach
-	msgAttach
 	// msgCheckpoint asks the owning loop for a session snapshot that
 	// includes its parked expect ops.
 	msgCheckpoint
@@ -247,18 +237,10 @@ type shardMsg struct {
 	data []byte
 	err  error
 	op   *expectOp
-	mig  *migration
-}
-
-// migration carries the cross-loop state of one Migrate or loop-side
-// checkpoint: the destination shard, the expect ops pulled off the source
-// loop, and the reply channels (each buffered, written exactly once).
-type migration struct {
-	dst   *shard
-	ops   []*expectOp
-	reply chan error
-	cpc   chan *SessionCheckpoint
-	insp  chan ShardSnapshot
+	// Reply channels of msgCheckpoint and msgInspect; each is buffered
+	// and written at most once.
+	cpc  chan *SessionCheckpoint
+	insp chan ShardSnapshot
 }
 
 type shard struct {
@@ -448,32 +430,22 @@ func (sh *shard) shutdown() {
 		select {
 		case m := <-sh.cmds:
 			switch m.kind {
+			case msgRegister, msgEOF:
+				// A session the loop never got to is released, not
+				// stranded: its WaitPumpDrained returns.
+				m.s.closePumpDone()
 			case msgChunk:
 				sh.dropped.Add(1)
-			case msgEOF:
-				m.s.closePumpDone()
 			case msgExpect:
 				sh.dropped.Add(1)
 				m.op.resolved = true
 				m.op.ch <- expectOutcome{nil, ErrClosed}
-			case msgDetach:
-				m.mig.reply <- ErrClosed
-			case msgAttach:
-				for _, op := range m.mig.ops {
-					if !op.resolved {
-						sh.dropped.Add(1)
-						op.resolved = true
-						op.ch <- expectOutcome{nil, ErrClosed}
-					}
-				}
-				m.s.closePumpDone()
-				m.mig.reply <- ErrClosed
 			case msgCheckpoint:
 				// No reply; the requester's select sees sh.done close.
 			case msgInspect:
 				// The loop is gone; reply with an empty snapshot so a
 				// scraper that raced the drain never hangs.
-				m.mig.insp <- ShardSnapshot{Shard: sh.idx}
+				m.insp <- ShardSnapshot{Shard: sh.idx}
 			}
 		default:
 			for s, ops := range sh.ops {
@@ -517,47 +489,14 @@ func (sh *shard) handle(m shardMsg) {
 		if sh.rec.On() {
 			sh.rec.RecordBytes(trace.KindRead, m.s.sid, int64(len(m.data)), 0, false, m.data, nil)
 		}
-		if own := m.s.owningShard(); own != sh && own != nil {
-			// The session migrated away but its feeder still targets this
-			// queue — which is what keeps chunk order intact, since every
-			// chunk flows through here in sequence. The bytes are applied
-			// above (applyChunk is lock-protected and owner-agnostic); only
-			// the match attempt belongs to the owner, so ping it.
-			go forwardMsg(own, shardMsg{kind: msgStep, s: m.s})
-			return
-		}
 		// Deferred: the loop steps touched sessions after the whole batch
 		// is applied (see the cmds case in loop).
 		sh.touch(m.s)
 	case msgEOF:
-		if own := m.s.owningShard(); own != sh && own != nil {
-			// EOF is the feeder's last word; all prior chunks are already
-			// applied, so the owner can finish the session whole.
-			go forwardMsg(own, m)
-			return
-		}
 		sh.finishSession(m.s, m.err)
 	case msgExpect:
-		if own := m.s.owningShard(); own != sh && own != nil {
-			go forwardMsg(own, m)
-			return
-		}
 		sh.admitOp(m.op)
-	case msgStep:
-		if own := m.s.owningShard(); own != sh && own != nil {
-			go forwardMsg(own, m)
-			return
-		}
-		sh.stepSession(m.s)
-	case msgDetach:
-		sh.detach(m)
-	case msgAttach:
-		sh.attach(m)
 	case msgCheckpoint:
-		if own := m.s.owningShard(); own != sh && own != nil {
-			go forwardMsg(own, m)
-			return
-		}
 		cp := m.s.Checkpoint()
 		now := time.Now()
 		for _, op := range sh.ops[m.s] {
@@ -565,29 +504,9 @@ func (sh *shard) handle(m shardMsg) {
 				cp.Pending = append(cp.Pending, op.checkpoint(now))
 			}
 		}
-		m.mig.cpc <- cp
+		m.cpc <- cp
 	case msgInspect:
-		m.mig.insp <- sh.inspect(time.Now())
-	}
-}
-
-// forwardMsg re-posts a message to the shard that owns its session now —
-// the catch-all for messages that raced a migration. Runs off-loop (a
-// blocking loop→loop post could deadlock two busy shards against each
-// other); ordering across forwarded messages doesn't matter, because the
-// only forwarded kinds are idempotent steps, the final EOF, checkpoint
-// requests, and not-yet-admitted expects.
-func forwardMsg(own *shard, m shardMsg) {
-	select {
-	case own.cmds <- m:
-		own.noteDepth(len(own.cmds))
-	case <-own.done:
-		switch m.kind {
-		case msgExpect:
-			m.op.ch <- expectOutcome{nil, ErrClosed}
-		case msgEOF:
-			m.s.closePumpDone()
-		}
+		m.insp <- sh.inspect(time.Now())
 	}
 }
 
@@ -690,15 +609,6 @@ const maxSweepReads = 16
 // then defers the session's match attempt to the end of the batch.
 func (sh *shard) ingest(s *Session) {
 	if s.shardEOF.Load() {
-		return
-	}
-	if own := s.owningShard(); own != sh {
-		// Rung on a stale doorbell mid-migration: pass the ring to the
-		// owner. The bytes stay queued in the transport until the owner
-		// drains them, so nothing is applied out of order here.
-		if own != nil {
-			own.markDirty(s)
-		}
 		return
 	}
 	if s.ownedMode {
@@ -867,157 +777,27 @@ func (sh *shard) resolve(op *expectOp, res *MatchResult, err error) {
 	op.ch <- expectOutcome{res, err}
 }
 
-// Migrate moves a shard-owned session to shard dst, carrying its parked
-// expect ops and armed deadlines with it. It blocks until the destination
-// loop has adopted the session (or until a loop shuts down). Chunks from
-// a feeder that still targets the old shard keep being applied there — in
-// order, since they all flow through one queue — with the match attempt
-// forwarded to the new owner; doorbell transports are re-aimed at the
-// destination during detach. A pending Expect therefore resolves on the
-// destination loop with no bytes lost or reordered.
-func (sc *Scheduler) Migrate(s *Session, dst int) error {
-	if sc == nil || sc.stopped.Load() {
-		return ErrClosed
-	}
-	if dst < 0 || dst >= len(sc.shards) {
-		return fmt.Errorf("core: migrate: no shard %d (scheduler has %d)", dst, len(sc.shards))
-	}
-	dsh := sc.shards[dst]
-	src := s.owningShard()
-	if src == nil {
-		return errors.New("core: migrate: session is not shard-owned")
-	}
-	if src == dsh {
-		return nil
-	}
-	mig := &migration{dst: dsh, reply: make(chan error, 1)}
-	select {
-	case src.cmds <- shardMsg{kind: msgDetach, s: s, mig: mig}:
-		src.noteDepth(len(src.cmds))
-	case <-src.done:
-		return ErrClosed
-	}
-	// Every path replies exactly once: detach errors reply on the source
-	// loop, successful attaches on the destination loop, and loop
-	// shutdowns reply ErrClosed from the drain handler.
-	return <-mig.reply
-}
-
 // CheckpointSession snapshots a session including any Expect calls parked
 // on its owning shard loop — state Session.Checkpoint alone cannot see.
 // Pump-driven sessions fall back to the plain snapshot.
 func (sc *Scheduler) CheckpointSession(s *Session) (*SessionCheckpoint, error) {
-	sh := s.owningShard()
+	sh := s.shard
 	if sh == nil {
 		return s.Checkpoint(), nil
 	}
-	mig := &migration{cpc: make(chan *SessionCheckpoint, 1)}
+	cpc := make(chan *SessionCheckpoint, 1)
 	select {
-	case sh.cmds <- shardMsg{kind: msgCheckpoint, s: s, mig: mig}:
+	case sh.cmds <- shardMsg{kind: msgCheckpoint, s: s, cpc: cpc}:
 		sh.noteDepth(len(sh.cmds))
 	case <-sh.done:
 		return nil, ErrClosed
 	}
 	select {
-	case cp := <-mig.cpc:
+	case cp := <-cpc:
 		return cp, nil
 	case <-sh.done:
 		return nil, ErrClosed
 	}
-}
-
-// detach is the source half of a migration, on the source loop: pull the
-// session and its parked ops out of this shard's structures, flip the
-// ownership pointer, re-aim the doorbell, and hand everything to the
-// destination loop.
-func (sh *shard) detach(m shardMsg) {
-	s, mig := m.s, m.mig
-	if _, owned := sh.sessions[s]; !owned {
-		if s.shardEOF.Load() {
-			mig.reply <- errors.New("core: migrate: session already finished")
-		} else {
-			mig.reply <- errors.New("core: migrate: session not owned by source shard")
-		}
-		return
-	}
-	mig.ops = sh.ops[s]
-	delete(sh.ops, s)
-	delete(sh.sessions, s)
-	// Pull this session's deadlines out of the timer heap; the
-	// destination re-arms them at admission.
-	if len(mig.ops) > 0 && len(sh.timers) > 0 {
-		kept := sh.timers[:0]
-		for _, op := range sh.timers {
-			if op.s == s {
-				op.timed = false
-				continue
-			}
-			kept = append(kept, op)
-		}
-		sh.timers = kept
-		heap.Init(&sh.timers)
-	}
-	// Forget any pending batch step here; the destination sweeps and
-	// steps at attach.
-	if s.stepPending {
-		s.stepPending = false
-		for i, ts := range sh.touched {
-			if ts == s {
-				sh.touched = append(sh.touched[:i], sh.touched[i+1:]...)
-				break
-			}
-		}
-	}
-	s.setShard(mig.dst)
-	if s.notifyMode {
-		dst := mig.dst
-		s.p.SetReadNotify(func() { dst.markDirty(s) })
-	}
-	if sh.rec.On() {
-		sh.rec.Record(trace.KindSpawn, s.sid, int64(sh.idx), int64(mig.dst.idx), false, s.name, "migrate-out")
-	}
-	// Hand over off-loop: a blocking loop→loop post could deadlock two
-	// shards migrating toward each other.
-	go func() {
-		select {
-		case mig.dst.cmds <- shardMsg{kind: msgAttach, s: s, mig: mig}:
-			mig.dst.noteDepth(len(mig.dst.cmds))
-		case <-mig.dst.done:
-			for _, op := range mig.ops {
-				if !op.resolved {
-					op.resolved = true
-					op.ch <- expectOutcome{nil, ErrClosed}
-				}
-			}
-			mig.reply <- ErrClosed
-		}
-	}()
-}
-
-// attach is the destination half, on the destination loop: adopt the
-// session, re-admit its ops (the synchronous admission step covers
-// anything that arrived while the handoff was in flight), and sweep the
-// transport in case the re-aimed doorbell rang into a void.
-func (sh *shard) attach(m shardMsg) {
-	s, mig := m.s, m.mig
-	if !s.shardEOF.Load() {
-		sh.sessions[s] = struct{}{}
-		if ob := sh.sched.observer; ob != nil {
-			ob(s, sh.idx)
-		}
-		if sh.rec.On() {
-			sh.rec.Record(trace.KindSpawn, s.sid, int64(sh.idx), 0, false, s.name, "migrate-in")
-		}
-	}
-	for _, op := range mig.ops {
-		if !op.resolved {
-			sh.admitOp(op)
-		}
-	}
-	if s.notifyMode && !s.shardEOF.Load() {
-		sh.ingest(s)
-	}
-	mig.reply <- nil
 }
 
 // runExpect hands an op to the owning shard and blocks the caller until

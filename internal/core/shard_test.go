@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,6 +287,42 @@ func TestShardedFanInCutChildNoHang(t *testing.T) {
 	}
 }
 
+// TestShardedPipeSessionResolvesParkedExpect runs a real pipe transport
+// on the feeder arm: the session is shard-owned, an Expect parks on its
+// loop, and the chunk its dedicated reader posts later resolves it.
+func TestShardedPipeSessionResolvesParkedExpect(t *testing.T) {
+	sc := NewScheduler(SchedulerOptions{Shards: 2})
+	defer sc.Stop()
+	s, err := SpawnPipeCommand(&Config{Sched: sc}, "cat")
+	if err != nil {
+		t.Skipf("cannot spawn cat: %v", err)
+	}
+	defer s.Close()
+	if s.ShardIndex() < 0 {
+		t.Fatal("pipe session not shard-owned")
+	}
+	type outcome struct {
+		res *MatchResult
+		err error
+	}
+	resCh := make(chan outcome, 1)
+	go func() {
+		res, err := s.ExpectTimeout(10*time.Second, Glob("*hello-echo*"))
+		resCh <- outcome{res, err}
+	}()
+	waitParked(t, sc, s)
+	if err := s.Send("hello-echo\n"); err != nil {
+		t.Fatal(err)
+	}
+	out := <-resCh
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !strings.Contains(out.res.Text, "hello-echo") {
+		t.Fatalf("matched %q", out.res.Text)
+	}
+}
+
 // TestShardedExpectAny drives the combined expect/select across sessions
 // owned by different shards.
 func TestShardedExpectAny(t *testing.T) {
@@ -364,5 +401,42 @@ func TestSchedulerStopFailsLateExpect(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("post-Stop expect hung")
+	}
+}
+
+// TestSchedulerStopRacingSpawn pins adopt against Stop: a spawn that races
+// the scheduler's shutdown is either registered before the loop drains or
+// falls back to a pump goroutine, so its session always drains. A
+// registration posted after the loop's last look at its queue would
+// strand the session, and WaitPumpDrained would never return.
+func TestSchedulerStopRacingSpawn(t *testing.T) {
+	const iterations = 3000
+	for i := 0; i < iterations; i++ {
+		sc := NewScheduler(SchedulerOptions{Shards: 1})
+		stopped := make(chan struct{})
+		go func() {
+			sc.Stop()
+			close(stopped)
+		}()
+		s, err := SpawnProgram(&Config{Sched: sc}, "racer", echoLines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		drained := make(chan struct{})
+		go func() {
+			s.WaitPumpDrained()
+			close(drained)
+		}()
+		select {
+		case <-drained:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: a session spawned while Stop ran never drained", i)
+		}
+		select {
+		case <-stopped:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("iteration %d: Stop never returned", i)
+		}
 	}
 }

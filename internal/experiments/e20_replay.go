@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"os"
+	"sort"
 	"time"
 
 	"repro/internal/conformance"
@@ -21,11 +21,12 @@ import (
 //
 // Three legs:
 //
-//  1. Journal soak overhead — the same seeded workbench run twice, with
-//     per-shard recorders ring-only and then ring+file-journal (segment
-//     rotation included). The bar from ISSUE 7: journaling a soak costs
-//     ≤10% per dialogue, because a journal nobody can afford to leave on
-//     never captures the incident.
+//  1. Journal soak overhead — the same seeded workbench run in paired
+//     rounds, with per-shard recorders ring-only and ring+file-journal
+//     (segment rotation included); the metric is the median per-round
+//     ratio. The bar: journaling a soak costs ≤10% per dialogue, because
+//     a journal nobody can afford to leave on never captures the
+//     incident.
 //  2. Checkpoint/restore round-trip — serialize a live session (2 KiB
 //     buffer, pending expect op), parse it back, and rebuild the session;
 //     the p99 of that round-trip is the per-session cost of expectd's
@@ -45,8 +46,16 @@ func ReplayEconomics() (Result, error) {
 
 	// Leg 1: identical seeded soaks, ring-only vs journaled. The journal
 	// arm writes real segment files with rotation, not an in-memory sink —
-	// the overhead being priced includes the write path.
-	runSoak := func(jdir string) (*load.Result, []*trace.Journal, error) {
+	// the overhead being priced includes the write path. runArm runs one
+	// soak and returns its cost per dialogue, plus what the journal wrote.
+	runArm := func(journaled bool) (ns float64, events, bytes int64, err error) {
+		var jdir string
+		if journaled {
+			if jdir, err = os.MkdirTemp("", "e20-journal-"); err != nil {
+				return 0, 0, 0, err
+			}
+			defer os.RemoveAll(jdir)
+		}
 		journals := make([]*trace.Journal, shards)
 		res, err := load.Run(load.Config{
 			Sessions:  sessions,
@@ -56,7 +65,7 @@ func ReplayEconomics() (Result, error) {
 			Rec: func(i int) *trace.Recorder {
 				r := trace.New(4096)
 				r.SetRecording(true)
-				if jdir != "" {
+				if journaled {
 					j, err := trace.NewFileJournal(jdir, fmt.Sprintf("shard-%d", i), 8<<20)
 					if err == nil {
 						journals[i] = j
@@ -66,71 +75,65 @@ func ReplayEconomics() (Result, error) {
 				return r
 			},
 		})
-		return res, journals, err
-	}
-
-	// Each arm is best-of-N: one seeded soak is ~tens of milliseconds of
-	// wall clock, so a single shot prices the scheduler's mood, not the
-	// journal. The minimum per-dialogue cost across interleaved rounds is
-	// the arm's intrinsic cost; the overhead is the ratio of minima.
-	const soakRounds = 5
-	var (
-		ringNs, jNs     = math.Inf(1), math.Inf(1)
-		ringDialogues   int64
-		jEvents, jBytes int64
-	)
-	for round := 0; round < soakRounds; round++ {
-		res, _, err := runSoak("")
 		if err != nil {
-			return Result{}, fmt.Errorf("e20 ring-only soak: %w", err)
+			return 0, 0, 0, err
 		}
 		if res.Errors != 0 || res.Dropped != 0 {
-			return Result{}, fmt.Errorf("e20 soak unhealthy: %d errors, %d dropped", res.Errors, res.Dropped)
+			return 0, 0, 0, fmt.Errorf("soak unhealthy: %d errors, %d dropped", res.Errors, res.Dropped)
 		}
-		ns := float64(res.Elapsed.Nanoseconds()) / float64(res.Dialogues)
-		if ns < ringNs {
-			ringNs = ns
-		}
-		ringDialogues = res.Dialogues
-
-		jdir, err := os.MkdirTemp("", "e20-journal-")
-		if err != nil {
-			return Result{}, err
-		}
-		jRes, journals, err := runSoak(jdir)
-		if err != nil {
-			os.RemoveAll(jdir)
-			return Result{}, fmt.Errorf("e20 journaled soak: %w", err)
-		}
-		if jRes.Errors != 0 || jRes.Dropped != 0 {
-			os.RemoveAll(jdir)
-			return Result{}, fmt.Errorf("e20 soak unhealthy: %d errors, %d dropped", jRes.Errors, jRes.Dropped)
-		}
-		var roundEvents, roundBytes int64
-		for _, j := range journals {
+		for i := 0; journaled && i < shards; i++ {
+			j := journals[i]
 			if j == nil {
-				os.RemoveAll(jdir)
-				return Result{}, fmt.Errorf("e20: journal arm ran without a journal")
+				return 0, 0, 0, fmt.Errorf("journal arm ran without a journal")
 			}
 			if err := j.Err(); err != nil {
-				os.RemoveAll(jdir)
-				return Result{}, fmt.Errorf("e20: journal write error: %w", err)
+				return 0, 0, 0, fmt.Errorf("journal write error: %w", err)
 			}
-			roundEvents += j.Lines()
+			events += j.Lines()
 			j.Close()
 			for _, seg := range j.Segments() {
 				if fi, err := os.Stat(seg); err == nil {
-					roundBytes += fi.Size()
+					bytes += fi.Size()
 				}
 			}
 		}
-		os.RemoveAll(jdir)
-		if ns := float64(jRes.Elapsed.Nanoseconds()) / float64(jRes.Dialogues); ns < jNs {
-			jNs = ns
-			jEvents, jBytes = roundEvents, roundBytes
-		}
+		return float64(res.Elapsed.Nanoseconds()) / float64(res.Dialogues), events, bytes, nil
 	}
-	overheadPct := (jNs/ringNs - 1) * 100
+
+	// Paired rounds, as E16 runs its arms: one seeded soak is ~tens of
+	// milliseconds of wall clock, so a single shot prices the scheduler's
+	// mood, not the journal. Each round runs both arms back to back, the
+	// first arm alternating between rounds so neither always runs warm or
+	// cold, and the overhead is the median of the per-round
+	// journaled/ring-only ratios; each arm's cost is its median.
+	const soakRounds = 21
+	var (
+		ringNS, jNS, ratios []float64
+		jEvents, jBytes     int64
+	)
+	for round := 0; round < soakRounds; round++ {
+		var ring, journal float64
+		for _, journaled := range []bool{round%2 == 1, round%2 == 0} {
+			ns, events, bytes, err := runArm(journaled)
+			if err != nil {
+				return Result{}, fmt.Errorf("e20 soak round %d (journaled %v): %w", round, journaled, err)
+			}
+			if journaled {
+				journal, jEvents, jBytes = ns, events, bytes
+			} else {
+				ring = ns
+			}
+		}
+		ringNS = append(ringNS, ring)
+		jNS = append(jNS, journal)
+		ratios = append(ratios, journal/ring)
+	}
+	median := func(xs []float64) float64 {
+		sort.Float64s(xs)
+		return xs[len(xs)/2]
+	}
+	ringNs, jNs := median(ringNS), median(jNS)
+	overheadPct := (median(ratios) - 1) * 100
 
 	// Leg 2: checkpoint → marshal → parse → restore, per-session. The
 	// subject session carries a realistic load: a 2 KiB buffer and one
@@ -191,10 +194,10 @@ func ReplayEconomics() (Result, error) {
 	}
 
 	t := &table{header: []string{"leg", "detail", "cost"}}
-	t.add("soak ring-only", fmt.Sprintf("%d dialogues, best of %d", ringDialogues, soakRounds),
+	t.add("soak ring-only", fmt.Sprintf("%d dialogues, median of %d paired rounds", sessions*dialogues, soakRounds),
 		fmt.Sprintf("%.0f ns/dialogue", ringNs))
 	t.add("soak journaled", fmt.Sprintf("%d events, %d bytes, rotated segments", jEvents, jBytes),
-		fmt.Sprintf("%.0f ns/dialogue (%+.1f%%)", jNs, overheadPct))
+		fmt.Sprintf("%.0f ns/dialogue (median ratio %+.1f%%)", jNs, overheadPct))
 	t.add("checkpoint round-trip", fmt.Sprintf("%d rounds, 2KiB buffer + pending op", rounds),
 		fmt.Sprintf("p50 %dns, p99 %dns", ckpt.P50NS, ckpt.P99NS))
 	t.add("replay validation", fmt.Sprintf("scenario %s, %d session(s)", sc.Name, replayClean), "clean")

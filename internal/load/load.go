@@ -148,9 +148,6 @@ type Config struct {
 	// MuxConns bounds pooled connections per gateway address (0 = the
 	// netx default of 8); the E23 acceptance bound is ≤64 per process.
 	MuxConns int
-	// MuxStreamsPerConn bounds concurrent streams per pooled connection
-	// (0 = the netx default of 2048).
-	MuxStreamsPerConn int
 	// NoWrap drops the flaky worker's faultify transport wrapper, so
 	// every session stays on the raw event-capable transport. E19 uses
 	// it to isolate the ingest architecture: a wrapped stream hides the
@@ -452,10 +449,9 @@ func Run(cfg Config) (*Result, error) {
 	var muxPool *netx.MuxPool
 	if len(cfg.MuxAddrs) > 0 {
 		muxPool = netx.NewMuxPool(netx.MuxOptions{
-			MaxConns:          cfg.MuxConns,
-			MaxStreamsPerConn: cfg.MuxStreamsPerConn,
-			Stats:             ingest,
-			Pool:              pool,
+			MaxConns: cfg.MuxConns,
+			Stats:    ingest,
+			Pool:     pool,
 		})
 		defer muxPool.Close()
 	}

@@ -108,66 +108,95 @@ func TestMuxRoundTripManySessionsOneConn(t *testing.T) {
 	}
 }
 
-// TestMuxTenantQuotaGoaway pins the backpressure contract: a tenant at
-// quota gets a prompt GOAWAY refusal, never a hang, and the slot frees
+// TestMuxTenantQuotaGoaway pins the backpressure contract of each session
+// budget the gateway enforces: the tenant quota, the server-wide limit
+// (expectd -mux-sessions) and the per-connection limit. With the budget
+// at two, the third OPEN gets a prompt GOAWAY naming that budget, never a
+// hang; the refusal is counted once, under its reason; and the slot frees
 // once a session ends.
 func TestMuxTenantQuotaGoaway(t *testing.T) {
-	defer testutil.LeakCheck(t, 10, 5*time.Second)()
-	srv := startGateway(t, MuxServerOptions{TenantQuota: 2})
-	defer srv.Shutdown(time.Second)
+	for _, tc := range []struct {
+		name   string
+		opt    MuxServerOptions
+		reason string
+		// spread puts the two admitted sessions on two connections of two
+		// tenants, so only a server-wide budget can refuse the third.
+		spread bool
+	}{
+		{"tenant-quota", MuxServerOptions{TenantQuota: 2}, RefuseQuota, false},
+		{"server-limit", MuxServerOptions{MaxSessions: 2}, RefuseServerLimit, true},
+		{"conn-limit", MuxServerOptions{MaxConnSessions: 2}, RefuseConnLimit, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer testutil.LeakCheck(t, 10, 5*time.Second)()
+			srv := startGateway(t, tc.opt)
+			defer srv.Shutdown(time.Second)
 
-	pool := NewMuxPool(MuxOptions{Tenant: "acme"})
-	defer pool.Close()
+			pools := []*MuxPool{NewMuxPool(MuxOptions{Tenant: "acme", MaxConns: 1})}
+			if tc.spread {
+				pools = append(pools, NewMuxPool(MuxOptions{Tenant: "bravo", MaxConns: 1}))
+			}
+			for _, p := range pools {
+				defer p.Close()
+			}
+			open := func(p *MuxPool) *MuxStream {
+				st, err := p.Open(srv.Addr(), "echo")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return st
+			}
+			exchange := func(st *MuxStream, msg string) {
+				if _, err := st.Write([]byte(msg + "\n")); err != nil {
+					t.Fatal(err)
+				}
+				if got := readLine(t, st); got != "ack:"+msg+"\n" {
+					t.Fatalf("session %s got %q", msg, got)
+				}
+			}
+			// Prove admission with a real exchange so both slots are held.
+			s1, s2 := open(pools[0]), open(pools[len(pools)-1])
+			exchange(s1, "one")
+			exchange(s2, "two")
 
-	open := func() *MuxStream {
-		st, err := pool.Open(srv.Addr(), "echo")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	// Prove admission with a real exchange so the quota slots are held.
-	s1, s2 := open(), open()
-	for i, st := range []*MuxStream{s1, s2} {
-		if _, err := st.Write([]byte("hi\n")); err != nil {
-			t.Fatal(err)
-		}
-		if got := readLine(t, st); got != "ack:hi\n" {
-			t.Fatalf("session %d got %q", i, got)
-		}
-	}
+			// The third OPEN must be refused with GOAWAY(reason), surfaced
+			// as a prompt read error.
+			s3 := open(pools[0])
+			readErr := make(chan error, 1)
+			go func() {
+				_, err := s3.Read(make([]byte, 8))
+				readErr <- err
+			}()
+			select {
+			case err := <-readErr:
+				var gerr *GoAwayError
+				if !errors.As(err, &gerr) || gerr.Reason != tc.reason {
+					t.Fatalf("over-budget stream read = %v, want GoAwayError(%q)", err, tc.reason)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("over-budget OPEN was neither admitted nor refused")
+			}
+			if status, _ := s3.WaitStatus(); status != 1 {
+				t.Fatalf("refused stream status = %d, want 1", status)
+			}
+			if refused := srv.Stats().Refused; len(refused) != 1 || refused[tc.reason] != 1 {
+				t.Fatalf("refusal counters = %v, want exactly one %q", refused, tc.reason)
+			}
 
-	// The third OPEN must be refused with GOAWAY("quota") — surfaced as a
-	// prompt read error, not a hang.
-	s3 := open()
-	var gerr *GoAwayError
-	if _, err := s3.Read(make([]byte, 8)); !errors.As(err, &gerr) || gerr.Reason != RefuseQuota {
-		t.Fatalf("over-quota stream read = %v, want GoAwayError(quota)", err)
+			// Ending one session frees its slot: the next OPEN is admitted.
+			if err := s1.CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s1.Read(make([]byte, 8)); err != io.EOF {
+				t.Fatalf("want clean EOF, got %v", err)
+			}
+			s4 := open(pools[0])
+			exchange(s4, "again")
+			s2.Close()
+			s3.Close()
+			s4.Close()
+		})
 	}
-	if status, _ := s3.WaitStatus(); status != 1 {
-		t.Fatalf("refused stream status = %d, want 1", status)
-	}
-	if got := srv.Stats().Refused[RefuseQuota]; got != 1 {
-		t.Fatalf("refusal counter = %d, want 1", got)
-	}
-
-	// Ending one session frees the tenant slot: the next OPEN is admitted.
-	if err := s1.CloseWrite(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Read(make([]byte, 8)); err != io.EOF {
-		t.Fatalf("want clean EOF, got %v", err)
-	}
-	s4 := open()
-	if _, err := s4.Write([]byte("again\n")); err != nil {
-		t.Fatal(err)
-	}
-	if got := readLine(t, s4); got != "ack:again\n" {
-		t.Fatalf("post-release session got %q", got)
-	}
-	s2.Close()
-	s4.Close()
-	s3.Close()
 }
 
 // TestMuxHeadOfLineIsolation pins the in-window isolation guarantee: a

@@ -45,8 +45,11 @@ go run ./cmd/goexpect -transport pipe -sims -q scripts/passwd.exp >/dev/null
 go run ./cmd/goexpect -evalmode classic -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
 # Sharded-scheduler matrix leg: the shard unit tests plus a goexpect run
-# under -shards, proving the flag-wired path end to end.
+# under -shards, proving the flag-wired path end to end. The spawn-vs-Stop
+# race (a registration must never reach a loop that already drained) is
+# timing-dependent, so it reruns ten times under the race detector.
 go test -race -count=1 -run 'Shard|Scheduler' ./internal/core
+go test -race -count=10 -run 'TestSchedulerStopRacingSpawn' ./internal/core
 go run ./cmd/goexpect -shards 8 -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
 # Soak tier: 2000 sessions across 8 shards for 5s under the race
