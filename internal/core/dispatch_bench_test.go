@@ -2,6 +2,7 @@ package core
 
 import (
 	"io"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -69,5 +70,61 @@ func BenchmarkDispatchObserver(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*dispatches), "ns/dispatch")
 			})
 		}
+	}
+}
+
+// dialogueSetup is the rest of the script workload's Tcl half: a seeded
+// 64-word schedule and the dialogue proc that walks it through global
+// links and llength/lindex, around observerProcs' shift and fold, without
+// the send and expect.
+func dialogueSetup() string {
+	const alpha = "abcdefghijklmnopqrstuvwxyz"
+	var words, shifts []string
+	for k := 0; k < 64; k++ {
+		w := make([]byte, 5+k%5)
+		for j := range w {
+			w[j] = alpha[(k*7+j*3)%26]
+		}
+		words = append(words, string(w))
+		shifts = append(shifts, strconv.Itoa(1+k%25))
+	}
+	return "set words {" + strings.Join(words, " ") + "}\n" +
+		"set shifts {" + strings.Join(shifts, " ") + "}\n" + `
+set n 0
+set sum 0
+proc dialogue {} {
+	global n sum words shifts
+	set i [expr {$n % [llength $words]}]
+	incr n
+	set line [shift [lindex $words $i] [lindex $shifts $i]]
+	set sum [fold $sum $line]
+	return $sum
+}
+`
+}
+
+// dialogueAllocBudget bounds the allocations of one dialogue's Tcl half:
+// the count measured when procs got slot frames, list forms and reused
+// argument vectors (16; 358 before), rounded up to a multiple of 10.
+const dialogueAllocBudget = 20
+
+// TestScriptDialogueAllocs is the deterministic allocation guard for the
+// Tcl half of a script-workload dialogue, on an engine with its shipped
+// DispatchHook: the allocations per dialogue, averaged over two walks of
+// the schedule.
+func TestScriptDialogueAllocs(t *testing.T) {
+	e := NewEngine(EngineOptions{UserIn: strings.NewReader(""), UserOut: io.Discard})
+	defer e.Shutdown()
+	if _, err := e.Run(observerProcs + dialogueSetup()); err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 64; k++ {
+		if _, err := e.Run("dialogue"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(128, func() { e.Run("dialogue") })
+	if allocs > dialogueAllocBudget {
+		t.Errorf("%.1f allocations per dialogue, budget %d", allocs, dialogueAllocBudget)
 	}
 }

@@ -56,7 +56,7 @@ func cmdSet(i *Interp, args []string) Result {
 		}
 		return Ok(v)
 	}
-	return Ok(i.SetVar(args[1], args[2]))
+	return i.setVar(args[1], args[2])
 }
 
 func cmdUnset(i *Interp, args []string) Result {
@@ -103,7 +103,7 @@ func cmdAppend(i *Interp, args []string) Result {
 	for _, v := range args[2:] {
 		sb.WriteString(v)
 	}
-	return Ok(i.SetVar(args[1], sb.String()))
+	return i.setVar(args[1], sb.String())
 }
 
 func cmdExpr(i *Interp, args []string) Result {
@@ -230,7 +230,9 @@ func cmdForeach(i *Interp, args []string) Result {
 		return Errf("%v", err)
 	}
 	for _, item := range items {
-		i.SetVar(args[1], item)
+		if res := i.setVar(args[1], item); res.Code != OK {
+			return res
+		}
 		res := i.EvalScript(args[3])
 		switch res.Code {
 		case OK, Continue:
@@ -289,6 +291,7 @@ func cmdProc(i *Interp, args []string) Result {
 		}
 		p.Args = append(p.Args, arg)
 	}
+	p.layout = newProcLayout(p.Args)
 	i.procs[args[1]] = p
 	i.cmdEpoch++
 	return Ok("")
@@ -360,7 +363,9 @@ func cmdUplevel(i *Interp, args []string) Result {
 		return Errf("bad level %q", args[1])
 	}
 	saved := i.frames
-	i.frames = i.frames[:target+1]
+	// Capped, so that a proc the script calls pushes its frame onto a
+	// new array instead of over the frames uplevel hides.
+	i.frames = i.frames[: target+1 : target+1]
 	res := i.EvalScript(strings.Join(rest, " "))
 	i.frames = saved
 	return res
@@ -400,13 +405,7 @@ func cmdUpvar(i *Interp, args []string) Result {
 	}
 	for k := 0; k < len(rest); k += 2 {
 		other, local := rest[k], rest[k+1]
-		tf := i.frames[target]
-		v, ok := tf.vars[other]
-		if !ok {
-			v = &variable{}
-			tf.vars[other] = v
-		}
-		i.linkVar(local, v.target())
+		i.linkVar(i.current(), local, i.bindVar(i.frames[target], other))
 	}
 	return Ok("")
 }
@@ -418,14 +417,9 @@ func cmdGlobal(i *Interp, args []string) Result {
 	if i.Level() == 0 {
 		return Ok("") // already global
 	}
-	gf := i.frames[0]
+	gf, f := i.frames[0], i.current()
 	for _, name := range args[1:] {
-		v, ok := gf.vars[name]
-		if !ok {
-			v = &variable{}
-			gf.vars[name] = v
-		}
-		i.linkVar(name, v.target())
+		i.linkVar(f, name, i.bindVar(gf, name))
 	}
 	return Ok("")
 }
@@ -574,21 +568,13 @@ func cmdInfo(i *Interp, args []string) Result {
 		}
 		return Ok(FormList(names))
 	case "vars", "locals":
-		var names []string
-		for n := range i.current().vars {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names := i.current().names()
 		if len(args) == 3 {
 			names = filterGlob(names, args[2])
 		}
 		return Ok(FormList(names))
 	case "globals":
-		var names []string
-		for n := range i.frames[0].vars {
-			names = append(names, n)
-		}
-		sort.Strings(names)
+		names := i.frames[0].names()
 		if len(args) == 3 {
 			names = filterGlob(names, args[2])
 		}
@@ -693,7 +679,9 @@ func cmdArray(i *Interp, args []string) Result {
 			return Errf("list must have an even number of elements")
 		}
 		for k := 0; k < len(items); k += 2 {
-			i.SetVar(fmt.Sprintf("%s(%s)", args[2], items[k]), items[k+1])
+			if res := i.setVar(fmt.Sprintf("%s(%s)", args[2], items[k]), items[k+1]); res.Code != OK {
+				return res
+			}
 		}
 		return Ok("")
 	default:

@@ -52,7 +52,12 @@ func cmdLindex(i *Interp, args []string) Result {
 	if err != nil {
 		return Errf("%v", err)
 	}
-	idx, res := listIndex(args[2], len(items))
+	return lindexOf(items, args[2])
+}
+
+// lindexOf is lindex over a parsed list.
+func lindexOf(items []string, index string) Result {
+	idx, res := listIndex(index, len(items))
 	if res.Code != OK {
 		return res
 	}
@@ -86,7 +91,7 @@ func cmdLappend(i *Interp, args []string) Result {
 		}
 		sb.WriteString(QuoteElement(v))
 	}
-	return Ok(i.SetVar(args[1], sb.String()))
+	return i.setVar(args[1], sb.String())
 }
 
 func cmdLinsert(i *Interp, args []string) Result {
@@ -299,22 +304,29 @@ func cmdJoin(i *Interp, args []string) Result {
 	return Ok(strings.Join(items, sep))
 }
 
+// defaultSplitChars separates split's fields when no splitChars is given.
+const defaultSplitChars = " \t\n\r"
+
 func cmdSplit(i *Interp, args []string) Result {
 	if r := arity(args, 1, 2, "string ?splitChars?"); r.Code != OK {
 		return r
 	}
-	chars := " \t\n\r"
+	chars := defaultSplitChars
 	if len(args) == 3 {
 		chars = args[2]
 	}
-	s := args[1]
+	return Ok(FormList(splitString(args[1], chars)))
+}
+
+// splitString is split's field list: s cut at every byte in chars, or
+// into single bytes when chars is empty. Fields are substrings of s.
+func splitString(s, chars string) []string {
 	if chars == "" {
-		// Split into individual characters.
 		out := make([]string, len(s))
 		for k := 0; k < len(s); k++ {
-			out[k] = string(s[k])
+			out[k] = s[k : k+1]
 		}
-		return Ok(FormList(out))
+		return out
 	}
 	var out []string
 	start := 0
@@ -324,6 +336,5 @@ func cmdSplit(i *Interp, args []string) Result {
 			start = k + 1
 		}
 	}
-	out = append(out, s[start:])
-	return Ok(FormList(out))
+	return append(out, s[start:])
 }

@@ -58,7 +58,7 @@ func cmdString(i *Interp, args []string) Result {
 		if idx < 0 || idx >= len(s) {
 			return Ok("")
 		}
-		return Ok(string(s[idx]))
+		return Ok(s[idx : idx+1])
 	case "range":
 		if r := need(3, "string first last"); r.Code != OK {
 			return r

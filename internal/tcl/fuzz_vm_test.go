@@ -36,7 +36,7 @@ func fuzzModeInterp(mode EvalMode, out, disp *strings.Builder) *Interp {
 // warm inline caches and memoized programs are fuzzed, not just the cold
 // compile.
 func FuzzVMEquivalence(f *testing.F) {
-	for _, s := range []string{
+	for _, s := range append([]string{
 		// The differential seeds shared with the conformance matrix's
 		// eval axis.
 		`set a 5; while {$a > 0} {incr a -1}; set a`,
@@ -61,7 +61,7 @@ func FuzzVMEquivalence(f *testing.F) {
 		`expr {0 && 1/0}`,
 		`set x 21; set y 3; expr {($x * 2 + 100 / $y) > 50 && $x % 7 <= 3 || !($y == 3)}`,
 		`set n v; set $n 9; incr $n; set v`,
-	} {
+	}, listFrameScripts...) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, script string) {

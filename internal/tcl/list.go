@@ -2,6 +2,8 @@ package tcl
 
 import (
 	"strings"
+
+	"repro/internal/tcl/vm"
 )
 
 // Tcl lists are strings with shell-like element quoting: elements are
@@ -9,11 +11,24 @@ import (
 // and backslashes escape. ParseList and FormList are the round-trip pair
 // (Tcl_SplitList / Tcl_Merge in the C implementation).
 
-// ParseList splits a Tcl list string into its elements.
+// ParseList splits a Tcl list string into its elements. An element that
+// needs no backslash substitution is a substring of s, so a parse costs
+// one slice, not one string per element.
 func ParseList(s string) ([]string, error) {
-	var elems []string
-	i := 0
 	n := len(s)
+	words := 0
+	for i := 0; i < n; i++ {
+		if !isListSpace(s[i]) && (i == 0 || isListSpace(s[i-1])) {
+			words++
+		}
+	}
+	if words == 0 {
+		return nil, nil
+	}
+	// Every element starts a whitespace-separated run, so the runs bound
+	// the element count.
+	elems := make([]string, 0, words)
+	i := 0
 	for {
 		for i < n && isListSpace(s[i]) {
 			i++
@@ -23,38 +38,22 @@ func ParseList(s string) ([]string, error) {
 		}
 		switch s[i] {
 		case '{':
+			// Braces keep their content verbatim, backslashes included.
 			depth := 1
 			j := i + 1
-			var sb strings.Builder
 			for j < n && depth > 0 {
 				switch s[j] {
 				case '\\':
-					if j+1 < n {
-						sb.WriteByte(s[j])
-						sb.WriteByte(s[j+1])
-						j += 2
-						continue
+					if j+1 >= n {
+						return nil, &TclError{Message: "unmatched open brace in list"}
 					}
-					depth = -1
+					j++
 				case '{':
 					depth++
-					if depth > 1 {
-						sb.WriteByte('{')
-					}
-					j++
-					continue
 				case '}':
 					depth--
-					if depth > 0 {
-						sb.WriteByte('}')
-					}
-					j++
-					continue
 				}
-				if depth > 0 {
-					sb.WriteByte(s[j])
-					j++
-				}
+				j++
 			}
 			if depth != 0 {
 				return nil, &TclError{Message: "unmatched open brace in list"}
@@ -62,45 +61,60 @@ func ParseList(s string) ([]string, error) {
 			if j < n && !isListSpace(s[j]) {
 				return nil, &TclError{Message: "list element in braces followed by extra characters"}
 			}
-			elems = append(elems, sb.String())
+			elems = append(elems, s[i+1:j-1])
 			i = j
 		case '"':
 			j := i + 1
-			var sb strings.Builder
-			closed := false
-			for j < n {
-				switch s[j] {
-				case '\\':
-					if j+1 < n {
-						rep, k := backslashSubst(s[j:])
-						sb.WriteString(rep)
-						j += k
-						continue
-					}
-					sb.WriteByte('\\')
-					j++
-				case '"':
-					closed = true
-					j++
-				default:
-					sb.WriteByte(s[j])
-					j++
-				}
-				if closed {
-					break
-				}
+			for j < n && s[j] != '"' && s[j] != '\\' {
+				j++
 			}
-			if !closed {
-				return nil, &TclError{Message: "unmatched open quote in list"}
+			var elem string
+			if j < n && s[j] == '"' {
+				elem = s[i+1 : j]
+				j++
+			} else {
+				var sb strings.Builder
+				sb.WriteString(s[i+1 : j])
+				closed := false
+				for j < n && !closed {
+					switch s[j] {
+					case '\\':
+						if j+1 < n {
+							rep, k := backslashSubst(s[j:])
+							sb.WriteString(rep)
+							j += k
+							continue
+						}
+						sb.WriteByte('\\')
+					case '"':
+						closed = true
+					default:
+						sb.WriteByte(s[j])
+					}
+					j++
+				}
+				if !closed {
+					return nil, &TclError{Message: "unmatched open quote in list"}
+				}
+				elem = sb.String()
 			}
 			if j < n && !isListSpace(s[j]) {
 				return nil, &TclError{Message: "list element in quotes followed by extra characters"}
 			}
-			elems = append(elems, sb.String())
+			elems = append(elems, elem)
 			i = j
 		default:
 			j := i
+			for j < n && !isListSpace(s[j]) && s[j] != '\\' {
+				j++
+			}
+			if j >= n || isListSpace(s[j]) {
+				elems = append(elems, s[i:j])
+				i = j
+				continue
+			}
 			var sb strings.Builder
+			sb.WriteString(s[i:j])
 			for j < n && !isListSpace(s[j]) {
 				if s[j] == '\\' && j+1 < n {
 					rep, k := backslashSubst(s[j:])
@@ -123,75 +137,7 @@ func isListSpace(c byte) bool {
 
 // FormList joins elements into a canonical Tcl list string, quoting each
 // element as needed so ParseList recovers the originals exactly.
-func FormList(elems []string) string {
-	var sb strings.Builder
-	for i, e := range elems {
-		if i > 0 {
-			sb.WriteByte(' ')
-		}
-		sb.WriteString(QuoteElement(e))
-	}
-	return sb.String()
-}
+func FormList(elems []string) string { return vm.FormList(elems) }
 
 // QuoteElement renders one string as a single Tcl list element.
-func QuoteElement(e string) string {
-	if e == "" {
-		return "{}"
-	}
-	if !needsQuoting(e) {
-		return e
-	}
-	if bracesBalanced(e) && !strings.HasSuffix(e, "\\") {
-		return "{" + e + "}"
-	}
-	// Fall back to backslash quoting.
-	var sb strings.Builder
-	for i := 0; i < len(e); i++ {
-		c := e[i]
-		switch c {
-		case ' ', '\t', '"', '\\', '{', '}', '[', ']', '$', ';':
-			sb.WriteByte('\\')
-			sb.WriteByte(c)
-		case '\n':
-			sb.WriteString(`\n`)
-		case '\r':
-			sb.WriteString(`\r`)
-		case '\f':
-			sb.WriteString(`\f`)
-		case '\v':
-			sb.WriteString(`\v`)
-		default:
-			sb.WriteByte(c)
-		}
-	}
-	return sb.String()
-}
-
-func needsQuoting(e string) bool {
-	for i := 0; i < len(e); i++ {
-		switch e[i] {
-		case ' ', '\t', '\n', '\r', '\v', '\f', '"', '\\', '{', '}', '[', ']', '$', ';':
-			return true
-		}
-	}
-	return false
-}
-
-func bracesBalanced(e string) bool {
-	depth := 0
-	for i := 0; i < len(e); i++ {
-		switch e[i] {
-		case '\\':
-			i++
-		case '{':
-			depth++
-		case '}':
-			depth--
-			if depth < 0 {
-				return false
-			}
-		}
-	}
-	return depth == 0
-}
+func QuoteElement(e string) string { return vm.QuoteElement(e) }

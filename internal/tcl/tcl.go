@@ -76,7 +76,9 @@ func Errf(format string, args ...any) Result {
 
 // Command is the implementation of a Tcl command. args[0] is the command
 // name as invoked (so aliases can tailor messages); the remaining elements
-// are the fully substituted words.
+// are the fully substituted words. args is valid only during the call: the
+// interpreter reuses the slice for later commands, so a command that keeps
+// words past its return copies them (keeping a string is fine).
 type Command func(i *Interp, args []string) Result
 
 // variable is a scalar or array variable slot. A slot holds either a scalar
@@ -85,13 +87,20 @@ type variable struct {
 	value string
 	arr   map[string]string
 	isArr bool
-	link  *variable // non-nil for upvar/global aliases
+	// written reports that a write has fixed the variable's kind. A
+	// variable created only as an upvar or global target reads as an
+	// empty scalar, and either a scalar or an element write may claim it.
+	written bool
+	link    *variable // non-nil for upvar/global aliases
 
-	// num memoizes the vm's numeric classification of value; numState is 0
-	// when unknown and 1 when num == vm.ClassifyOperand(value). Every write
-	// to value must reset numState (or re-establish the invariant).
+	// num and list memoize the vm's numeric classification and the parsed
+	// list form of value: numState is 1 when num == vm.ClassifyOperand(value)
+	// and list is non-nil when it holds ParseList(value). Every write to
+	// value drops both (setScalar); a writer that already holds the new
+	// value's native form may re-establish its memo afterwards.
 	num      vm.Value
 	numState uint8
+	list     *vm.List
 }
 
 func (v *variable) target() *variable {
@@ -101,16 +110,129 @@ func (v *variable) target() *variable {
 	return v
 }
 
-// frame is one level of the procedure call stack. Frame 0 holds globals.
+// setScalar stores s as the scalar value, dropping every memo of the old
+// one. The caller has checked the variable is not an array.
+func (v *variable) setScalar(s string) {
+	v.value = s
+	v.written = true
+	v.numState = 0
+	v.list = nil
+}
+
+// memoList memoizes the list form of a scalar's value, unless it is
+// memoized already or the value does not parse as a list.
+func (v *variable) memoList() {
+	if v.list == nil {
+		if items, err := ParseList(v.value); err == nil {
+			v.list = vm.ParsedList(items, v.value)
+		}
+	}
+}
+
+// frame is one level of the procedure call stack. Frame 0 holds globals
+// by name in vars. A proc frame binds the names of its proc's layout in
+// slots (slot k holds layout.names[k]; nil is unbound) and keeps vars only
+// for names outside its slot window, creating the map on first need.
 type frame struct {
-	vars     map[string]*variable
-	procName string
+	vars   map[string]*variable
+	layout *procLayout
+	slots  []*variable
+}
+
+// procLayout assigns a proc's variables to frame slots: the formals first,
+// then locals in the order some call first bound them. A name's slot never
+// changes; a frame's window covers the layout as it stood when the frame
+// was pushed, so a name learned later lives in that frame's map.
+type procLayout struct {
+	names []string
+	index map[string]int32
+}
+
+// maxLayoutSlots bounds a layout, so that names computed at run time
+// (`set $name`) cannot grow every later frame without limit; past it,
+// new names live in the frame's map.
+const maxLayoutSlots = 64
+
+func newProcLayout(formals []ProcArg) *procLayout {
+	l := &procLayout{index: make(map[string]int32, len(formals))}
+	for _, f := range formals {
+		l.learn(f.Name)
+	}
+	return l
+}
+
+// learn gives name the next slot, unless it has one or the layout is full.
+func (l *procLayout) learn(name string) {
+	if _, ok := l.index[name]; ok || len(l.names) >= maxLayoutSlots {
+		return
+	}
+	l.index[name] = int32(len(l.names))
+	l.names = append(l.names, name)
+}
+
+// slot reports the window slot that binds name in f, if any.
+func (f *frame) slot(name string) (int32, bool) {
+	if f.layout == nil {
+		return 0, false
+	}
+	k, ok := f.layout.index[name]
+	return k, ok && int(k) < len(f.slots)
+}
+
+// lookup returns name's binding in f (a link is not followed), or nil.
+func (f *frame) lookup(name string) *variable {
+	if k, ok := f.slot(name); ok {
+		return f.slots[k]
+	}
+	return f.vars[name]
+}
+
+// put binds name to v in f.
+func (f *frame) put(name string, v *variable) {
+	if k, ok := f.slot(name); ok {
+		f.slots[k] = v
+		return
+	}
+	if f.layout != nil {
+		f.layout.learn(name)
+	}
+	if f.vars == nil {
+		f.vars = make(map[string]*variable)
+	}
+	f.vars[name] = v
+}
+
+// drop unbinds name in f. The variable itself is left as it was,
+// because a link elsewhere may still reach it.
+func (f *frame) drop(name string) {
+	if k, ok := f.slot(name); ok {
+		f.slots[k] = nil
+		return
+	}
+	delete(f.vars, name)
+}
+
+// names returns the names bound in f, sorted.
+func (f *frame) names() []string {
+	var names []string
+	for k, v := range f.slots {
+		if v != nil {
+			names = append(names, f.layout.names[k])
+		}
+	}
+	for n := range f.vars {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Proc is a user-defined procedure.
 type Proc struct {
 	Args []ProcArg
 	Body string
+
+	layout *procLayout
 }
 
 // ProcArg is one formal parameter, optionally carrying a default.
@@ -128,6 +250,13 @@ type Interp struct {
 	procs    map[string]*Proc
 	frames   []*frame
 
+	// procFrames holds one frame per proc call nesting level, reused by
+	// every call at that level; freeVars holds the variables of returned
+	// frames for the next frame to bind. Calls nest, so both are stacks.
+	procFrames []*frame
+	procCalls  int
+	freeVars   []*variable
+
 	// Stdout and Stderr receive the output of puts/print and error traces.
 	// They default to the process's own streams but are swappable so tests
 	// and the expect engine's logging layer can capture them.
@@ -140,7 +269,8 @@ type Interp struct {
 
 	// Trace, when non-nil, is called with every command about to be
 	// executed (after substitution). It implements the paper's §3.3
-	// "tracing - Programs may be traced to assist debugging".
+	// "tracing - Programs may be traced to assist debugging". Like a
+	// Command's args, words is valid only during the call.
 	Trace func(depth int, words []string)
 
 	// DispatchHook, when non-nil, observes every completed command
@@ -201,14 +331,18 @@ type Interp struct {
 	vmFrontHits uint64
 
 	// vmRegs is the vm's shared register stack; each program execution
-	// opens a window on top and pops it on return.
+	// opens a window on top and pops it on return. vmArgs is the same for
+	// the argument vectors of commands whose words the vm substituted.
 	vmRegs []vm.Value
+	vmArgs []string
 
 	// cmdEpoch and varEpoch version the vm's inline caches. cmdEpoch
 	// advances whenever the command/procedure tables change shape
 	// (register, unregister, proc, rename); varEpoch whenever a variable
-	// binding is destroyed or re-linked (unset, upvar/global, restore).
-	// Both start at 1 so zero-valued cache entries are always stale.
+	// binding is destroyed or replaced (unset, an upvar/global over an
+	// existing name, restore). A new binding needs no bump: caches never
+	// hold a miss. Both start at 1 so zero-valued cache entries are always
+	// stale.
 	cmdEpoch uint64
 	varEpoch uint64
 }
@@ -301,34 +435,76 @@ func (i *Interp) Level() int { return len(i.frames) - 1 }
 
 // lookupVar finds name's slot in the current frame, resolving links.
 func (i *Interp) lookupVar(name string) (*variable, bool) {
-	v, ok := i.current().vars[name]
-	if !ok {
+	v := i.current().lookup(name)
+	if v == nil {
 		return nil, false
 	}
 	return v.target(), true
 }
 
-// SetVar sets scalar variable name in the current frame and returns value.
-func (i *Interp) SetVar(name, value string) string {
-	base, elem, isElem := splitArrayRef(name)
-	f := i.current()
-	v, ok := f.vars[base]
-	if !ok {
-		v = &variable{}
-		f.vars[base] = v
+// newVar returns an empty variable, reusing one a returned frame freed.
+func (i *Interp) newVar() *variable {
+	if n := len(i.freeVars); n > 0 {
+		v := i.freeVars[n-1]
+		i.freeVars = i.freeVars[:n-1]
+		return v
 	}
-	v = v.target()
+	return &variable{}
+}
+
+// bindVar returns the target of name's binding in f, creating an empty
+// variable when name is unbound.
+func (i *Interp) bindVar(f *frame, name string) *variable {
+	if v := f.lookup(name); v != nil {
+		return v.target()
+	}
+	v := i.newVar()
+	f.put(name, v)
+	return v
+}
+
+// linkVar makes name in f an alias for target. Replacing an existing
+// binding leaves the old variable to any link that still reaches it and
+// invalidates the inline caches that resolved it.
+func (i *Interp) linkVar(f *frame, name string, target *variable) {
+	v := i.newVar()
+	v.link = target
+	if f.lookup(name) != nil {
+		i.varEpoch++
+	}
+	f.put(name, v)
+}
+
+// setVar writes scalar or array element name in the current frame. Like
+// Tcl, it refuses a write that would change the variable's kind: a scalar
+// write to an array, or an element write to a scalar.
+func (i *Interp) setVar(name, value string) Result {
+	base, elem, isElem := splitArrayRef(name)
+	v := i.bindVar(i.current(), base)
 	if isElem {
 		if !v.isArr {
-			v.isArr = true
+			if v.written {
+				return Errf("can't set %q: variable isn't array", name)
+			}
+			v.isArr, v.written = true, true
 			v.arr = make(map[string]string)
 		}
 		v.arr[elem] = value
-		return value
+		return Ok(value)
 	}
-	v.isArr = false
-	v.value = value
-	v.numState = 0
+	if v.isArr {
+		return Errf("can't set %q: variable is array", name)
+	}
+	v.setScalar(value)
+	return Ok(value)
+}
+
+// SetVar sets scalar (or array element) name in the current frame and
+// returns value. A write that would turn an array into a scalar or a
+// scalar into an array is refused, as Tcl refuses it, and leaves the
+// variable unchanged; the Tcl commands report that refusal as an error.
+func (i *Interp) SetVar(name, value string) string {
+	i.setVar(name, value)
 	return value
 }
 
@@ -356,8 +532,8 @@ func (i *Interp) GetVar(name string) (string, bool) {
 func (i *Interp) UnsetVar(name string) bool {
 	base, elem, isElem := splitArrayRef(name)
 	f := i.current()
-	v, ok := f.vars[base]
-	if !ok {
+	v := f.lookup(base)
+	if v == nil {
 		return false
 	}
 	if isElem {
@@ -369,7 +545,7 @@ func (i *Interp) UnsetVar(name string) bool {
 		delete(t.arr, elem)
 		return ok
 	}
-	delete(f.vars, base)
+	f.drop(base)
 	i.varEpoch++
 	return true
 }
@@ -426,7 +602,7 @@ func (i *Interp) SnapshotGlobals() map[string]VarSnapshot {
 func (i *Interp) RestoreGlobals(snap map[string]VarSnapshot) {
 	g := i.frames[0]
 	for name, vs := range snap {
-		v := &variable{}
+		v := &variable{written: true}
 		if vs.IsArr {
 			v.isArr = true
 			v.arr = make(map[string]string, len(vs.Arr))
@@ -438,12 +614,6 @@ func (i *Interp) RestoreGlobals(snap map[string]VarSnapshot) {
 		}
 		g.vars[name] = v
 	}
-	i.varEpoch++
-}
-
-// linkVar makes local name in the current frame an alias for target's slot.
-func (i *Interp) linkVar(name string, target *variable) {
-	i.current().vars[name] = &variable{link: target}
 	i.varEpoch++
 }
 
@@ -598,33 +768,33 @@ func (i *Interp) dispatch(name string, words []string) Result {
 
 // callProc pushes a frame, binds formals, and runs the body.
 func (i *Interp) callProc(name string, p *Proc, args []string) Result {
-	f := &frame{vars: make(map[string]*variable), procName: name}
 	nf := len(p.Args)
+	variadic := nf > 0 && p.Args[nf-1].Name == "args"
 	for ai, formal := range p.Args {
-		if formal.Name == "args" && ai == nf-1 {
-			f.vars["args"] = &variable{value: FormList(args[ai:])}
-			args = args[:ai] // consumed
+		if variadic && ai == nf-1 {
 			break
 		}
-		var val string
-		switch {
-		case ai < len(args):
-			val = args[ai]
-		case formal.HasDefault:
-			val = formal.Default
-		default:
+		if ai >= len(args) && !formal.HasDefault {
 			return Errf("no value given for parameter %q to %q", formal.Name, name)
 		}
-		f.vars[formal.Name] = &variable{value: val}
 	}
-	if nf == 0 && len(args) > 0 {
+	if !variadic && len(args) > nf {
 		return Errf("called %q with too many arguments", name)
 	}
-	if nf > 0 && p.Args[nf-1].Name != "args" && len(args) > nf {
-		return Errf("called %q with too many arguments", name)
+	f := i.pushFrame(p)
+	defer i.popFrame(f)
+	for ai, formal := range p.Args {
+		var val string
+		switch {
+		case variadic && ai == nf-1:
+			val = FormList(args[min(ai, len(args)):])
+		case ai < len(args):
+			val = args[ai]
+		default:
+			val = formal.Default
+		}
+		i.bindVar(f, formal.Name).setScalar(val)
 	}
-	i.frames = append(i.frames, f)
-	defer func() { i.frames = i.frames[:len(i.frames)-1] }()
 
 	res := i.EvalScript(p.Body)
 	switch res.Code {
@@ -638,6 +808,41 @@ func (i *Interp) callProc(name string, p *Proc, args []string) Result {
 		i.ErrorInfo += fmt.Sprintf("\n    (procedure %q line 1)", name)
 		return res
 	}
+}
+
+// pushFrame makes the frame of a call to p current: the frame kept for
+// this call nesting level, with a slot window over p's layout as it
+// stands now.
+func (i *Interp) pushFrame(p *Proc) *frame {
+	if i.procCalls == len(i.procFrames) {
+		i.procFrames = append(i.procFrames, &frame{})
+	}
+	f := i.procFrames[i.procCalls]
+	i.procCalls++
+	f.layout = p.layout
+	n := len(p.layout.names)
+	if cap(f.slots) < n {
+		f.slots = make([]*variable, n)
+	}
+	f.slots = f.slots[:n]
+	i.frames = append(i.frames, f)
+	return f
+}
+
+// popFrame returns from the call that pushed f, freeing the variables
+// its slots bound. Nothing outlives the frame that can reach them: links
+// only point from a frame to itself or to the frames beneath it.
+func (i *Interp) popFrame(f *frame) {
+	i.frames = i.frames[:len(i.frames)-1]
+	i.procCalls--
+	for k, v := range f.slots {
+		if v != nil {
+			*v = variable{}
+			i.freeVars = append(i.freeVars, v)
+			f.slots[k] = nil
+		}
+	}
+	f.vars = nil
 }
 
 // Subst performs $, [], and backslash substitution on text, as if it were

@@ -46,19 +46,20 @@ func writeProgram(b *strings.Builder, p *Program, ind string) {
 	for k, w := range p.LitWords {
 		fmt.Fprintf(b, "%swords w%d = %s\n", ind, k, quoteList(w))
 	}
-	for k, l := range p.Lists {
-		fmt.Fprintf(b, "%slist l%d = %s\n", ind, k, quoteList(l))
-	}
 	for k, a := range p.Aux {
 		fmt.Fprintf(b, "%saux a%d = name=%q lit=%d", ind, k, a.Name, a.LitIdx)
 		if a.BracketOK {
 			b.WriteString(" bracketok")
 		}
-		fmt.Fprintf(b, " cache=%d spec=%d\n", a.CacheSlot, a.SpecSlot)
+		fmt.Fprintf(b, " cache=%d spec=%d", a.CacheSlot, a.SpecSlot)
+		if a.NArgs > 0 {
+			fmt.Fprintf(b, " args=r%d#%d", a.Args, a.NArgs)
+		}
+		b.WriteByte('\n')
 	}
 	for k, f := range p.Foreach {
-		fmt.Fprintf(b, "%sforeach f%d = list=l%d var=n%d slot=%d\n",
-			ind, k, f.List, f.Name, f.VarSlot)
+		fmt.Fprintf(b, "%sforeach f%d = list=r%d ctr=r%d var=n%d slot=%d\n",
+			ind, k, f.List, f.Counter, f.Name, f.VarSlot)
 	}
 	for k, bl := range p.Blocks {
 		fmt.Fprintf(b, "%sblock b%d src=%q\n", ind, k, bl.Src)
@@ -77,6 +78,9 @@ func operands(p *Program, in Instr) string {
 	case OpConst:
 		return fmt.Sprintf("r%d = c%d", in.Dst, in.A)
 	case OpVarRead:
+		if in.C != 0 {
+			return fmt.Sprintf("r%d = $n%d slot=%d list", in.Dst, in.A, in.B)
+		}
 		return fmt.Sprintf("r%d = $n%d slot=%d", in.Dst, in.A, in.B)
 	case OpArrRead:
 		return fmt.Sprintf("r%d = $n%d(n%d) slot=%d", in.Dst, in.A, in.B, in.C)
@@ -102,7 +106,7 @@ func operands(p *Program, in Instr) string {
 	case OpLoopBody:
 		return fmt.Sprintf("a%d b%d back-> %04d", in.Dst, in.A, in.B)
 	case OpForeachNext:
-		return fmt.Sprintf("r%d f%d done-> %04d", in.Dst, in.A, in.B)
+		return fmt.Sprintf("a%d f%d done-> %04d", in.Dst, in.A, in.B)
 	case OpSpecDone:
 		return fmt.Sprintf("a%d", in.Dst)
 	case OpSetVar:
@@ -116,6 +120,8 @@ func operands(p *Program, in Instr) string {
 		return fmt.Sprintf("a%d $n%d += c%d slot=%d", in.Dst, in.A, in.B, in.C)
 	case OpExprCmd:
 		return fmt.Sprintf("a%d e%d", in.Dst, in.A)
+	case OpLindex, OpLlength, OpSplit:
+		return fmt.Sprintf("a%d", in.Dst)
 	default:
 		return fmt.Sprintf("?%d,%d,%d,%d", in.Dst, in.A, in.B, in.C)
 	}
@@ -184,6 +190,8 @@ func valueString(v Value) string {
 		return "int " + strconv.FormatInt(v.Int(), 10)
 	case KFloat:
 		return "float " + FormatFloat(v.Float())
+	case KList:
+		return "list " + quoteList(v.List().Items)
 	default:
 		return "str " + strconv.Quote(v.Text())
 	}

@@ -21,7 +21,11 @@ const (
 	OpConst Op = iota
 	// OpVarRead reads scalar $Names[A] into r[Dst]; B is the variable
 	// inline-cache slot. A failed read aborts the command like a classic
-	// substitution error (no step charged, no ErrorInfo note).
+	// substitution error (no step charged, no ErrorInfo note). The register
+	// carries the variable's list form when it has one; C != 0 marks the
+	// list word of a list command, whose read parses the value as a list
+	// first (memoizing the form on the variable). A value that does not
+	// parse stays a string, and the command reports the parse error.
 	OpVarRead
 	// OpArrRead reads array element $Names[A](Names[B]) into r[Dst]; C is
 	// the variable inline-cache slot.
@@ -57,9 +61,10 @@ const (
 	// OpLoopBody runs loop body Blocks[A]; OK/continue loops back to
 	// pc = B, break falls through, return/error finish the command.
 	OpLoopBody
-	// OpForeachNext advances iteration state in counter r[Dst] over
-	// Foreach[A]: assigns the next item or, when exhausted, continues at
-	// pc = B.
+	// OpForeachNext advances foreach site aux Dst over Foreach[A]: the
+	// first step takes the list form of the list register (a list that
+	// does not parse fails the command), and each step assigns the next
+	// item or, when the list is exhausted, continues at pc = B.
 	OpForeachNext
 	// OpSpecDone completes a specialized command with an empty OK result.
 	OpSpecDone
@@ -72,6 +77,14 @@ const (
 	OpIncr
 	// OpExprCmd is specialized `expr {…}` over Exprs[A].
 	OpExprCmd
+	// OpLindex, OpLlength and OpSplit are the specialized list commands
+	// of aux Dst over its argument registers (aux.Args, aux.NArgs). They
+	// read a list argument's parsed form when the register carries one;
+	// split's result is a native list whose string is rendered only when
+	// something reads it.
+	OpLindex
+	OpLlength
+	OpSplit
 )
 
 var opNames = [...]string{
@@ -81,6 +94,7 @@ var opNames = [...]string{
 	OpIfBody: "ifbody", OpLoopBody: "loop", OpForeachNext: "fornext",
 	OpSpecDone: "done", OpSetVar: "setvar", OpGetVar: "getvar",
 	OpIncr: "incr", OpExprCmd: "exprcmd",
+	OpLindex: "lindex", OpLlength: "llength", OpSplit: "split",
 }
 
 func (op Op) String() string {
@@ -113,11 +127,16 @@ type CmdAux struct {
 	// SpecSlot is the canonical-builtin guard slot for specialized
 	// commands (-1 none).
 	SpecSlot int32
+	// Args is the first of NArgs registers holding the words after the
+	// name of a list command or foreach site; NArgs is 0 at the sites
+	// whose opcode names its own operands.
+	Args, NArgs int32
 }
 
 // ForeachAux is the iteration state layout of a specialized foreach.
 type ForeachAux struct {
-	List    int32 // Lists index: the pre-parsed literal item list
+	List    int32 // register holding the list word
+	Counter int32 // register holding the next item's index
 	Name    int32 // Names index: the loop variable
 	VarSlot int32 // variable inline-cache slot for the loop variable
 }
@@ -144,7 +163,6 @@ type Program struct {
 	Consts   []Value
 	Names    []string
 	LitWords [][]string
-	Lists    [][]string
 	Blocks   []Block
 	Exprs    []*ExprProg
 	Aux      []CmdAux

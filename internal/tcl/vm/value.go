@@ -17,6 +17,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind is a Value's native representation.
@@ -29,6 +30,8 @@ const (
 	KInt
 	// KFloat is a native float64; the string rep is materialized on demand.
 	KFloat
+	// KList is a parsed list (see List), which carries its own string.
+	KList
 )
 
 // Value is the dual-representation Tcl value: every value can render as a
@@ -39,24 +42,59 @@ const (
 // string (the classic operandValue discards it too — "0x10" reads as 16
 // and compares as "16"), so rendering is always canonical. The native
 // payload is one uint64 holding either the int64 or the float64 bits; a
-// KInt value may additionally carry its canonical rendering in s so
-// repeated Text calls skip the format (see IntStringValue).
+// KInt value may additionally carry its canonical rendering so repeated
+// Text calls skip the format (see IntStringValue). A KList value holds
+// its List.
+//
+// A Value is four words, the largest struct Go keeps in registers
+// instead of memory, and the executors copy Values on every instruction:
+// a fifth word (a list pointer beside the string) made E22's eval loop
+// about 40% and its expression about 30% slower on a 2-vCPU host. So one
+// pointer word, ptr, holds the reference of every kind: with n, the data
+// and length of a KString's text or a KInt's rendering; for a KList, the
+// *List.
 type Value struct {
 	kind Kind
 	bits uint64
-	s    string
+	ptr  unsafe.Pointer
+	n    int
 }
 
+func textValue(kind Kind, bits uint64, s string) Value {
+	return Value{kind: kind, bits: bits, ptr: unsafe.Pointer(unsafe.StringData(s)), n: len(s)}
+}
+
+// str is the string held in ptr and n (never a KList's).
+func (v Value) str() string { return unsafe.String((*byte)(v.ptr), v.n) }
+
 // StringValue wraps a string with no numeric claim.
-func StringValue(s string) Value { return Value{kind: KString, s: s} }
+func StringValue(s string) Value { return textValue(KString, 0, s) }
 
 // IntValue makes a native integer value.
 func IntValue(i int64) Value { return Value{kind: KInt, bits: uint64(i)} }
 
 // IntStringValue makes a native integer that already knows its canonical
 // decimal rendering; s must equal strconv.FormatInt(i, 10).
-func IntStringValue(i int64, s string) Value {
-	return Value{kind: KInt, bits: uint64(i), s: s}
+func IntStringValue(i int64, s string) Value { return textValue(KInt, uint64(i), s) }
+
+// ListValue makes a list value.
+func ListValue(l *List) Value { return Value{kind: KList, ptr: unsafe.Pointer(l)} }
+
+// ValueKey is a comparable identity for a Value: equal keys mean values
+// that behave the same, so constant pools intern by it.
+type ValueKey struct {
+	kind Kind
+	bits uint64
+	s    string
+	list *List
+}
+
+// Key returns v's identity.
+func (v Value) Key() ValueKey {
+	if v.kind == KList {
+		return ValueKey{kind: KList, list: v.List()}
+	}
+	return ValueKey{kind: v.kind, bits: v.bits, s: v.str()}
 }
 
 // FloatValue makes a native float value.
@@ -79,19 +117,29 @@ func (v Value) Int() int64 { return int64(v.bits) }
 // Float returns the native float64 (meaningful only for KFloat).
 func (v Value) Float() float64 { return math.Float64frombits(v.bits) }
 
+// List returns the parsed list of a KList value, nil for any other kind.
+func (v Value) List() *List {
+	if v.kind != KList {
+		return nil
+	}
+	return (*List)(v.ptr)
+}
+
 // Text renders the value as its Tcl string, materializing native numbers
 // exactly the way the classic evaluator's exprValue.String does.
 func (v Value) Text() string {
 	switch v.kind {
 	case KInt:
-		if v.s != "" {
-			return v.s
+		if v.n != 0 {
+			return v.str()
 		}
 		return strconv.FormatInt(int64(v.bits), 10)
 	case KFloat:
 		return FormatFloat(v.Float())
+	case KList:
+		return v.List().String()
 	default:
-		return v.s
+		return v.str()
 	}
 }
 
@@ -143,7 +191,7 @@ func (v Value) Numeric() (Value, bool) {
 	case KInt, KFloat:
 		return v, true
 	default:
-		return ParseNumber(strings.TrimSpace(v.s))
+		return ParseNumber(strings.TrimSpace(v.str()))
 	}
 }
 
@@ -164,11 +212,12 @@ func (v Value) Truth() (bool, string) {
 		}
 		return n.Float() != 0, ""
 	}
-	switch strings.ToLower(strings.TrimSpace(v.s)) {
+	s := v.str()
+	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "true", "yes", "on":
 		return true, ""
 	case "false", "no", "off":
 		return false, ""
 	}
-	return false, "expected boolean value but got " + strconv.Quote(v.s)
+	return false, "expected boolean value but got " + strconv.Quote(s)
 }

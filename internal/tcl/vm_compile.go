@@ -70,11 +70,10 @@ type progBuilder struct {
 	pool     *vmPool
 	code     []vm.Instr
 	consts   []vm.Value
-	constIx  map[vm.Value]int32
+	constIx  map[vm.ValueKey]int32
 	names    []string
 	nameIx   map[string]int32
 	litWords [][]string
-	lists    [][]string
 	blocks   []vm.Block
 	exprs    []*vm.ExprProg
 	aux      []vm.CmdAux
@@ -87,7 +86,7 @@ type progBuilder struct {
 func lowerScript(cs *compiledScript, pool *vmPool) *vm.Program {
 	b := &progBuilder{
 		pool:    pool,
-		constIx: make(map[vm.Value]int32),
+		constIx: make(map[vm.ValueKey]int32),
 		nameIx:  make(map[string]int32),
 	}
 	for k := range cs.cmds {
@@ -95,7 +94,7 @@ func lowerScript(cs *compiledScript, pool *vmPool) *vm.Program {
 	}
 	return &vm.Program{
 		Code: b.code, Consts: b.consts, Names: b.names,
-		LitWords: b.litWords, Lists: b.lists, Blocks: b.blocks,
+		LitWords: b.litWords, Blocks: b.blocks,
 		Exprs: b.exprs, Aux: b.aux, Foreach: b.foreach,
 		HostCmds: b.hostCmds, NRegs: b.maxReg,
 		EndAtBracket: cs.endAtBracket,
@@ -117,12 +116,12 @@ func (b *progBuilder) reg() int32 {
 }
 
 func (b *progBuilder) konst(v vm.Value) int32 {
-	if ix, ok := b.constIx[v]; ok {
+	if ix, ok := b.constIx[v.Key()]; ok {
 		return ix
 	}
 	ix := int32(len(b.consts))
 	b.consts = append(b.consts, v)
-	b.constIx[v] = ix
+	b.constIx[v.Key()] = ix
 	return ix
 }
 
@@ -139,11 +138,6 @@ func (b *progBuilder) name(n string) int32 {
 func (b *progBuilder) words(w []string) int32 {
 	b.litWords = append(b.litWords, w)
 	return int32(len(b.litWords) - 1)
-}
-
-func (b *progBuilder) list(items []string) int32 {
-	b.lists = append(b.lists, items)
-	return int32(len(b.lists) - 1)
 }
 
 func (b *progBuilder) addAux(a vm.CmdAux) int32 {
@@ -307,6 +301,12 @@ func (b *progBuilder) trySpec(cmd *compiledCmd) bool {
 		return b.tryWhile(cmd)
 	case "foreach":
 		return b.tryForeach(cmd)
+	case "lindex":
+		return b.tryListCmd(cmd, vm.OpLindex, 2, 2)
+	case "llength":
+		return b.tryListCmd(cmd, vm.OpLlength, 1, 1)
+	case "split":
+		return b.tryListCmd(cmd, vm.OpSplit, 1, 2)
 	}
 	return false
 }
@@ -487,26 +487,79 @@ func (b *progBuilder) tryWhile(cmd *compiledCmd) bool {
 	return true
 }
 
-func (b *progBuilder) tryForeach(cmd *compiledCmd) bool {
-	args := cmd.litWords
-	if args == nil || len(args) != 4 || !plainVarName(args[1]) {
-		return false
+// lowerListWordInto is lowerWordInto for the list word of a list
+// command: a literal list is parsed here, into a constant list value, and
+// a lone $name reads the variable's list form, so the command parses
+// neither. A literal that does not parse stays a string, and the command
+// reports the error when it runs.
+func (b *progBuilder) lowerListWordInto(w *compiledWord, dst int32) {
+	if w.segs == nil {
+		if items, err := ParseList(w.lit); err == nil {
+			c := b.konst(vm.ListValue(vm.ParsedList(items, w.lit)))
+			b.emit(vm.Instr{Op: vm.OpConst, Dst: dst, A: c})
+			return
+		}
+	} else if len(w.segs) == 1 && w.segs[0].kind == segVar {
+		b.emit(vm.Instr{Op: vm.OpVarRead, Dst: dst, A: b.name(w.segs[0].text), B: b.pool.varSlot(), C: 1})
+		return
 	}
-	items, err := ParseList(args[2])
-	if err != nil {
+	b.lowerWordInto(w, dst)
+}
+
+// tryListCmd lowers lindex, llength or split called with minArgs to
+// maxArgs arguments (other counts stay generic, where the command reports
+// its usage): the arguments go to registers, the first as a list word for
+// lindex and llength.
+func (b *progBuilder) tryListCmd(cmd *compiledCmd, op vm.Op, minArgs, maxArgs int) bool {
+	n := len(cmd.words) - 1
+	if n < minArgs || n > maxArgs {
 		return false
 	}
 	b.nreg = 0
-	auxIdx := b.addAux(b.specAux("foreach", cmd))
+	aux := b.specAux(cmd.words[0].lit, cmd)
+	aux.Args, aux.NArgs = b.nreg, int32(n)
+	for range n {
+		b.reg()
+	}
+	for k := 1; k <= n; k++ {
+		if k == 1 && op != vm.OpSplit {
+			b.lowerListWordInto(&cmd.words[k], aux.Args)
+		} else {
+			b.lowerWordInto(&cmd.words[k], aux.Args+int32(k-1))
+		}
+	}
+	b.emit(vm.Instr{Op: op, Dst: b.addAux(aux)})
+	return true
+}
+
+// tryForeach lowers `foreach varName list body` with a literal variable
+// name and body and any list word: a literal (a constant list value), a
+// $name (the variable's list form), a [bracket] (whose command may hand
+// back a native list, as split does) or an interpolation.
+func (b *progBuilder) tryForeach(cmd *compiledCmd) bool {
+	if len(cmd.words) != 4 {
+		return false
+	}
+	varWord, bodyWord := &cmd.words[1], &cmd.words[3]
+	if varWord.segs != nil || !plainVarName(varWord.lit) || bodyWord.segs != nil {
+		return false
+	}
+	b.nreg = 0
+	aux := b.specAux("foreach", cmd)
+	aux.Args, aux.NArgs = b.nreg, 3
+	varReg, listReg, bodyReg, ctr := b.reg(), b.reg(), b.reg(), b.reg()
+	b.emit(vm.Instr{Op: vm.OpConst, Dst: varReg, A: b.konst(vm.StringValue(varWord.lit))})
+	b.lowerListWordInto(&cmd.words[2], listReg)
+	b.emit(vm.Instr{Op: vm.OpConst, Dst: bodyReg, A: b.konst(vm.StringValue(bodyWord.lit))})
+	auxIdx := b.addAux(aux)
 	b.foreach = append(b.foreach, vm.ForeachAux{
-		List: b.list(items), Name: b.name(args[1]), VarSlot: b.pool.varSlot(),
+		List: listReg, Counter: ctr, Name: b.name(varWord.lit), VarSlot: b.pool.varSlot(),
 	})
 	fIdx := int32(len(b.foreach) - 1)
-	ctr := b.reg()
 	enter := b.emit(vm.Instr{Op: vm.OpSpecEnter, Dst: auxIdx})
 	b.emit(vm.Instr{Op: vm.OpConst, Dst: ctr, A: b.konst(vm.IntValue(0))})
-	next := b.emit(vm.Instr{Op: vm.OpForeachNext, Dst: ctr, A: fIdx})
-	b.emit(vm.Instr{Op: vm.OpLoopBody, Dst: auxIdx, A: b.blockFromSrc(args[3]), B: next})
+	next := b.emit(vm.Instr{Op: vm.OpForeachNext, Dst: auxIdx, A: fIdx})
+	b.emit(vm.Instr{Op: vm.OpLoopBody, Dst: auxIdx, A: b.blockFromSrc(bodyWord.lit), B: next})
 	b.code[next].B = int32(len(b.code)) // exhausted -> SpecDone
 	b.emit(vm.Instr{Op: vm.OpSpecDone, Dst: auxIdx})
 	b.code[enter].A = int32(len(b.code))
@@ -526,7 +579,7 @@ func lowerExprText(src string, pool *vmPool) *vm.ExprProg {
 	}
 	b := &exprBuilder{
 		pool:    pool,
-		constIx: make(map[vm.Value]int32),
+		constIx: make(map[vm.ValueKey]int32),
 		nameIx:  make(map[string]int32),
 		funcIx:  make(map[string]int32),
 	}
@@ -620,7 +673,7 @@ type exprBuilder struct {
 	pool    *vmPool
 	code    []vm.EInstr
 	consts  []vm.Value
-	constIx map[vm.Value]int32
+	constIx map[vm.ValueKey]int32
 	names   []string
 	nameIx  map[string]int32
 	funcs   []string
@@ -638,12 +691,12 @@ func (b *exprBuilder) reg() int32 {
 }
 
 func (b *exprBuilder) konst(v vm.Value) int32 {
-	if ix, ok := b.constIx[v]; ok {
+	if ix, ok := b.constIx[v.Key()]; ok {
 		return ix
 	}
 	ix := int32(len(b.consts))
 	b.consts = append(b.consts, v)
-	b.constIx[v] = ix
+	b.constIx[v.Key()] = ix
 	return ix
 }
 

@@ -135,20 +135,26 @@ expr e0
 `,
 	},
 	{
-		// foreach (fornext) + generic invoke
+		// foreach over a literal list (a constant list value) + generic
+		// invoke
 		src: "foreach v {1 2 3} { incr sum $v }",
-		golden: `program regs=1 slots{cmds=1 vars=2 specs=1}
-  0000 spec     a0 generic-> 0005
-  0001 const    r0 = c0
-  0002 fornext  r0 f0 done-> 0004
-  0003 loop     a0 b0 back-> 0002
-  0004 done     a0
-const c0 = int 0
+		golden: `program regs=4 slots{cmds=1 vars=2 specs=1}
+  0000 const    r0 = c0
+  0001 const    r1 = c1
+  0002 const    r2 = c2
+  0003 spec     a0 generic-> 0008
+  0004 const    r3 = c3
+  0005 fornext  a0 f0 done-> 0007
+  0006 loop     a0 b0 back-> 0005
+  0007 done     a0
+const c0 = str "v"
+const c1 = list ["1" "2" "3"]
+const c2 = str " incr sum $v "
+const c3 = int 0
 name n0 = "v"
 words w0 = ["foreach" "v" "1 2 3" " incr sum $v "]
-list l0 = ["1" "2" "3"]
-aux a0 = name="foreach" lit=0 cache=-1 spec=0
-foreach f0 = list=l0 var=n0 slot=0
+aux a0 = name="foreach" lit=0 cache=-1 spec=0 args=r0#3
+foreach f0 = list=r1 ctr=r3 var=n0 slot=0
 block b0 src=" incr sum $v "
   program regs=3
     0000 const    r0 = c0
@@ -159,6 +165,57 @@ block b0 src=" incr sum $v "
   const c1 = str "sum"
   name n0 = "v"
   aux a0 = name="incr" lit=-1 cache=0 spec=-1
+`,
+	},
+	{
+		// foreach over a bracket's native list (split)
+		src: "foreach c [split $w {}] { incr n }",
+		golden: `program regs=4 slots{cmds=0 vars=3 specs=3}
+  0000 const    r0 = c0
+  0001 bracket  r1 = b0
+  0002 const    r2 = c1
+  0003 spec     a0 generic-> 0008
+  0004 const    r3 = c2
+  0005 fornext  a0 f0 done-> 0007
+  0006 loop     a0 b1 back-> 0005
+  0007 done     a0
+const c0 = str "c"
+const c1 = str " incr n "
+const c2 = int 0
+name n0 = "c"
+aux a0 = name="foreach" lit=-1 cache=-1 spec=0 args=r0#3
+foreach f0 = list=r1 ctr=r3 var=n0 slot=1
+block b0 src=""
+  program regs=2 atbracket
+    0000 var      r0 = $n0 slot=0
+    0001 const    r1 = c0
+    0002 split    a0
+  const c0 = str ""
+  name n0 = "w"
+  aux a0 = name="split" lit=-1 bracketok cache=-1 spec=1 args=r0#2
+block b1 src=" incr n "
+  program regs=0
+    0000 incr     a0 $n0 += 1 slot=2
+  name n0 = "n"
+  words w0 = ["incr" "n"]
+  aux a0 = name="incr" lit=0 cache=-1 spec=2
+`,
+	},
+	{
+		// list reads of a variable's list form (var ... list)
+		src: "lindex $l [llength $l]",
+		golden: `program regs=2 slots{cmds=0 vars=2 specs=2}
+  0000 var      r0 = $n0 slot=0 list
+  0001 bracket  r1 = b0
+  0002 lindex   a0
+name n0 = "l"
+aux a0 = name="lindex" lit=-1 cache=-1 spec=0 args=r0#2
+block b0 src=""
+  program regs=1 atbracket
+    0000 var      r0 = $n0 slot=1 list
+    0001 llength  a0
+  name n0 = "l"
+  aux a0 = name="llength" lit=-1 bracketok cache=-1 spec=1 args=r0#1
 `,
 	},
 	{

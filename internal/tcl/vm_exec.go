@@ -72,14 +72,17 @@ type cmdCache struct {
 	proc  *Proc
 }
 
-// varCache is one variable inline cache: the resolved *target* slot of a
-// name in a specific frame at varEpoch. Misses (frame changed, epoch
-// bumped) re-resolve and refill; no negative results are cached, so
+// varCache is one variable inline cache. Under a proc frame it holds the
+// name's slot in the frame's layout, which every frame of that layout
+// binds the same way, so it survives from call to call; at the global
+// level it holds the resolved target. Entries refill when the layout
+// differs or varEpoch has moved; no negative results are cached, so
 // creating variables never needs invalidation.
 type varCache struct {
-	epoch uint64
-	fr    *frame
-	v     *variable
+	epoch  uint64
+	layout *procLayout // nil: the global frame
+	slot   int32
+	v      *variable // the global frame's target
 }
 
 // specCache memoizes the canonical-builtin guard at cmdEpoch.
@@ -141,6 +144,9 @@ func init() {
 		"if":      reflect.ValueOf(Command(cmdIf)).Pointer(),
 		"while":   reflect.ValueOf(Command(cmdWhile)).Pointer(),
 		"foreach": reflect.ValueOf(Command(cmdForeach)).Pointer(),
+		"lindex":  reflect.ValueOf(Command(cmdLindex)).Pointer(),
+		"llength": reflect.ValueOf(Command(cmdLlength)).Pointer(),
+		"split":   reflect.ValueOf(Command(cmdSplit)).Pointer(),
 	}
 }
 
@@ -161,7 +167,10 @@ func (i *Interp) vmEvalScript(script string) Result {
 		}
 		i.vmFront, i.vmFrontKey = e, script
 	}
-	res, _, _, _ := i.runProgram(&e.run, e.prog)
+	res, _, num, numOK := i.runProgram(&e.run, e.prog)
+	if numOK && num.Kind() == vm.KList {
+		res.Value = num.Text()
+	}
 	return res
 }
 
@@ -219,10 +228,26 @@ func (i *Interp) pushRegs(n int32) int {
 	return base
 }
 
+// pushArgs substitutes the words of one command onto the argument
+// stack and returns them; popArgs(base) releases them after dispatch.
+func (i *Interp) pushArgs(words []vm.Value) []string {
+	base := len(i.vmArgs)
+	for k := range words {
+		i.vmArgs = append(i.vmArgs, words[k].Text())
+	}
+	return i.vmArgs[base:len(i.vmArgs):len(i.vmArgs)]
+}
+
+func (i *Interp) popArgs(base int) {
+	clear(i.vmArgs[base:])
+	i.vmArgs = i.vmArgs[:base]
+}
+
 // runProgram executes a lowered script, mirroring parser.run's contract:
 // the Result plus whether execution ended on a terminating ']', plus the
 // native-value channel for the final result (see the package comment
-// above).
+// above). A native list result may leave the Result string unrendered;
+// a consumer that needs the string renders the native value.
 func (i *Interp) runProgram(r *vmRun, p *vm.Program) (Result, bool, vm.Value, bool) {
 	base := i.pushRegs(p.NRegs)
 	res, atBracket, num, numOK := i.execProgram(r, p, base)
@@ -232,26 +257,78 @@ func (i *Interp) runProgram(r *vmRun, p *vm.Program) (Result, bool, vm.Value, bo
 
 // --- inline-cache runtime -----------------------------------------------
 
-// vmVar resolves name's target slot in the current frame through a cache
-// slot; nil when the variable does not exist.
-func (i *Interp) vmVar(r *vmRun, slot int32, name string) *variable {
-	c := &r.vars[slot]
-	fr := i.current()
-	if c.epoch == i.varEpoch && c.fr == fr {
-		return c.v
-	}
-	v, ok := fr.vars[name]
-	if !ok {
+// cached returns the variable c resolved when that entry still holds in
+// frame fr and binds an unlinked variable there; nil sends the caller to
+// vmVar. It is small enough to inline into the executors' hot paths.
+func (c *varCache) cached(epoch uint64, fr *frame) *variable {
+	if c.epoch != epoch || c.layout != fr.layout {
 		return nil
 	}
-	t := v.target()
-	c.epoch, c.fr, c.v = i.varEpoch, fr, t
+	if fr.layout == nil {
+		return c.v
+	}
+	if int(c.slot) < len(fr.slots) {
+		if v := fr.slots[c.slot]; v != nil && v.link == nil {
+			return v
+		}
+	}
+	return nil
+}
+
+// vmVar resolves name's target in the current frame through a cache
+// slot. An unbound name yields nil, or a new empty variable when create
+// is set.
+func (i *Interp) vmVar(r *vmRun, slot int32, name string, create bool) *variable {
+	c := &r.vars[slot]
+	fr := i.current()
+	if t := c.cached(i.varEpoch, fr); t != nil {
+		return t
+	}
+	// A proc frame's entry still names the slot when the slot is unbound
+	// or holds a link.
+	if c.epoch == i.varEpoch && c.layout == fr.layout && fr.layout != nil && int(c.slot) < len(fr.slots) {
+		return i.slotTarget(fr, c.slot, create)
+	}
+	return i.vmResolve(c, fr, name, create)
+}
+
+// slotTarget is the target of slot k of proc frame fr, as vmVar returns it.
+func (i *Interp) slotTarget(fr *frame, k int32, create bool) *variable {
+	v := fr.slots[k]
+	if v == nil {
+		if !create {
+			return nil
+		}
+		v = i.newVar()
+		fr.slots[k] = v
+	}
+	return v.target()
+}
+
+// vmResolve refills cache c for name in fr and returns name's target, as
+// vmVar does.
+func (i *Interp) vmResolve(c *varCache, fr *frame, name string, create bool) *variable {
+	if k, ok := fr.slot(name); ok {
+		c.epoch, c.layout, c.slot, c.v = i.varEpoch, fr.layout, k, nil
+		return i.slotTarget(fr, k, create)
+	}
+	var t *variable
+	if v := fr.lookup(name); v != nil {
+		t = v.target()
+	} else if create {
+		t = i.bindVar(fr, name)
+	} else {
+		return nil
+	}
+	if fr.layout == nil {
+		c.epoch, c.layout, c.v = i.varEpoch, nil, t
+	}
 	return t
 }
 
 // vmReadVar reads scalar name (GetVar semantics for plain names).
 func (i *Interp) vmReadVar(r *vmRun, slot int32, name string) (string, bool) {
-	t := i.vmVar(r, slot, name)
+	t := i.vmVar(r, slot, name, false)
 	if t == nil || t.isArr {
 		return "", false
 	}
@@ -261,7 +338,7 @@ func (i *Interp) vmReadVar(r *vmRun, slot int32, name string) (string, bool) {
 // vmReadVarNum reads scalar name as an expression operand, memoizing the
 // numeric classification on the variable slot.
 func (i *Interp) vmReadVarNum(r *vmRun, slot int32, name string) (vm.Value, bool) {
-	t := i.vmVar(r, slot, name)
+	t := i.vmVar(r, slot, name, false)
 	if t == nil || t.isArr {
 		return vm.Value{}, false
 	}
@@ -272,33 +349,35 @@ func (i *Interp) vmReadVarNum(r *vmRun, slot int32, name string) (vm.Value, bool
 	return t.num, true
 }
 
-// vmWriteVar sets scalar name (SetVar semantics for plain names) and
-// returns the stored string. Integer values keep their native form in
-// the variable's numeric memo; floats do not (their canonical 12-digit
-// rendering is lossy, so the memo must be re-derived from the string).
-func (i *Interp) vmWriteVar(r *vmRun, slot int32, name string, val vm.Value) string {
-	s := val.Text()
-	c := &r.vars[slot]
-	fr := i.current()
-	t := c.v
-	if c.epoch != i.varEpoch || c.fr != fr {
-		v, ok := fr.vars[name]
-		if !ok {
-			v = &variable{}
-			fr.vars[name] = v
-		}
-		t = v.target()
-		c.epoch, c.fr, c.v = i.varEpoch, fr, t
+// vmWriteVar sets scalar name (setVar semantics for plain names) and
+// returns the stored string; ok is false, and nothing is stored, when
+// name is an array. An integer keeps its native form in the variable's
+// numeric memo and a list its parsed form in the list memo; a float does
+// not (its canonical 12-digit rendering is lossy, so the memo must be
+// re-derived from the string).
+func (i *Interp) vmWriteVar(r *vmRun, slot int32, name string, val vm.Value) (s string, ok bool) {
+	t := i.vmVar(r, slot, name, true)
+	if t.isArr {
+		return "", false
 	}
-	t.isArr = false
-	t.value = s
-	if val.Kind() == vm.KInt {
-		t.num = val
-		t.numState = 1
-	} else {
-		t.numState = 0
+	s = val.Text()
+	t.setScalar(s)
+	switch val.Kind() {
+	case vm.KInt:
+		t.num, t.numState = val, 1
+	case vm.KList:
+		t.list = val.List()
 	}
-	return s
+	return s, true
+}
+
+// listItems returns the elements of a list argument: the parsed form the
+// value carries, or a parse of its string.
+func listItems(v vm.Value) ([]string, error) {
+	if l := v.List(); l != nil {
+		return l.Items, nil
+	}
+	return ParseList(v.Text())
 }
 
 // vmDispatch resolves and runs a command through a dispatch cache slot.
@@ -416,18 +495,28 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 
 		case vm.OpVarRead:
 			name := p.Names[in.A]
-			val, ok := i.vmReadVar(r, in.B, name)
-			if !ok {
+			t := i.vmVar(r, in.B, name, false)
+			if t == nil || t.isArr {
 				// A failed substitution aborts the command with no step
 				// charged and no ErrorInfo note, like parser.varSubst.
 				return Errf("can't read %q: no such variable", name), false, vm.Value{}, false
 			}
-			regs[in.Dst] = vm.StringValue(val)
+			if in.C != 0 {
+				// Parsing is pure, so parsing at the read instead of in
+				// the command is unobservable; a failure is left for the
+				// command to report.
+				t.memoList()
+			}
+			if t.list != nil {
+				regs[in.Dst] = vm.ListValue(t.list)
+			} else {
+				regs[in.Dst] = vm.StringValue(t.value)
+			}
 			pc++
 
 		case vm.OpArrRead:
 			name, idx := p.Names[in.A], p.Names[in.B]
-			t := i.vmVar(r, in.C, name)
+			t := i.vmVar(r, in.C, name, false)
 			if t == nil || !t.isArr {
 				return Errf("can't read %q: no such element in array", name+"("+idx+")"), false, vm.Value{}, false
 			}
@@ -460,25 +549,26 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				return out, false, vm.Value{}, false
 			}
 			regs = i.vmRegs[base:]
-			if numOK {
+			switch {
+			case !numOK:
+				regs[in.Dst] = vm.StringValue(out.Value)
+			case num.Kind() == vm.KInt:
 				// out.Value is num's canonical rendering; carry it so a
 				// downstream set/concat never re-formats the integer.
 				regs[in.Dst] = vm.IntStringValue(num.Int(), out.Value)
-			} else {
-				regs[in.Dst] = vm.StringValue(out.Value)
+			default:
+				regs[in.Dst] = num
 			}
 			pc++
 
 		case vm.OpInvoke:
 			aux := &p.Aux[in.Dst]
+			argBase := len(i.vmArgs)
 			var words []string
 			if in.B == 0 {
 				words = p.LitWords[aux.LitIdx]
 			} else {
-				words = make([]string, in.B)
-				for k := int32(0); k < in.B; k++ {
-					words[k] = regs[in.A+k].Text()
-				}
+				words = i.pushArgs(regs[in.A : in.A+in.B])
 			}
 			var res Result
 			if i.Trace != nil {
@@ -490,10 +580,11 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				res = i.vmDispatch(r, aux.CacheSlot, words[0], words)
 				i.report(words[0], start)
 			}
+			if res.Code == Error {
+				i.noteErrorLine(words)
+			}
+			i.popArgs(argBase)
 			if res.Code != OK {
-				if res.Code == Error {
-					i.noteErrorLine(words)
-				}
 				return res, aux.BracketOK, vm.Value{}, false
 			}
 			last, lastNumOK = res, false
@@ -528,7 +619,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 		case vm.OpSpecEnter:
 			aux := &p.Aux[in.Dst]
 			if !i.vmSpecFast(r, aux) {
-				words := p.LitWords[aux.LitIdx]
+				words := i.vmSpecWords(p, aux, in, regs)
 				res := i.EvalWords(words)
 				if res.Code != OK {
 					if res.Code == Error {
@@ -541,7 +632,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				break
 			}
 			if res, ok := i.spendStep(); !ok {
-				i.noteErrorLine(p.LitWords[aux.LitIdx])
+				i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
 				return res, aux.BracketOK, vm.Value{}, false
 			}
 			region = i.stamp()
@@ -553,7 +644,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			if res.Code != OK {
 				i.report(aux.Name, region)
 				if res.Code == Error {
-					i.noteErrorLine(p.LitWords[aux.LitIdx])
+					i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
 				}
 				return res, aux.BracketOK, vm.Value{}, false
 			}
@@ -569,7 +660,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			i.report(aux.Name, region)
 			if res.Code != OK {
 				if res.Code == Error {
-					i.noteErrorLine(p.LitWords[aux.LitIdx])
+					i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
 				}
 				return res, aux.BracketOK, vm.Value{}, false
 			}
@@ -587,29 +678,53 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			default:
 				i.report(aux.Name, region)
 				if res.Code == Error {
-					i.noteErrorLine(p.LitWords[aux.LitIdx])
+					i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
 				}
 				return res, aux.BracketOK, vm.Value{}, false
 			}
 
 		case vm.OpForeachNext:
+			aux := &p.Aux[in.Dst]
 			f := &p.Foreach[in.A]
-			items := p.Lists[f.List]
-			ctr := regs[in.Dst].Int()
-			if ctr >= int64(len(items)) {
-				pc = int(in.B)
-				break
+			ctr := regs[f.Counter].Int()
+			lv := regs[f.List]
+			var res Result
+			if lv.Kind() != vm.KList {
+				// The first step: cmdForeach's parse, after the dispatch
+				// opened.
+				text := lv.Text()
+				items, err := ParseList(text)
+				if err != nil {
+					res = Errf("%v", err)
+				} else {
+					lv = vm.ListValue(vm.ParsedList(items, text))
+					regs[f.List] = lv
+				}
 			}
-			i.vmWriteVar(r, f.VarSlot, p.Names[f.Name], vm.StringValue(items[ctr]))
-			regs[in.Dst] = vm.IntValue(ctr + 1)
-			pc++
+			if res.Code == OK {
+				items := lv.List().Items
+				if ctr >= int64(len(items)) {
+					pc = int(in.B)
+					break
+				}
+				name := p.Names[f.Name]
+				if _, ok := i.vmWriteVar(r, f.VarSlot, name, vm.StringValue(items[ctr])); ok {
+					regs[f.Counter] = vm.IntValue(ctr + 1)
+					pc++
+					break
+				}
+				res = Errf("can't set %q: variable is array", name)
+			}
+			i.report(aux.Name, region)
+			i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
+			return res, aux.BracketOK, vm.Value{}, false
 
 		case vm.OpSpecDone:
 			i.report(p.Aux[in.Dst].Name, region)
 			last, lastNumOK = Ok(""), false
 			pc++
 
-		case vm.OpSetVar, vm.OpGetVar, vm.OpIncr, vm.OpExprCmd:
+		case vm.OpSetVar, vm.OpGetVar, vm.OpIncr, vm.OpExprCmd, vm.OpLindex, vm.OpLlength, vm.OpSplit:
 			aux := &p.Aux[in.Dst]
 			if !i.vmSpecFast(r, aux) {
 				res := i.vmRunGeneric(p, aux, in, regs)
@@ -625,7 +740,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				return res, aux.BracketOK, vm.Value{}, false
 			}
 			start := i.stamp()
-			res, num, numOK := i.vmSpecRun(r, p, in, regs)
+			res, num, numOK := i.vmSpecRun(r, p, aux, in, regs)
 			i.report(aux.Name, start)
 			if res.Code != OK {
 				if res.Code == Error {
@@ -643,14 +758,18 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 	return last, p.EndAtBracket, lastNum, lastNumOK
 }
 
-// vmSpecRun is the fast path of a set/incr/expr site whose step is
-// already charged: the command's Result plus, when that result is an
-// integer, its native value (the numOK channel).
-func (i *Interp) vmSpecRun(r *vmRun, p *vm.Program, in *vm.Instr, regs []vm.Value) (Result, vm.Value, bool) {
+// vmSpecRun is the fast path of a set/incr/expr/list-command site whose
+// step is already charged: the command's Result plus, when that result is
+// an integer or a list, its native value (the numOK channel).
+func (i *Interp) vmSpecRun(r *vmRun, p *vm.Program, aux *vm.CmdAux, in *vm.Instr, regs []vm.Value) (Result, vm.Value, bool) {
 	switch in.Op {
 	case vm.OpSetVar:
 		val := regs[in.B]
-		return Ok(i.vmWriteVar(r, in.C, p.Names[in.A], val)), val, val.Kind() == vm.KInt
+		s, ok := i.vmWriteVar(r, in.C, p.Names[in.A], val)
+		if !ok {
+			return Errf("can't set %q: variable is array", p.Names[in.A]), vm.Value{}, false
+		}
+		return Ok(s), val, val.Kind() == vm.KInt
 
 	case vm.OpGetVar:
 		name := p.Names[in.A]
@@ -662,7 +781,7 @@ func (i *Interp) vmSpecRun(r *vmRun, p *vm.Program, in *vm.Instr, regs []vm.Valu
 
 	case vm.OpIncr:
 		name := p.Names[in.A]
-		t := i.vmVar(r, in.C, name)
+		t := i.vmVar(r, in.C, name, false)
 		if t == nil || t.isArr {
 			return Errf("can't read %q: no such variable", name), vm.Value{}, false
 		}
@@ -682,11 +801,29 @@ func (i *Interp) vmSpecRun(r *vmRun, p *vm.Program, in *vm.Instr, regs []vm.Valu
 			n++
 		}
 		s := strconv.FormatInt(n, 10)
-		t.isArr = false
-		t.value = s
-		t.num = vm.IntValue(n)
-		t.numState = 1
+		t.setScalar(s)
+		t.num, t.numState = vm.IntValue(n), 1
 		return Ok(s), t.num, true
+
+	case vm.OpLindex, vm.OpLlength:
+		args := regs[aux.Args : aux.Args+aux.NArgs]
+		items, err := listItems(args[0])
+		if err != nil {
+			return Errf("%v", err), vm.Value{}, false
+		}
+		if in.Op == vm.OpLindex {
+			return lindexOf(items, args[1].Text()), vm.Value{}, false
+		}
+		s := strconv.Itoa(len(items))
+		return Ok(s), vm.IntStringValue(int64(len(items)), s), true
+
+	case vm.OpSplit:
+		args := regs[aux.Args : aux.Args+aux.NArgs]
+		chars := defaultSplitChars
+		if len(args) == 2 {
+			chars = args[1].Text()
+		}
+		return Ok(""), vm.ListValue(&vm.List{Items: splitString(args[0].Text(), chars)}), true
 
 	default: // vm.OpExprCmd
 		ep := p.Exprs[in.A]
@@ -705,13 +842,21 @@ func (i *Interp) vmSpecRun(r *vmRun, p *vm.Program, in *vm.Instr, regs []vm.Valu
 	}
 }
 
-// vmSpecWords rebuilds the substituted word list of a simple specialized
+// vmSpecWords rebuilds the substituted word list of a specialized
 // command (for generic fallback and ErrorInfo notes).
 func (i *Interp) vmSpecWords(p *vm.Program, aux *vm.CmdAux, in *vm.Instr, regs []vm.Value) []string {
 	if aux.LitIdx >= 0 {
 		return p.LitWords[aux.LitIdx]
 	}
-	// Only OpSetVar sites can be non-literal (computed value word).
+	if aux.NArgs > 0 {
+		words := make([]string, 1+aux.NArgs)
+		words[0] = aux.Name
+		for k := int32(0); k < aux.NArgs; k++ {
+			words[1+k] = regs[aux.Args+k].Text()
+		}
+		return words
+	}
+	// The other non-literal sites are OpSetVar's (computed value word).
 	return []string{aux.Name, p.Names[in.A], regs[in.B].Text()}
 }
 
@@ -763,8 +908,8 @@ func (i *Interp) execExpr(r *vmRun, p *vm.ExprProg, base int) (vm.Value, Result)
 				regs[in.Dst] = vm.IntValue(0)
 				break
 			}
-			if c := &r.vars[in.B]; c.epoch == i.varEpoch && c.fr == i.current() && !c.v.isArr && c.v.numState == 1 {
-				regs[in.Dst] = c.v.num
+			if t := r.vars[in.B].cached(i.varEpoch, i.current()); t != nil && !t.isArr && t.numState == 1 {
+				regs[in.Dst] = t.num
 				break
 			}
 			name := p.Names[in.A]
@@ -793,10 +938,13 @@ func (i *Interp) execExpr(r *vmRun, p *vm.ExprProg, base int) (vm.Value, Result)
 				return vm.Value{}, out
 			}
 			regs = i.vmRegs[base:]
-			if numOK {
-				regs[in.Dst] = num
-			} else {
+			switch {
+			case !numOK:
 				regs[in.Dst] = vm.ClassifyOperand(out.Value)
+			case num.Kind() == vm.KInt:
+				regs[in.Dst] = num
+			default:
+				regs[in.Dst] = vm.ClassifyOperand(num.Text())
 			}
 
 		case vm.EUnary:

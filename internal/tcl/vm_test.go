@@ -16,7 +16,7 @@ import (
 // list deliberately covers every specialized opcode (set/incr/expr/if/
 // while/foreach), the generic dispatch path, substitution errors, and
 // the control-flow edges (break/continue/return/error).
-var vmEquivScripts = []string{
+var vmEquivScripts = append([]string{
 	// Specialized builtins and the native-value channel.
 	`set a 1`,
 	`set a 1; set b $a; set b`,
@@ -67,6 +67,38 @@ var vmEquivScripts = []string{
 	// Interpolated (non-literal) words through the specialized sites.
 	`set n total; set $n 3; incr $n 4; set total`,
 	`set i 2; set "v$i" x; set v2`,
+}, listFrameScripts...)
+
+// listFrameScripts cross list forms memoized on variables and registers,
+// which every write invalidates, with proc frames whose variables live in
+// slots: shimmering between string and list, malformed lists at the
+// lowered sites, writes from other frames, rebound list commands, and
+// frames reached out of order. FuzzVMEquivalence seeds from them too.
+var listFrameScripts = []string{
+	`set l {a b c}; llength $l; append l " {d e}"; list [llength $l] [lindex $l end]`,
+	`set l {a b}; llength $l; append l " {c"; lindex $l 0`,
+	`set l {a b}; llength $l; append l " {c"; llength $l`,
+	`set l {a b}; lindex $l 0; append l " {c"; foreach x $l { set y $x }`,
+	`set l {a b}; llength $l; append l " {c"; list [catch {llength $l} m1] $m1 [catch {lindex $l 0} m2] $m2 [catch {foreach x $l {}} m3] $m3`,
+	`set l {a b}; proc p {} { global l; lappend l c }; llength $l; p; list [llength $l] [lindex $l end]`,
+	`proc q {} { upvar 1 l x; set x {p q r s} }; set l {a}; llength $l; q; list [llength $l] [lindex $l 2]`,
+	`set l {}; foreach v {a b c} { lappend l $v; set last [lindex $l end] }; list $last [llength $l]`,
+	`set l {1 2 3}; foreach x $l { set l {9}; lappend out $x }; list $out $l`,
+	`list [split a,,b, ,] [llength [split ,a,,b, ,]] [lindex [split a::b :] 1]`,
+	`foreach f [split a::b: :] { lappend o "<$f>" }; set o`,
+	`set b [split "x y" ""]; list [llength $b] $b`,
+	`rename lindex li; proc lindex {l i} { return shadow }; set l {a b}; list [lindex $l 0] [li $l 1]`,
+	`proc llength {l} { return 99 }; set l {a b}; list [llength $l] [llength {x}]`,
+	`rename split sp; list [catch {split a b} m] $m [sp a,b ,]`,
+	`proc r {n} { set loc [expr {$n * 2}]; if {$n == 0} { return $loc }; set sub [r [expr {$n - 1}]]; expr {$sub + $loc} }; r 20`,
+	`proc mk {} { uplevel 1 {set made 7} }; proc host {} { mk; return $made }; list [host] [catch {set made}]`,
+	`proc u {a} { set b 1; unset a; list [info exists a] [info exists b] [info locals] }; u 5`,
+	`proc c {} { return c }; proc b {} { set y 5; uplevel 1 {c}; return $y }; proc a {} { b }; a`,
+	`proc f {a {b 2} args} { list $a $b $args }; list [f 1] [f 1 2 3 4]`,
+	`set a(x) 1; list [catch {set a foo} m] $m [catch {foreach a {1} {}} m2] $m2`,
+	`lindex {a {b c} d} 1`,
+	`list [lindex {a b} end] [lindex {a b} 5] [llength {}]`,
+	`lindex {a b} x`,
 }
 
 // runEquiv evaluates script in the given mode on a fresh interpreter and
@@ -245,12 +277,12 @@ func TestVMHookOnlyParity(t *testing.T) {
 
 // testVMHookKeepsFastPaths checks that DispatchHook alone does not push
 // the vm's specialized sites onto generic dispatch. After a warm hooked
-// run, the canonical set/incr/expr/if/while/foreach entries of the
+// run, the canonical entries of the specialized commands in the
 // command table are swapped for counting wrappers without advancing the
 // command epoch, so the specialization guards still pass; a hooked rerun
 // must report the same dispatches without reaching any wrapper.
 func testVMHookKeepsFastPaths(t *testing.T) {
-	const script = `set a 1; incr a; set b [expr {$a * 2}]; set b; if {$a > 1} {set c 1} else {set c 2}; while {$a < 5} {incr a}; foreach x {1 2} {set d $x}; set a`
+	const script = `set a 1; incr a; set b [expr {$a * 2}]; set b; if {$a > 1} {set c 1} else {set c 2}; while {$a < 5} {incr a}; foreach x {1 2} {set d $x}; set l {p q r}; set e [lindex $l [llength $l]]; foreach y $l {set d $y}; foreach z [split abc ""] {set d $z}; set a`
 	i := New()
 	i.SetEvalMode(EvalVM)
 	var log []string

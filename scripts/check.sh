@@ -32,15 +32,16 @@ go test -race -count=1 ./internal/conformance
 
 # Bytecode-vm leg: the cross-mode equivalence table, step-limit and hook
 # parity (Trace plus DispatchHook, and DispatchHook alone on the fast
-# paths), the hooked-loop allocation guard, golden disassembly, and the
-# mutation check proving the differential harness has teeth — all under
-# the race detector — plus the engine's default evaluator and its eval
-# ring events (one sequence in every mode, stamped at each dispatch's
-# end), a goexpect run of a shipped script on the default vm evaluator,
-# and one with -evalmode classic so the referee stays exercised end to
-# end through the CLI.
-go test -race -count=1 -run 'TestVM|TestEvalMode|TestEvalCacheStats' ./internal/tcl
-go test -race -count=1 -run 'TestEvalEventsModeNeutral|TestEvalEventStampIsDispatchEnd|TestEngineDefaultsToVM' ./internal/core
+# paths), the hooked-loop and proc-call allocation guards, golden
+# disassembly, and the mutation check proving the differential harness
+# has teeth — all under the race detector — plus the engine's default
+# evaluator, its eval ring events (one sequence in every mode, stamped at
+# each dispatch's end) and the allocation guard on the script workload's
+# Tcl half, a goexpect run of a shipped script on the default vm
+# evaluator, and one with -evalmode classic so the referee stays
+# exercised end to end through the CLI.
+go test -race -count=1 -run 'TestVM|TestEvalMode|TestEvalCacheStats|TestProcCallAllocs' ./internal/tcl
+go test -race -count=1 -run 'TestEvalEventsModeNeutral|TestEvalEventStampIsDispatchEnd|TestEngineDefaultsToVM|TestScriptDialogueAllocs' ./internal/core
 go run ./cmd/goexpect -transport pipe -sims -q scripts/passwd.exp >/dev/null
 go run ./cmd/goexpect -evalmode classic -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
