@@ -156,13 +156,21 @@ func NewEngine(opt EngineOptions) *Engine {
 		e.Interp.SetEvalMode(m)
 	}
 	e.Interp.Stdout = e.userOut
-	// Every Tcl command dispatch feeds the eval latency histogram and, when
-	// armed, the flight recorder (§3.3's trace, structurally). The event is
-	// stamped with the clock reading that ended the dispatch, and the vm
-	// keeps its fast paths under this hook.
+	// The interpreter counts every Tcl command dispatch and times a seeded
+	// sample of about 1 in 64. Without a profiler, only the sample reaches
+	// this hook unless someone is watching (exp_internal 2, an unfiltered
+	// trace tap) or the trace command is on: observation is armed when
+	// wanted, as §3.3's trace is. A profiler keeps every dispatch timed,
+	// so its eval histogram stays exact. Either way the ring gets the
+	// sample, or every dispatch while watched or traced, each event
+	// stamped with the clock reading that ended its dispatch; the vm keeps
+	// its fast paths under this hook.
+	if opt.Prof == nil {
+		e.Interp.Watching = e.rec.Watched
+	}
 	e.Interp.DispatchHook = func(name string, depth int, d time.Duration) {
 		e.prof.Observe(metrics.HistEvalDispatch, d)
-		if e.rec.On() {
+		if e.Interp.DispatchSampled() || e.Interp.Trace != nil || e.rec.Watched() {
 			e.rec.RecordAt(e.Interp.DispatchEnd(), trace.KindEval, -1, int64(d), int64(depth), false, name, "")
 		}
 	}

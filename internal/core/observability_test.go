@@ -247,7 +247,9 @@ func TestEngineDefaultRecorderAlwaysArmed(t *testing.T) {
 // sequence in the flight recorder: the vm reports the dispatches its
 // specialized fast paths run through the same DispatchHook as generic
 // dispatch. Each event is stamped with its dispatch's end reading, so
-// the eval events' stamps never run backwards.
+// the eval events' stamps never run backwards. Unwatched, the ring holds
+// the seeded sample, which both modes take at the same ordinals; the
+// watched leg (diagnostics level 2) holds every dispatch.
 func TestEvalEventsModeNeutral(t *testing.T) {
 	const script = `
 		set timeout 5
@@ -273,9 +275,12 @@ func TestEvalEventsModeNeutral(t *testing.T) {
 		foreach k {a b} { set last $k }
 		set sum
 	`
-	evals := func(mode string) []string {
+	evals := func(mode string, watched bool) []string {
 		rec := trace.New(4096)
 		rec.SetRecording(true)
+		if watched {
+			rec.SetDiag(2, io.Discard)
+		}
 		off := false
 		e := NewEngine(EngineOptions{
 			UserIn: strings.NewReader(""), UserOut: io.Discard, LogUser: &off,
@@ -306,15 +311,110 @@ func TestEvalEventsModeNeutral(t *testing.T) {
 			}
 			last = ev.At
 		}
+		if n := e.Interp.Dispatches(); watched && int64(len(seq)) != n {
+			t.Errorf("%s: watched ring holds %d eval events of %d dispatches", mode, len(seq), n)
+		}
 		return seq
 	}
-	classic := strings.Join(evals("classic"), " ")
-	if classic == "" {
-		t.Fatal("classic run recorded no eval events")
+	for _, watched := range []bool{false, true} {
+		classic := strings.Join(evals("classic", watched), " ")
+		if classic == "" {
+			t.Fatal("classic run recorded no eval events")
+		}
+		if got := strings.Join(evals("vm", watched), " "); got != classic {
+			t.Errorf("watched=%v: vm eval events diverge from classic:\n got: %s\nwant: %s", watched, got, classic)
+		}
 	}
-	if got := strings.Join(evals("vm"), " "); got != classic {
-		t.Errorf("vm eval events diverge from classic:\n got: %s\nwant: %s", got, classic)
+}
+
+// TestExpInternalRendersEveryLaterEval: exp_internal 2 mid-script makes
+// the engine report every later dispatch, so the narration renders each
+// one. mark reads the dispatch count from inside its own dispatch, the
+// first one stamped after the flip.
+func TestExpInternalRendersEveryLaterEval(t *testing.T) {
+	e, _ := newTestEngine(t)
+	var diag bytes.Buffer
+	e.Interp.Stderr = &diag
+	var marked int64
+	e.Interp.Register("mark", func(i *tcl.Interp, _ []string) tcl.Result {
+		marked = i.Dispatches()
+		return tcl.Ok("")
+	})
+	if _, err := e.Run(observerProcs + dialogueSetup() + "dialogue; dialogue; exp_internal 2; mark; dialogue; dialogue"); err != nil {
+		t.Fatal(err)
 	}
+	later := e.Interp.Dispatches() - marked + 1
+	rendered := 0
+	for _, line := range strings.Split(diag.String(), "\n") {
+		if strings.HasPrefix(line, "tcl: dispatch ") && !strings.HasPrefix(line, "tcl: dispatch exp_internal ") {
+			rendered++
+		}
+	}
+	if later < 100 || int64(rendered) != later {
+		t.Errorf("exp_internal 2 rendered %d eval dispatches, %d ran after it", rendered, later)
+	}
+}
+
+// TestUnfilteredTapSeesEveryEval: a tap that admits every session is a
+// consumer of eval events, so while it is subscribed the engine reports
+// every dispatch; a tap filtered to one session is not, and after the
+// unfiltered tap closes the ring is back to the seeded sample.
+func TestUnfilteredTapSeesEveryEval(t *testing.T) {
+	e, _ := newTestEngine(t)
+	rec := e.Recorder()
+	if _, err := e.Run(observerProcs + dialogueSetup()); err != nil {
+		t.Fatal(err)
+	}
+	c := countHook(e)
+	// run drives four dialogues and returns how many dispatches they made
+	// and how many events the ring recorded; every one of those is an
+	// eval, as the dialogue neither sends nor expects.
+	run := func() (dispatches int64, events uint64) {
+		d0, t0 := e.Interp.Dispatches(), rec.Total()
+		if _, err := e.Run("dialogue; dialogue; dialogue; dialogue"); err != nil {
+			t.Fatal(err)
+		}
+		return e.Interp.Dispatches() - d0, rec.Total() - t0
+	}
+	// sampleOnly requires the hook and the ring to see the sample only.
+	sampleOnly := func(label string) {
+		t.Helper()
+		*c = hookCounts{}
+		n, evs := run()
+		if c.calls != c.sampled || uint64(c.sampled) != evs || c.sampled == 0 || c.sampled > n/32 {
+			t.Errorf("%s: %d hook calls, %d sampled, %d ring events of %d dispatches", label, c.calls, c.sampled, evs, n)
+		}
+	}
+
+	one := rec.Subscribe(3, 0)
+	if rec.Watched() {
+		t.Error("a tap on spawn_id 3 counts as watching eval events")
+	}
+	sampleOnly("with a sid tap")
+	one.Close()
+
+	all := rec.Subscribe(-1, 1<<14)
+	if !rec.Watched() {
+		t.Fatal("an unfiltered tap does not count as watching")
+	}
+	n, evs := run()
+	lines := 0
+	for len(all.Events()) > 0 {
+		line := <-all.Events()
+		if !bytes.Contains(line, []byte(`"kind":"eval"`)) {
+			t.Fatalf("tap line %q is not an eval event", line)
+		}
+		lines++
+	}
+	if int64(lines) != n || uint64(n) != evs || all.Dropped() != 0 {
+		t.Errorf("unfiltered tap saw %d eval events (%d dropped), ring %d, of %d dispatches", lines, all.Dropped(), evs, n)
+	}
+	all.Close()
+
+	if rec.Watched() {
+		t.Fatal("still watched after the tap closed")
+	}
+	sampleOnly("after Close")
 }
 
 // TestEngineDefaultsToVM pins the engine's evaluator: an empty or unknown
@@ -333,8 +433,11 @@ func TestEngineDefaultsToVM(t *testing.T) {
 // event with the clock reading that ended the dispatch, as DispatchEnd
 // reports it to the hook, instead of reading the clock again: the ring's
 // stamps and the hook's end readings are the same instants on one base.
+// The run is watched (diagnostics level 2), so every dispatch reaches the
+// hook and the ring, not just the seeded sample.
 func TestEvalEventStampIsDispatchEnd(t *testing.T) {
 	e, _ := newTestEngine(t)
+	e.Recorder().SetDiag(2, io.Discard)
 	own := e.Interp.DispatchHook
 	var ends []int64
 	e.Interp.DispatchHook = func(name string, depth int, d time.Duration) {

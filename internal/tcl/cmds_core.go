@@ -327,7 +327,9 @@ func cmdCatch(i *Interp, args []string) Result {
 	}
 	res := i.EvalScript(args[1])
 	if len(args) == 3 {
-		i.SetVar(args[2], res.Value)
+		if w := i.setVar(args[2], res.Value); w.Code != OK {
+			return Errf("couldn't save command result in variable")
+		}
 	}
 	return Ok(strconv.Itoa(int(res.Code)))
 }

@@ -174,13 +174,17 @@ func cmdGets(i *Interp, args []string) Result {
 	line, err := readLine(os.Stdin)
 	if err != nil {
 		if len(args) == 3 {
-			i.SetVar(args[2], "")
+			if w := i.setVar(args[2], ""); w.Code != OK {
+				return w
+			}
 			return Ok("-1")
 		}
 		return Errf("error reading stdin: %v", err)
 	}
 	if len(args) == 3 {
-		i.SetVar(args[2], line)
+		if w := i.setVar(args[2], line); w.Code != OK {
+			return w
+		}
 		return Ok(strconv.Itoa(len(line)))
 	}
 	return Ok(line)

@@ -377,7 +377,9 @@ func cmdScan(i *Interp, args []string) Result {
 			default:
 				return Errf("bad scan conversion character %q", string(verb))
 			}
-			i.SetVar(vars[converted], value)
+			if w := i.setVar(vars[converted], value); w.Code != OK {
+				return w
+			}
 			converted++
 		default:
 			if si < len(input) && input[si] == c {
@@ -436,7 +438,9 @@ parsed:
 				val = str[locs[2*vi]:locs[2*vi+1]]
 			}
 		}
-		i.SetVar(name, val)
+		if w := i.setVar(name, val); w.Code != OK {
+			return w
+		}
 	}
 	return Ok("1")
 }
@@ -513,6 +517,8 @@ parsed:
 			return replace(m)
 		})
 	}
-	i.SetVar(varName, out)
+	if w := i.setVar(varName, out); w.Code != OK {
+		return w
+	}
 	return Ok(strconv.Itoa(count))
 }

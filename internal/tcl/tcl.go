@@ -273,17 +273,29 @@ type Interp struct {
 	// Command's args, words is valid only during the call.
 	Trace func(depth int, words []string)
 
-	// DispatchHook, when non-nil, observes every completed command
-	// dispatch: name, call depth, and time spent (command body or
-	// procedure call, including everything beneath it). Where Trace shows
-	// what is about to run, DispatchHook reports what it cost — the
-	// expect engine feeds its eval-dispatch latency histogram and flight
-	// recorder through it. Arming it costs two monotonic clock reads per
-	// dispatch (no wall-clock read) plus the hook call; unlike Trace it
-	// leaves the vm's specialized fast paths on. DispatchEnd returns the
-	// second reading while the hook runs. Leave nil for the zero-overhead
-	// path.
+	// DispatchHook, when non-nil, observes completed command dispatches:
+	// name, call depth, and time spent (command body or procedure call,
+	// including everything beneath it). Where Trace shows what is about to
+	// run, DispatchHook reports what it cost — the expect engine feeds its
+	// eval-dispatch latency histogram and flight recorder through it.
+	// Which dispatches it sees depends on Watching: with Watching nil,
+	// every one; otherwise the seeded sample, plus every dispatch while
+	// Trace is set or Watching returns true. A reported dispatch costs two
+	// monotonic clock reads (no wall-clock read) plus the hook call; one
+	// that is not reported costs a counter increment and the Watching
+	// call. Unlike Trace it leaves the vm's specialized fast paths on.
+	// DispatchEnd and DispatchSampled describe the dispatch while the hook
+	// runs. Leave nil for the zero-overhead path.
 	DispatchHook func(name string, depth int, d time.Duration)
+
+	// Watching, when non-nil, gates DispatchHook to a sample: a dispatch
+	// is timed and reported only if it is sampled (about 1 in 64, at
+	// seeded ordinals; the first dispatch always is), Trace is set, or
+	// Watching returns true. The expect engine sets it to its flight
+	// recorder's Watched, so a live consumer of eval events (exp_internal
+	// 2, an unfiltered trace tap) sees every dispatch and an unwatched run
+	// pays for the sample only. Nil keeps every dispatch reported.
+	Watching func() bool
 
 	// MaxDepth bounds recursion to turn runaway scripts into errors
 	// instead of stack exhaustion.
@@ -304,9 +316,18 @@ type Interp struct {
 	steps       int64
 	exitHandler func(code int)
 
-	// dispatchEnd is the clock.Now reading that ended the dispatch
-	// DispatchHook is reporting (see DispatchEnd).
-	dispatchEnd int64
+	// dispatches counts every command dispatch (see Dispatches);
+	// nextSample is the ordinal of the next sampled one, and samples how
+	// many have been taken, which indexes the gap sequence.
+	dispatches int64
+	nextSample int64
+	samples    uint64
+
+	// dispatchEnd and dispatchSample describe the dispatch DispatchHook
+	// is reporting: the clock.Now reading that ended it (see DispatchEnd)
+	// and its ordinal if it was sampled, else 0 (see DispatchSampled).
+	dispatchEnd    int64
+	dispatchSample int64
 
 	// evalMode selects the engine behind EvalScript and expr: the bytecode
 	// vm (default) or the classic re-parsing evaluator. The vm caches hold
@@ -713,47 +734,99 @@ func (i *Interp) EvalWords(words []string) Result {
 		i.Trace(i.Level(), words)
 	}
 	name := words[0]
-	start := i.stamp()
+	sp := i.stamp()
 	res := i.dispatch(name, words)
-	i.report(name, start)
+	i.report(name, sp)
 	return res
 }
 
-// stamp opens one dispatch for DispatchHook: it returns the monotonic
-// start reading, or -1 when no hook is armed. Every dispatch site, here
+// span is one dispatch opened by stamp: the monotonic start reading, or
+// -1 when the dispatch goes unreported, and its ordinal if it was
+// sampled, else 0. The sample decision travels with the reading rather
+// than on the Interp because a nested dispatch runs between a stamp and
+// its report.
+type span struct{ start, sample int64 }
+
+// stamp opens one dispatch: it counts it, decides whether it is sampled,
+// and reads the clock if it will be reported. Every dispatch site, here
 // and in the vm, brackets the command with stamp and report, after its
-// step is charged, so all modes report the same name, depth and order.
-func (i *Interp) stamp() int64 {
-	if i.DispatchHook == nil {
-		return -1
+// step is charged, so all modes count, sample and report the same name,
+// depth and order. An unhooked dispatch short of the next sample point
+// costs the increment and two compares, inlined.
+func (i *Interp) stamp() span {
+	i.dispatches++
+	if i.DispatchHook == nil && i.dispatches < i.nextSample {
+		return span{start: -1}
 	}
-	return clock.Now()
+	return i.open()
 }
 
-// report closes a dispatch opened by stamp. A dispatch opened unarmed
-// stays unreported; the check is small enough to inline, so the unarmed
-// path costs no call.
-func (i *Interp) report(name string, start int64) {
-	if start >= 0 {
-		i.observe(name, start)
+// open is stamp's slow path: take the sample if this dispatch is at the
+// next sample point, then apply the Watching gate.
+func (i *Interp) open() span {
+	var sample int64
+	if i.dispatches >= i.nextSample {
+		sample = i.dispatches
+		i.nextSample = sample + sampleGap(i.samples)
+		i.samples++
+	}
+	if i.DispatchHook == nil || sample == 0 && i.Watching != nil && i.Trace == nil && !i.Watching() {
+		return span{start: -1}
+	}
+	return span{clock.Now(), sample}
+}
+
+// sampleSeed seeds every interpreter's gap sequence. It is a constant,
+// not an option: the two eval modes dispatch in the same order, so they
+// sample the same ordinals, and a run's sample is reproducible.
+const sampleSeed = 0x6a09e667f3bcc908
+
+// sampleGap returns the k-th gap between sampled ordinals: the k-th
+// output of splitmix64 from sampleSeed, reduced to 1..127 (mean 64).
+// The gaps are random rather than a fixed period because a fixed period
+// can alias with a loop whose body makes a matching number of
+// dispatches, leaving some command sites never sampled.
+func sampleGap(k uint64) int64 {
+	z := sampleSeed + (k+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return 1 + int64(z%127)
+}
+
+// report closes a dispatch opened by stamp. A dispatch opened unreported
+// stays unreported; the check is small enough to inline, so that path
+// costs no call.
+func (i *Interp) report(name string, sp span) {
+	if sp.start >= 0 {
+		i.observe(name, sp)
 	}
 }
 
 // observe is report's armed path: one more monotonic read, then the hook
 // call with the elapsed time.
-func (i *Interp) observe(name string, start int64) {
+func (i *Interp) observe(name string, sp span) {
 	if i.DispatchHook == nil {
 		return
 	}
 	end := clock.Now()
-	i.dispatchEnd = end
-	i.DispatchHook(name, i.Level(), time.Duration(end-start))
+	i.dispatchEnd, i.dispatchSample = end, sp.sample
+	i.DispatchHook(name, i.Level(), time.Duration(end-sp.start))
 }
 
 // DispatchEnd returns the clock.Now reading that ended the dispatch
 // DispatchHook is reporting, so a hook can stamp what it records without
 // reading the clock again. It is meaningful only inside the hook.
 func (i *Interp) DispatchEnd() int64 { return i.dispatchEnd }
+
+// DispatchSampled reports whether the dispatch DispatchHook is reporting
+// is one of the seeded sample, as stamp decided when it opened. It is
+// meaningful only inside the hook.
+func (i *Interp) DispatchSampled() bool { return i.dispatchSample != 0 }
+
+// Dispatches returns how many command dispatches the interpreter has
+// made, counted exactly whether or not they were sampled or reported.
+func (i *Interp) Dispatches() int64 { return i.dispatches }
 
 // dispatch resolves name against commands then procs and runs it.
 func (i *Interp) dispatch(name string, words []string) Result {

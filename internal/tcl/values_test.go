@@ -86,6 +86,52 @@ func TestWritesKeepVariableKind(t *testing.T) {
 	}
 }
 
+// TestResultWritesKeepVariableKind: catch, regexp, regsub and scan store
+// their results through the same kind check as set, and report a
+// refused write as an error instead of dropping the result, in both
+// modes, byte for byte, at the global level as in a proc frame. catch
+// reports it with Tcl's own message.
+func TestResultWritesKeepVariableKind(t *testing.T) {
+	const isArray = `can't set "a": variable is array`
+	const notArray = `can't set "s(x)": variable isn't array`
+	const catchErr = "couldn't save command result in variable"
+	cases := []struct{ script, want, err string }{
+		{`set a(x) 1; catch {set y 2} a`, "", catchErr},
+		{`set a(x) 1; list [catch {catch {set y 2} a} m] $m [array names a]`, "1 {" + catchErr + "} x", ""},
+		{`set s 1; catch {set y 2} s(x)`, "", catchErr},
+		{`set s 1; catch {catch {set y 2} s(x)}; set s`, "1", ""},
+		{`set a(x) 1; regexp {b+} abbc a`, "", isArray},
+		{`set s 1; regexp {(b)(c)} abc m s(x)`, "", notArray},
+		{`set a(x) 1; regsub b abc B a`, "", isArray},
+		{`set a(x) 1; scan 12 %d a`, "", isArray},
+		{`set s 1; scan 12 %d s(x)`, "", notArray},
+		{`set a(x) 1; list [catch {scan "1 2" "%d %d" p a} m] $m $p [array names a]`, "1 {" + isArray + "} 1 x", ""},
+		{`set a(x) 1; catch {set y 2} a(y); list [lsort [array names a]] $a(y)`, "{x y} 2", ""},
+		{`list [catch {error boom} r] $r [regexp {(b+)} abbc m s] $m $s [regsub -all b abbc B o] $o [scan "7 z" "%d %s" n w] $n $w`, "1 boom 1 bb bb 2 aBBc 2 7 z", ""},
+	}
+	for _, tc := range cases {
+		for _, script := range []string{tc.script, "proc body {} {" + tc.script + "}; body"} {
+			var outs [2]string
+			for m, mode := range []EvalMode{EvalClassic, EvalVM} {
+				i := New()
+				i.SetEvalMode(mode)
+				got, err := i.Eval(script)
+				msg := ""
+				if err != nil {
+					msg = err.Error()
+				}
+				if got != tc.want || msg != tc.err {
+					t.Errorf("%s %q = %q, %q; want %q, %q", mode, script, got, msg, tc.want, tc.err)
+				}
+				outs[m] = got + "|" + msg + "|" + i.ErrorInfo
+			}
+			if outs[0] != outs[1] {
+				t.Errorf("%q: classic %q, vm %q", script, outs[0], outs[1])
+			}
+		}
+	}
+}
+
 // TestFrameEdges pins proc frames where names are bound outside a
 // frame's slots or frames are reached out of order, in both modes.
 func TestFrameEdges(t *testing.T) {

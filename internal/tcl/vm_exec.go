@@ -483,7 +483,7 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 	last := Ok("")
 	var lastNum vm.Value
 	lastNumOK := false
-	region := int64(-1)
+	region := span{start: -1}
 	code := p.Code
 	for pc := 0; pc < len(code); {
 		in := &code[pc]
@@ -576,9 +576,9 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 			} else if sres, ok := i.spendStep(); !ok {
 				res = sres
 			} else {
-				start := i.stamp()
+				sp := i.stamp()
 				res = i.vmDispatch(r, aux.CacheSlot, words[0], words)
-				i.report(words[0], start)
+				i.report(words[0], sp)
 			}
 			if res.Code == Error {
 				i.noteErrorLine(words)
@@ -739,9 +739,9 @@ func (i *Interp) execProgram(r *vmRun, p *vm.Program, base int) (Result, bool, v
 				i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))
 				return res, aux.BracketOK, vm.Value{}, false
 			}
-			start := i.stamp()
+			sp := i.stamp()
 			res, num, numOK := i.vmSpecRun(r, p, aux, in, regs)
-			i.report(aux.Name, start)
+			i.report(aux.Name, sp)
 			if res.Code != OK {
 				if res.Code == Error {
 					i.noteErrorLine(i.vmSpecWords(p, aux, in, regs))

@@ -60,6 +60,11 @@ var vmEquivScripts = append([]string{
 	`set x [`,
 	`expr {[}`,
 	`puts "a $missing b"`,
+	// Result writes (catch, regexp, regsub, scan) refused by the
+	// variable's kind.
+	`set a(x) 1; list [catch {catch {set y 2} a} m] $m [array names a]`,
+	`set s 1; list [catch {catch {set y 2} s(x)} m] $m $s`,
+	`set a(x) 1; list [catch {regexp {b+} abbc a} m] $m [catch {regsub b abc B a} m2] $m2 [catch {scan 12 %d a} m3] $m3`,
 	// Command-table churn: inline caches must revalidate.
 	`rename set myset; myset z 9; myset z`,
 	`proc set2 {n v} { uplevel 1 [list set $n $v] }; set2 q 5; set q`,

@@ -39,6 +39,7 @@ func (r *Recorder) Subscribe(sid int32, buf int) *Tap {
 	t := &Tap{r: r, sid: sid, ch: make(chan []byte, buf)}
 	r.mu.Lock()
 	r.taps = append(r.taps, t)
+	r.rewatchLocked()
 	r.mu.Unlock()
 	r.SetRecording(true)
 	return t
@@ -105,6 +106,7 @@ func (t *Tap) Close() {
 			break
 		}
 	}
+	r.rewatchLocked()
 	r.mu.Unlock()
 	close(t.ch)
 }

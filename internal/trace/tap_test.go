@@ -153,3 +153,42 @@ func TestTapCoexistsWithJournal(t *testing.T) {
 		t.Errorf("tap and journal diverge:\ntap:\n%s\njournal:\n%s", got, want)
 	}
 }
+
+// TestWatchedTracksEvalConsumers: Watched holds exactly while an eval
+// event (SID -1) has a consumer beyond the ring: diagnostics at level 2
+// or an unfiltered tap. A level-1 narration, a tap filtered to one
+// session and a journal do not count.
+func TestWatchedTracksEvalConsumers(t *testing.T) {
+	var nilRec *Recorder
+	if nilRec.Watched() {
+		t.Error("nil recorder watched")
+	}
+	r := New(0)
+	r.SetRecording(true)
+	check := func(step string, want bool) {
+		t.Helper()
+		if got := r.Watched(); got != want {
+			t.Errorf("%s: Watched() = %v, want %v", step, got, want)
+		}
+	}
+	check("ring only", false)
+	r.SetJournal(NewJournal())
+	check("journal", false)
+	r.SetDiag(1, &bytes.Buffer{})
+	check("diag 1", false)
+	r.SetDiag(2, &bytes.Buffer{})
+	check("diag 2", true)
+	r.SetDiag(0, nil)
+	check("diag 0", false)
+	one := r.Subscribe(3, 0)
+	check("sid tap", false)
+	a, b := r.Subscribe(-1, 0), r.Subscribe(-1, 0)
+	check("two unfiltered taps", true)
+	a.Close()
+	check("one unfiltered tap closed", true)
+	b.Close()
+	check("both unfiltered taps closed", false)
+	r.SetDiag(2, &bytes.Buffer{})
+	one.Close()
+	check("diag 2 after the sid tap closed", true)
+}

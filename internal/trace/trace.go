@@ -184,6 +184,9 @@ const DefaultCapacity = 512
 // A nil *Recorder is a valid no-op sink everywhere.
 type Recorder struct {
 	mode atomic.Int32
+	// watched is true while an eval event has a consumer beyond the ring
+	// (see Watched). It is written only under mu.
+	watched atomic.Bool
 	// jrn is the durable journal sink (nil = ring-only). Kept out of the
 	// mode word so Journaling() stays one pointer load for the call sites
 	// that build full payloads only when a journal will keep them.
@@ -274,8 +277,8 @@ func (r *Recorder) SetDiag(level int, w io.Writer) {
 		level = 2
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.diag = w
-	r.mu.Unlock()
 	for {
 		old := r.mode.Load()
 		next := int32(level<<1) | (old & recordBit)
@@ -283,9 +286,31 @@ func (r *Recorder) SetDiag(level int, w io.Writer) {
 			next |= recordBit
 		}
 		if r.mode.CompareAndSwap(old, next) {
-			return
+			break
 		}
 	}
+	r.rewatchLocked()
+}
+
+// Watched reports whether an eval event has a consumer beyond the ring:
+// diagnostics at level 2, which render eval dispatches, or a tap that
+// admits SID -1 events (an unfiltered /debug/trace). A tap filtered to
+// one session never receives eval events, which carry SID -1, and a
+// journal does not count: replay does not observe eval events. The
+// engine reports every Tcl dispatch while this holds and a seeded sample
+// otherwise. It is one atomic load.
+func (r *Recorder) Watched() bool {
+	return r != nil && r.watched.Load()
+}
+
+// rewatchLocked recomputes watched after the diagnostics level or the
+// tap set changed. Caller holds r.mu.
+func (r *Recorder) rewatchLocked() {
+	w := r.mode.Load()>>1 >= 2
+	for _, t := range r.taps {
+		w = w || t.sid < 0
+	}
+	r.watched.Store(w)
 }
 
 // SetJournal attaches (or, with nil, detaches) a durable journal: from now

@@ -36,12 +36,13 @@ go test -race -count=1 ./internal/conformance
 # disassembly, and the mutation check proving the differential harness
 # has teeth — all under the race detector — plus the engine's default
 # evaluator, its eval ring events (one sequence in every mode, stamped at
-# each dispatch's end) and the allocation guard on the script workload's
-# Tcl half, a goexpect run of a shipped script on the default vm
-# evaluator, and one with -evalmode classic so the referee stays
-# exercised end to end through the CLI.
+# each dispatch's end) and the allocation and hook-call guards on the
+# script workload's Tcl half (an unwatched engine hooks only the seeded
+# sample of its dispatches), a goexpect run of a shipped script on the
+# default vm evaluator, and one with -evalmode classic so the referee
+# stays exercised end to end through the CLI.
 go test -race -count=1 -run 'TestVM|TestEvalMode|TestEvalCacheStats|TestProcCallAllocs' ./internal/tcl
-go test -race -count=1 -run 'TestEvalEventsModeNeutral|TestEvalEventStampIsDispatchEnd|TestEngineDefaultsToVM|TestScriptDialogueAllocs' ./internal/core
+go test -race -count=1 -run 'TestEvalEventsModeNeutral|TestEvalEventStampIsDispatchEnd|TestEngineDefaultsToVM|TestScriptDialogueAllocs|TestScriptDialogueHookCalls' ./internal/core
 go run ./cmd/goexpect -transport pipe -sims -q scripts/passwd.exp >/dev/null
 go run ./cmd/goexpect -evalmode classic -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
