@@ -36,7 +36,7 @@
 // spawns the same programs in-process — a resident driver session. With
 // -checkpoint FILE armed, SIGUSR1 serializes the drive engine's state
 // (interpreter globals plus one SessionCheckpoint per live spawn,
-// including any expect parked on a shard loop) and atomically writes it
+// including any expect parked on it) and atomically writes it
 // to FILE:
 //
 //	expectd -drive robot.exp -checkpoint /var/run/expectd.ckpt &
@@ -138,10 +138,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// The drive engine exists only when something needs it. Shards > 0
-	// matters for -checkpoint: shard-parked expects are captured by the
-	// loop-synchronized checkpoint path, so a SIGUSR1 taken while the
-	// drive script waits in expect records the pending op.
+	// The drive engine exists only when something needs it. A pending
+	// expect parks on its session however the session is driven, so a
+	// SIGUSR1 taken while the drive script waits in expect records the
+	// pending op.
 	var eng *core.Engine
 	if *drive != "" || *ckptPath != "" || *restorePath != "" {
 		eng = core.NewEngine(core.EngineOptions{Transport: "pipe", Shards: 2})

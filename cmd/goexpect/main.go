@@ -9,9 +9,9 @@
 //	goexpect -transport pipe script    spawn over pipes instead of ptys
 //	goexpect -network script           dial spawn targets as host:port
 //	                                   socket sessions (see cmd/expectd)
-//	goexpect -shards N script          own sessions with N sharded event
-//	                                   loops instead of one pump
-//	                                   goroutine per session
+//	goexpect -shards N script          own event-capable sessions with N
+//	                                   sharded event loops instead of
+//	                                   one pump goroutine per session
 //	goexpect -evalmode classic script  pick the Tcl evaluation engine:
 //	                                   vm (register bytecode with inline
 //	                                   caches; the default) or classic

@@ -59,6 +59,12 @@ type Variant struct {
 	// vm must be observably identical to the classic referee on every
 	// script, scenario, and fault schedule.
 	EvalMode string
+	// Watched arms the engine's recorder at diagnostics level 2
+	// (SetDiag(2, io.Discard)), as exp_internal 2 does: the interpreter
+	// then times, hooks and records every dispatch instead of a seeded
+	// sample, and the recorder renders every event. Watching must change
+	// no observable.
+	Watched bool
 	// Shards > 0 runs the engine's sessions under a sharded scheduler
 	// with that many event loops instead of per-session pump goroutines.
 	Shards int
@@ -84,24 +90,27 @@ type Variant struct {
 // explicitly selected vm, and the engine default ("cached", the same vm
 // reached without naming it), plus the sharded-scheduler and transport
 // cells (shard counts pinned explicitly — the default would collapse to
-// GOMAXPROCS). Variants[0], the classic referee on the seed's rescan
-// matcher, is the baseline every cell is compared against.
+// GOMAXPROCS). The six cached cells with a vm twin (pump, shard1, shard8,
+// net and mux) run watched, so the twin pair checks that observing every
+// dispatch changes nothing on each kind of session. Variants[0], the
+// classic referee on the seed's rescan matcher, is the baseline every
+// cell is compared against.
 var Variants = []Variant{
 	{Name: "rescan-classic", Matcher: core.MatcherRescan, EvalMode: "classic"},
-	{Name: "rescan-cached", Matcher: core.MatcherRescan},
-	{Name: "incremental-cached", Matcher: core.MatcherIncremental},
+	{Name: "rescan-cached", Matcher: core.MatcherRescan, Watched: true},
+	{Name: "incremental-cached", Matcher: core.MatcherIncremental, Watched: true},
 	{Name: "incremental-classic", Matcher: core.MatcherIncremental, EvalMode: "classic"},
 	{Name: "rescan-vm", Matcher: core.MatcherRescan, EvalMode: "vm"},
 	{Name: "incremental-vm", Matcher: core.MatcherIncremental, EvalMode: "vm"},
-	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, Shards: 1},
-	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, Shards: 8},
+	{Name: "rescan-cached-shard1", Matcher: core.MatcherRescan, Shards: 1, Watched: true},
+	{Name: "rescan-cached-shard8", Matcher: core.MatcherRescan, Shards: 8, Watched: true},
 	{Name: "incremental-cached-shard8", Matcher: core.MatcherIncremental, Shards: 8},
 	{Name: "rescan-vm-shard1", Matcher: core.MatcherRescan, EvalMode: "vm", Shards: 1},
 	{Name: "rescan-vm-shard8", Matcher: core.MatcherRescan, EvalMode: "vm", Shards: 8},
-	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, Network: true},
+	{Name: "rescan-cached-net", Matcher: core.MatcherRescan, Network: true, Watched: true},
 	{Name: "rescan-cached-net-shard8", Matcher: core.MatcherRescan, Shards: 8, Network: true},
 	{Name: "rescan-vm-net", Matcher: core.MatcherRescan, EvalMode: "vm", Network: true},
-	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, Mux: true},
+	{Name: "rescan-cached-mux", Matcher: core.MatcherRescan, Mux: true, Watched: true},
 	{Name: "rescan-cached-mux-shard8", Matcher: core.MatcherRescan, Shards: 8, Mux: true},
 	{Name: "rescan-vm-mux", Matcher: core.MatcherRescan, EvalMode: "vm", Mux: true},
 }
@@ -389,6 +398,9 @@ func RunScript(scriptsDir string, sc ScriptCase, v Variant, sched faultify.Sched
 	// diverging cell ships a standalone replayable record of itself.
 	jrn := trace.NewJournal()
 	rec.SetJournal(jrn)
+	if v.Watched {
+		rec.SetDiag(2, io.Discard)
+	}
 	opts := core.EngineOptions{
 		UserIn:   strings.NewReader(""),
 		UserOut:  &user,

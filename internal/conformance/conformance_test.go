@@ -18,7 +18,8 @@ const scriptsDir = "../../scripts"
 // mode its name claims: an engine built the way RunScript builds one must
 // report that mode, so a change of the engine's default mode cannot
 // quietly turn the classic baseline into a vm cell, nor the "cached"
-// cells, which run the engine default, into classic ones.
+// cells, which run the engine default (six of them watched), into
+// classic ones.
 func TestVariantsNameTheirEvaluator(t *testing.T) {
 	for _, v := range Variants {
 		want := ""

@@ -68,10 +68,11 @@ func ParseSessionCheckpoint(b []byte) (*SessionCheckpoint, error) {
 	return cp, nil
 }
 
-// Checkpoint snapshots the session's dialogue state under its lock. It
-// does not see Expect calls parked on a shard loop — use
-// Scheduler.CheckpointSession for those.
+// Checkpoint snapshots the session's dialogue state under its lock,
+// including every Expect call parked on it, each with the deadline budget
+// it has left.
 func (s *Session) Checkpoint() *SessionCheckpoint {
+	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cp := &SessionCheckpoint{
@@ -92,24 +93,28 @@ func (s *Session) Checkpoint() *SessionCheckpoint {
 		// adopted segment backing whose lease stays with this session.
 		cp.Buffer = append([]byte(nil), s.mb.bytes()...)
 	}
+	for _, op := range s.parked {
+		cp.Pending = append(cp.Pending, op.checkpoint(now))
+	}
 	return cp
 }
 
-// checkpoint captures a parked op's portable form. Loop-owned; callers
-// reach it via the shard's msgCheckpoint handler.
+// checkpoint captures a parked op's portable form. The caller holds s.mu.
 func (op *expectOp) checkpoint(now time.Time) OpCheckpoint {
-	oc := OpCheckpoint{RemainingNS: -1}
+	oc := OpCheckpoint{RemainingNS: op.remainingNS(now)}
 	for _, c := range op.cases {
 		oc.Cases = append(oc.Cases, CaseSpec{Kind: int(c.Kind), Pattern: c.Pattern})
 	}
-	if !op.deadline.IsZero() {
-		rem := op.deadline.Sub(now)
-		if rem < 0 {
-			rem = 0
-		}
-		oc.RemainingNS = int64(rem)
-	}
 	return oc
+}
+
+// remainingNS is the op's deadline budget left at now: -1 for a
+// wait-forever op, 0 once the deadline has passed.
+func (op *expectOp) remainingNS(now time.Time) int64 {
+	if op.deadline.IsZero() {
+		return -1
+	}
+	return max(op.deadline.Sub(now).Nanoseconds(), 0)
 }
 
 // RestoreSession rebuilds a session from a checkpoint. With rw nil the
@@ -192,7 +197,7 @@ func ParseEngineCheckpoint(b []byte) (*EngineCheckpoint, error) {
 // CheckpointAll snapshots the interpreter globals and every live session.
 // The interpreter is not safe for concurrent use, so call this from the
 // goroutine that runs scripts (or between runs), not concurrently with
-// evaluation; session snapshots themselves are loop-synchronized.
+// evaluation; each session snapshot is taken under that session's lock.
 func (e *Engine) CheckpointAll() *EngineCheckpoint {
 	out := &EngineCheckpoint{Globals: e.Interp.SnapshotGlobals()}
 	for _, id := range e.SessionIDs() {
@@ -200,13 +205,7 @@ func (e *Engine) CheckpointAll() *EngineCheckpoint {
 		if !ok {
 			continue
 		}
-		cp := s.Checkpoint()
-		if e.sched != nil {
-			if c, err := e.sched.CheckpointSession(s); err == nil {
-				cp = c
-			}
-		}
-		out.Sessions = append(out.Sessions, EngineSessionCheckpoint{ID: id, Session: cp})
+		out.Sessions = append(out.Sessions, EngineSessionCheckpoint{ID: id, Session: s.Checkpoint()})
 	}
 	return out
 }

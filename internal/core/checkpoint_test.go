@@ -164,55 +164,53 @@ func TestResumeExpectAfterRestore(t *testing.T) {
 	}
 }
 
-// waitParked polls the loop-synchronized checkpoint until the pending
-// Expect shows up in it (or the deadline passes).
-func waitParked(t *testing.T, sc *Scheduler, s *Session) *SessionCheckpoint {
+// waitParked polls the session's checkpoint until the pending Expect
+// shows up in it (or the deadline passes).
+func waitParked(t *testing.T, s *Session) *SessionCheckpoint {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		cp, err := sc.CheckpointSession(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cp.Pending) > 0 {
+		if cp := s.Checkpoint(); len(cp.Pending) > 0 {
 			return cp
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	t.Fatal("expect op never parked on the shard loop")
+	t.Fatal("expect op never parked on its session")
 	return nil
 }
 
-// A scheduler checkpoint must see ops parked on the owning loop: their
-// case lists and the remaining (not original) deadline budget.
+// A checkpoint must see the ops parked on each kind of session: their case
+// lists and the remaining (not original) deadline budget.
 func TestSchedulerCheckpointSeesParkedOp(t *testing.T) {
-	sc := NewScheduler(SchedulerOptions{Shards: 1})
-	defer sc.Stop()
-	s, err := SpawnProgram(&Config{Sched: sc}, "mute", func(stdin io.Reader, stdout io.Writer) error {
-		io.Copy(io.Discard, stdin)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i, row := range parkedRows {
+		t.Run(row.name, func(t *testing.T) {
+			e, s := spawnParkedRow(t, i)
+			defer e.Shutdown()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				s.ExpectTimeout(10*time.Second, Glob("*never*"), Exact("nope"))
+			}()
+			cp := waitParked(t, s)
+			if len(cp.Pending) != 1 {
+				t.Fatalf("pending ops = %d, want 1", len(cp.Pending))
+			}
+			oc := cp.Pending[0]
+			if len(oc.Cases) != 2 || oc.Cases[0].Pattern != "*never*" || CaseKind(oc.Cases[1].Kind) != CaseExact || oc.Cases[1].Pattern != "nope" {
+				t.Fatalf("pending case list wrong: %+v", oc)
+			}
+			if oc.RemainingNS <= 0 || oc.RemainingNS > int64(10*time.Second) {
+				t.Fatalf("remaining budget out of range: %d", oc.RemainingNS)
+			}
+			// The engine-wide checkpoint carries the same pending op.
+			ec := e.CheckpointAll()
+			if len(ec.Sessions) != 1 || len(ec.Sessions[0].Session.Pending) != 1 {
+				t.Fatalf("engine checkpoint sessions = %+v, want one with one pending op", ec.Sessions)
+			}
+			s.Close()
+			<-done
+		})
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.ExpectTimeout(10*time.Second, Glob("*never*"), Exact("nope"))
-	}()
-	cp := waitParked(t, sc, s)
-	if len(cp.Pending) != 1 {
-		t.Fatalf("pending ops = %d, want 1", len(cp.Pending))
-	}
-	oc := cp.Pending[0]
-	if len(oc.Cases) != 2 || oc.Cases[0].Pattern != "*never*" || CaseKind(oc.Cases[1].Kind) != CaseExact {
-		t.Fatalf("pending case list wrong: %+v", oc)
-	}
-	if oc.RemainingNS <= 0 || oc.RemainingNS > int64(10*time.Second) {
-		t.Fatalf("remaining budget out of range: %d", oc.RemainingNS)
-	}
-	s.Close()
-	<-done
 }
 
 func TestEngineCheckpointGlobalsRoundTrip(t *testing.T) {

@@ -227,8 +227,8 @@ func buildExpectCases(args []string) (cases []Case, caseArm []int, arms []expect
 	return cases, caseArm, arms, nil
 }
 
-// runExpect is the shared core of expect and expect_user.
-func (e *Engine) runExpect(s *Session, sid int, implicitClose bool, args []string) tcl.Result {
+// evalExpect is the shared core of expect and expect_user.
+func (e *Engine) evalExpect(s *Session, sid int, implicitClose bool, args []string) tcl.Result {
 	cases, caseArm, arms, err := buildExpectCases(args)
 	if err != nil {
 		return tcl.Errf("%v", err)
@@ -281,7 +281,7 @@ func (e *Engine) cmdExpect(i *tcl.Interp, args []string) tcl.Result {
 	if err != nil {
 		return tcl.Errf("expect: %v", err)
 	}
-	return e.runExpect(s, sid, true, args[1:])
+	return e.evalExpect(s, sid, true, args[1:])
 }
 
 func (e *Engine) currentWithID() (*Session, int, error) {
@@ -480,7 +480,7 @@ func (e *Engine) cmdExpectUser(i *tcl.Interp, args []string) tcl.Result {
 	if len(args) < 2 {
 		return tcl.Errf(`wrong # args: should be "expect_user patlist action ?patlist action ...?"`)
 	}
-	return e.runExpect(e.UserSession(), -1, false, args[1:])
+	return e.evalExpect(e.UserSession(), -1, false, args[1:])
 }
 
 // cmdLogUser: log_user 0|1 — controls whether the user sees the dialogue

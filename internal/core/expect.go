@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"regexp"
+	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -115,43 +117,48 @@ func (s *Session) ExpectMatch(glob string) (*MatchResult, error) {
 // Timeout and EOF return errors (ErrTimeout, ErrEOF) unless the case list
 // includes TimeoutCase or EOFCase, in which case they complete normally
 // with the corresponding case index.
+//
+// The call makes one attempt itself. If that does not resolve it, the op
+// parks on the session in the same critical section, and whatever changes
+// the session resolves it: the ingest side (pump or shard loop) after it
+// applies input or EOF, or the op's own timer at its deadline. The caller
+// sleeps until then and wakes exactly once.
 func (s *Session) ExpectTimeout(d time.Duration, cases ...Case) (*MatchResult, error) {
 	op := s.newExpectOp(d, cases)
-	if sh := s.shard; sh != nil {
-		return sh.runExpect(op)
-	}
-
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		res, err, done := op.stepLocked(time.Now())
-		if done {
-			return res, err
+	// Ops parked earlier get the buffer first (FIFO among concurrent calls).
+	s.stepParkedLocked()
+	res, err, done := op.stepLocked(time.Now())
+	if !done {
+		if s.abandoned {
+			res, err, done = nil, ErrClosed, true
+		} else {
+			op.parkLocked()
 		}
-		// Nothing matched and the stream is live: wait for more output.
-		var remaining time.Duration
-		if !op.deadline.IsZero() {
-			remaining = time.Until(op.deadline)
-			if remaining <= 0 {
-				// The deadline slipped past between the step's timestamp and
-				// here; go around so the step resolves the timeout.
-				continue
-			}
-		}
-		s.waitLocked(remaining)
 	}
+	s.mu.Unlock()
+	if done {
+		return res, err
+	}
+	op.wake.Wait()
+	if op.timer != nil {
+		// Stopped by the caller, which armed it, rather than by the
+		// resolver: that measured cheaper on a pump round trip. A fire
+		// that races this finds the op no longer parked.
+		stop := s.prof.Start(metrics.PhaseTimer)
+		op.timer.Stop()
+		stop()
+	}
+	if s.prof != nil && !op.readAt.IsZero() {
+		s.prof.Observe(metrics.HistReadToWakeup, time.Since(op.readAt))
+	}
+	return op.res, op.err
 }
 
-// expectOutcome carries a resolved expect across the shard boundary.
-type expectOutcome struct {
-	res *MatchResult
-	err error
-}
-
-// expectOp is one in-flight Expect call in step form. The classic path
-// drives it from a cond-wait loop; a shard event loop drives it from
-// ingest and timer events. Either way every attempt runs stepLocked, so
-// the two schedulers cannot drift semantically.
+// expectOp is one in-flight Expect call in step form. Every attempt runs
+// stepLocked under s.mu, whoever makes it: the caller at admission, the
+// ingest side after input or EOF, the op's timer at its deadline, or a
+// replay driving a ManualExpect.
 type expectOp struct {
 	s           *Session
 	cases       []Case
@@ -160,15 +167,21 @@ type expectOp struct {
 	incremental bool
 
 	// Lazily initialized by the first step (under s.mu): incremental NFA
-	// construction and the feed/read-to-wakeup high-water marks.
+	// construction and the feed high-water mark.
 	inited   bool
 	fed      int64 // totalSeen high-water mark already fed to matchers
-	seenMark int64 // output this call has reacted to (latency histogram)
+	seenMark int64 // totalSeen at the op's latest step
 
-	// Sharded-delivery state, owned by the shard loop.
-	ch       chan expectOutcome
-	resolved bool
-	timed    bool // sitting in the shard's timer heap
+	// Parking state, written under s.mu once the admission attempt has
+	// not resolved the op. The resolver sets the outcome (res, err) and
+	// readAt, the arrival of the chunk whose ingest step resolved the op
+	// (the caller prices its wakeup from it, HistReadToWakeup), before it
+	// releases wake; the caller reads them after wake.Wait returns.
+	timer  *time.Timer // nil without a deadline
+	res    *MatchResult
+	err    error
+	readAt time.Time
+	wake   sync.WaitGroup
 }
 
 // newExpectOp compiles the case patterns once and records the expect
@@ -260,11 +273,11 @@ func caseFromSpec(kind int, pat string) (Case, error) {
 	}
 }
 
-// ManualExpect is an Expect call driven by hand: no cond-wait, no shard
-// loop, no wall clock. The replay engine uses it to reproduce a journaled
-// run's exact wakeup structure — Feed a chunk, Step a scan — and the
-// checkpoint path uses it to resume a restored pending op. It must not be
-// mixed with a concurrent Expect on the same session.
+// ManualExpect is an Expect call driven by hand: it never parks, and no
+// ingest side or timer steps it. The replay engine uses it to reproduce a
+// journaled run's exact wakeup structure — Feed a chunk, Step a scan —
+// and the checkpoint path uses it to resume a restored pending op. It
+// must not be mixed with a concurrent Expect on the same session.
 type ManualExpect struct {
 	op *expectOp
 }
@@ -318,18 +331,9 @@ func (op *expectOp) stepLocked(now time.Time) (*MatchResult, error, bool) {
 			}
 			op.fed = s.totalSeen - int64(s.mb.length())
 		}
-		op.seenMark = s.totalSeen
 	}
+	op.seenMark = s.totalSeen
 	cases := op.cases
-
-	var wake time.Time
-	if s.prof != nil {
-		wake = now
-		if s.totalSeen > op.seenMark && !s.lastRead.IsZero() {
-			s.prof.Observe(metrics.HistReadToWakeup, wake.Sub(s.lastRead))
-		}
-		op.seenMark = s.totalSeen
-	}
 
 	buf := s.mb.bytes()
 	if op.incremental {
@@ -365,7 +369,7 @@ func (op *expectOp) stepLocked(now time.Time) (*MatchResult, error, bool) {
 	}
 	stop()
 	if s.prof != nil {
-		s.prof.Observe(metrics.HistWakeupToMatch, time.Since(wake))
+		s.prof.Observe(metrics.HistWakeupToMatch, time.Since(now))
 	}
 	// buf may alias adopted backing that consume and reset release to its
 	// pool, so everything that reads it runs first.
@@ -501,31 +505,102 @@ func (s *Session) scanCasesTraced(buf []byte, cases []Case, incremental bool) (i
 	return -1, 0
 }
 
-// waitLocked blocks on the session condition for at most remaining
-// (forever when remaining == 0, used for no-deadline waits). The caller
-// holds s.mu.
-func (s *Session) waitLocked(remaining time.Duration) {
-	if remaining <= 0 {
-		s.cond.Wait()
+// parkLocked makes the op wait on its session: it joins the parked list,
+// and its timer is armed when it has a deadline. The caller holds s.mu.
+func (op *expectOp) parkLocked() {
+	s := op.s
+	op.wake.Add(1)
+	s.parked = append(s.parked, op)
+	if op.deadline.IsZero() {
 		return
 	}
 	stop := s.prof.Start(metrics.PhaseTimer)
+	remaining := time.Until(op.deadline)
 	if s.rec.On() {
 		s.rec.Record(trace.KindTimerArm, s.sid, int64(remaining), 0, false, "", "")
 	}
-	t := time.AfterFunc(remaining, func() {
-		if s.rec.On() {
-			s.rec.Record(trace.KindTimerFire, s.sid, 0, 0, false, "", "")
+	op.timer = time.AfterFunc(remaining, op.fire)
+	stop()
+}
+
+// fire is the op's timer: at the deadline it takes the op's last step,
+// which resolves its timeout unless a match or EOF is already buffered.
+func (op *expectOp) fire() {
+	s := op.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i := slices.Index(s.parked, op)
+	if i < 0 {
+		return // resolved by ingest while this callback was starting
+	}
+	if s.rec.On() {
+		s.rec.Record(trace.KindTimerFire, s.sid, 0, 0, false, "", "")
+	}
+	// The timer is the judge of the deadline: step at no earlier instant,
+	// so this step always resolves.
+	now := time.Now()
+	if now.Before(op.deadline) {
+		now = op.deadline
+	}
+	res, err, _ := op.stepLocked(now)
+	s.parked = slices.Delete(s.parked, i, i+1)
+	op.resolveLocked(res, err)
+}
+
+// resolveLocked hands an op that has left the parked list its outcome
+// and wakes its caller. Each op reaches it once, because every resolver
+// runs under s.mu and only for an op still parked.
+func (op *expectOp) resolveLocked(res *MatchResult, err error) {
+	op.res, op.err = res, err
+	op.wake.Done()
+}
+
+// stepParkedLocked is the ingest side's attempt: every parked op, oldest
+// first, is stepped once against the buffer as it now stands, and those
+// that complete are resolved. The caller holds s.mu.
+func (s *Session) stepParkedLocked() {
+	if len(s.parked) == 0 {
+		return
+	}
+	now := time.Now()
+	keep := s.parked[:0]
+	for _, op := range s.parked {
+		fresh := s.totalSeen > op.seenMark
+		res, err, done := op.stepLocked(now)
+		if !done {
+			keep = append(keep, op)
+			continue
 		}
-		s.mu.Lock()
-		// Locking before broadcasting guarantees the waiter is parked in
-		// cond.Wait and cannot miss the wakeup.
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	})
-	stop()
-	s.cond.Wait()
-	stop = s.prof.Start(metrics.PhaseTimer)
-	t.Stop()
-	stop()
+		if fresh {
+			op.readAt = s.lastRead
+		}
+		op.resolveLocked(res, err)
+	}
+	clear(s.parked[len(keep):])
+	s.parked = keep
+}
+
+// stepParked is stepParkedLocked for an ingest side that does not hold
+// s.mu.
+func (s *Session) stepParked() {
+	s.mu.Lock()
+	s.stepParkedLocked()
+	s.mu.Unlock()
+}
+
+// abandon fails every parked op with ErrClosed and marks the session so
+// that a later Expect fails at once: nothing will ingest for it again. A
+// stopping shard calls it for each session it still owns at its forced
+// exit; it returns how many ops it failed.
+func (s *Session) abandon() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.abandoned = true
+	n := len(s.parked)
+	for _, op := range s.parked {
+		op.resolveLocked(nil, ErrClosed)
+	}
+	clear(s.parked)
+	s.parked = nil
+	return n
 }

@@ -15,10 +15,8 @@ import (
 // any of them.
 
 // SessionInfo is one session's telemetry snapshot, JSON-shaped for the
-// admin endpoint. Parked-op fields are filled only by the owning shard
-// loop (pump-driven sessions report ParkedOps 0 / RemainingTimeoutNS -1:
-// their in-flight Expect lives on the calling goroutine's stack, invisible
-// from outside).
+// admin endpoint. Every session, pump-driven or shard-owned, reports the
+// Expect calls parked on it.
 type SessionInfo struct {
 	SID   int32  `json:"sid"`
 	Name  string `json:"name"`
@@ -31,7 +29,7 @@ type SessionInfo struct {
 	TotalSeen int64 `json:"total_seen"`
 	Forgotten int64 `json:"forgotten"`
 
-	// ParkedOps counts unresolved Expect calls parked on the owning shard;
+	// ParkedOps counts unresolved Expect calls parked on the session;
 	// RemainingTimeoutNS is the earliest armed deadline among them, in
 	// nanoseconds from the snapshot instant (-1 when none is armed).
 	ParkedOps          int   `json:"parked_ops"`
@@ -46,9 +44,10 @@ type SessionInfo struct {
 	Eofs     int64 `json:"eofs"`
 }
 
-// Info snapshots the session's own state (everything except the parked-op
-// view, which only the owning shard loop can see consistently).
+// Info snapshots the session under its lock, parked Expect calls
+// included.
 func (s *Session) Info() SessionInfo {
+	now := time.Now()
 	s.mu.Lock()
 	info := SessionInfo{
 		SID:                s.sid,
@@ -74,6 +73,13 @@ func (s *Session) Info() SessionInfo {
 	if s.shard != nil {
 		info.Shard = s.shard.idx
 	}
+	info.ParkedOps = len(s.parked)
+	for _, op := range s.parked {
+		rem := op.remainingNS(now)
+		if rem >= 0 && (info.RemainingTimeoutNS < 0 || rem < info.RemainingTimeoutNS) {
+			info.RemainingTimeoutNS = rem
+		}
+	}
 	s.mu.Unlock()
 	info.Kind = s.Kind()
 	return info
@@ -81,9 +87,9 @@ func (s *Session) Info() SessionInfo {
 
 // ShardSnapshot is one shard loop's telemetry snapshot: its backlog, its
 // losses, the wakeup-servicing latency distribution, and every session it
-// owns. Taken on the loop itself (msgInspect), so the session set and
-// parked-op view are exactly what the loop would act on next — no session
-// is half-registered or mid-step in the reply.
+// owns. Taken on the loop itself (msgInspect), so the session set is
+// exactly the one the loop acts on next; each session's parked ops are
+// read under that session's lock.
 type ShardSnapshot struct {
 	Shard      int                 `json:"shard"`
 	QueueDepth int                 `json:"queue_depth"`
@@ -94,10 +100,9 @@ type ShardSnapshot struct {
 	Sessions   []SessionInfo       `json:"sessions,omitempty"`
 }
 
-// inspect builds the snapshot on the shard loop. Sessions are the union
-// of the owned set and the parked-op table (a finishing session can
-// briefly live in only one), sorted by SID for deterministic output.
-func (sh *shard) inspect(now time.Time) ShardSnapshot {
+// inspect builds the snapshot on the shard loop, sessions sorted by SID
+// for deterministic output.
+func (sh *shard) inspect() ShardSnapshot {
 	snap := ShardSnapshot{
 		Shard:      sh.idx,
 		QueueDepth: sh.backlog(),
@@ -105,38 +110,10 @@ func (sh *shard) inspect(now time.Time) ShardSnapshot {
 		Dropped:    sh.dropped.Load(),
 		Wakeup:     sh.wake.Summary("wakeup"),
 	}
-
-	seen := make(map[*Session]struct{}, len(sh.sessions))
-	collect := func(s *Session) {
-		if _, dup := seen[s]; dup {
-			return
-		}
-		seen[s] = struct{}{}
+	for s := range sh.sessions {
 		info := s.Info()
-		info.Shard = sh.idx
-		for _, op := range sh.ops[s] {
-			if op.resolved {
-				continue
-			}
-			info.ParkedOps++
-			if !op.deadline.IsZero() {
-				rem := op.deadline.Sub(now).Nanoseconds()
-				if rem < 0 {
-					rem = 0
-				}
-				if info.RemainingTimeoutNS < 0 || rem < info.RemainingTimeoutNS {
-					info.RemainingTimeoutNS = rem
-				}
-			}
-		}
 		snap.ParkedOps += info.ParkedOps
 		snap.Sessions = append(snap.Sessions, info)
-	}
-	for s := range sh.sessions {
-		collect(s)
-	}
-	for s := range sh.ops {
-		collect(s)
 	}
 	sort.Slice(snap.Sessions, func(i, j int) bool { return snap.Sessions[i].SID < snap.Sessions[j].SID })
 	return snap
@@ -151,8 +128,8 @@ func (sh *shard) backlog() int {
 	return len(sh.cmds) + d
 }
 
-// requestInspect posts msgInspect and waits for the loop's reply,
-// following the CheckpointSession request/reply shape. A stopped or
+// requestInspect posts msgInspect and waits for the loop's reply. A
+// stopped or
 // draining loop yields an empty snapshot instead of an error: the
 // telemetry plane must stay readable while the daemon drains, and an
 // empty shard is the truthful answer once its loop has exited.
@@ -279,9 +256,7 @@ func shardLabel(i int) string {
 }
 
 // SessionInfos returns the telemetry snapshot of every live engine
-// session. Shard-owned sessions come from the scheduler's loop-consistent
-// snapshots (so parked ops and remaining timeouts are filled in);
-// pump-driven sessions fall back to their own Info.
+// session, sorted by SID; each carries its parked Expect calls.
 func (e *Engine) SessionInfos() []SessionInfo {
 	if e == nil {
 		return nil
@@ -293,18 +268,8 @@ func (e *Engine) SessionInfos() []SessionInfo {
 	}
 	e.mu.Unlock()
 
-	bySID := map[int32]SessionInfo{}
-	if e.sched != nil {
-		for _, info := range e.sched.SessionInfos() {
-			bySID[info.SID] = info
-		}
-	}
 	out := make([]SessionInfo, 0, len(sessions))
 	for _, s := range sessions {
-		if info, ok := bySID[s.sid]; ok && s.shard != nil {
-			out = append(out, info)
-			continue
-		}
 		out = append(out, s.Info())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].SID < out[j].SID })

@@ -64,67 +64,95 @@ func TestSessionInfoLifecycle(t *testing.T) {
 	}
 }
 
-// TestShardSnapshotSeesParkedOp parks an expect on a shard loop and
-// checks the loop-consistent snapshot reports it: the owning shard, the
-// unresolved op, and a remaining timeout between zero and the armed
-// deadline.
-func TestShardSnapshotSeesParkedOp(t *testing.T) {
-	sc := NewScheduler(SchedulerOptions{Shards: 2})
-	defer sc.Stop()
-	s, err := SpawnProgram(&Config{Sched: sc, SID: 11}, "parked", echoLines)
+// parkedRows are the three kinds of session a parked Expect must be
+// visible on, each spawned through an engine with SID 0: a pump session
+// with no scheduler, a virtual session on a one-shard scheduler, and a
+// cat pipe session spawned with Config.Sched (which keeps its pump).
+// Each child echoes what it is sent.
+var parkedRows = []struct {
+	name  string
+	opt   EngineOptions
+	prog  string
+	shard bool // the session is shard-owned
+}{
+	{name: "pump", prog: "echo"},
+	{name: "shard1", opt: EngineOptions{Shards: 1}, prog: "echo", shard: true},
+	{name: "pipe-sched", opt: EngineOptions{Shards: 1, Transport: "pipe"}, prog: "cat"},
+}
+
+// spawnParkedRow starts one parkedRows session and returns it with its
+// engine; the test shuts the engine down.
+func spawnParkedRow(t *testing.T, i int) (*Engine, *Session) {
+	t.Helper()
+	row := parkedRows[i]
+	logUser := false
+	row.opt.LogUser = &logUser
+	e := NewEngine(row.opt)
+	e.RegisterVirtual("echo", echoLines)
+	s, _, err := e.Spawn(row.prog)
 	if err != nil {
-		t.Fatal(err)
+		e.Shutdown()
+		t.Skipf("cannot spawn %s: %v", row.prog, err)
 	}
-	defer s.Close()
+	if got := s.ShardIndex() >= 0; got != row.shard {
+		t.Fatalf("shard-owned = %v, want %v", got, row.shard)
+	}
+	return e, s
+}
 
-	const armed = 30 * time.Second
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.ExpectTimeout(armed, Exact("echo:release\n"))
-		done <- err
-	}()
+// TestShardSnapshotSeesParkedOp parks an expect on each kind of session
+// and checks every snapshot reports it: Session.Info, the engine's
+// SessionInfos, the scheduler's rollup for a shard-owned session, and a
+// remaining timeout between zero and the armed deadline.
+func TestShardSnapshotSeesParkedOp(t *testing.T) {
+	for i, row := range parkedRows {
+		t.Run(row.name, func(t *testing.T) {
+			e, s := spawnParkedRow(t, i)
+			defer e.Shutdown()
 
-	var got SessionInfo
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		infos := sc.SessionInfos()
-		if len(infos) == 1 && infos[0].ParkedOps == 1 {
-			got = infos[0]
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("parked op never appeared in snapshot: %+v", infos)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got.SID != 11 || got.Name != "parked" {
-		t.Errorf("snapshot identity: %+v", got)
-	}
-	if got.Shard < 0 || got.Shard > 1 {
-		t.Errorf("shard %d out of range", got.Shard)
-	}
-	if got.RemainingTimeoutNS <= 0 || got.RemainingTimeoutNS > armed.Nanoseconds() {
-		t.Errorf("remaining timeout %d outside (0, %d]", got.RemainingTimeoutNS, armed.Nanoseconds())
-	}
-	if got.Expects != 1 {
-		t.Errorf("Expects = %d while parked, want 1", got.Expects)
-	}
+			const armed = 10 * time.Second
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.ExpectTimeout(armed, Glob("*release*"))
+				done <- err
+			}()
+			waitParked(t, s)
 
-	// The shard-level rollup agrees with the per-session view.
-	var parked int
-	for _, snap := range sc.SnapshotShards() {
-		parked += snap.ParkedOps
-		if snap.Shard != 0 && snap.Shard != 1 {
-			t.Errorf("snapshot shard index %d", snap.Shard)
-		}
-	}
-	if parked != 1 {
-		t.Errorf("rolled-up ParkedOps = %d, want 1", parked)
-	}
+			got := s.Info()
+			if got.ParkedOps != 1 {
+				t.Errorf("Info().ParkedOps = %d, want 1", got.ParkedOps)
+			}
+			if got.RemainingTimeoutNS <= 0 || got.RemainingTimeoutNS > armed.Nanoseconds() {
+				t.Errorf("remaining timeout %d outside (0, %d]", got.RemainingTimeoutNS, armed.Nanoseconds())
+			}
+			if got.Expects != 1 {
+				t.Errorf("Expects = %d while parked, want 1", got.Expects)
+			}
+			if got.Name != row.prog {
+				t.Errorf("snapshot identity: %+v", got)
+			}
+			infos := e.SessionInfos()
+			if len(infos) != 1 || infos[0].ParkedOps != 1 || infos[0].Shard != s.ShardIndex() {
+				t.Errorf("engine SessionInfos = %+v, want the one parked session", infos)
+			}
+			// The shard-level rollup agrees with the per-session view.
+			var parked, owned int
+			for _, snap := range e.Scheduler().SnapshotShards() {
+				parked += snap.ParkedOps
+				owned += len(snap.Sessions)
+			}
+			if want := map[bool]int{true: 1}[row.shard]; parked != want || owned != want {
+				t.Errorf("shard rollup: %d sessions, %d parked ops; want %d of each", owned, parked, want)
+			}
 
-	s.Send("release\n")
-	if err := <-done; err != nil {
-		t.Fatalf("parked expect: %v", err)
+			s.Send("release\n")
+			if err := <-done; err != nil {
+				t.Fatalf("parked expect: %v", err)
+			}
+			if n := s.Info().ParkedOps; n != 0 {
+				t.Errorf("ParkedOps = %d after the op resolved", n)
+			}
+		})
 	}
 }
 

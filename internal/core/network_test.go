@@ -111,8 +111,8 @@ close
 
 // TestNetworkSessionSharded runs socket sessions under the sharded
 // scheduler: the unwrapped netx transport is event-capable, so the shard
-// loop owns it through the TryRead/SetReadNotify doorbell with no feeder
-// goroutine.
+// loop owns it through the TryRead/SetReadNotify doorbell with no reader
+// goroutine of its own.
 func TestNetworkSessionSharded(t *testing.T) {
 	defer testutil.LeakCheck(t, 10, 5*time.Second)()
 	srv := newLoopback(t)

@@ -41,26 +41,38 @@ func (s *Session) ExpectScreen(d time.Duration, pred func(*vt.Screen) bool) erro
 	if d >= 0 {
 		deadline = time.Now().Add(d)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	// Registered before the first look, so output or EOF arriving between
+	// a look and the wait still wakes it (the Select discipline).
+	wake := make(chan struct{}, 1)
+	s.addWatcher(wake)
+	defer s.removeWatcher(wake)
 	for {
+		s.mu.Lock()
 		stop := s.prof.Start(metrics.PhaseMatch)
 		ok := pred(s.screen)
 		stop()
+		eof := s.eof
+		s.mu.Unlock()
 		if ok {
 			return nil
 		}
-		if s.eof {
+		if eof {
 			return ErrEOF
 		}
-		var remaining time.Duration
-		if !deadline.IsZero() {
-			remaining = time.Until(deadline)
-			if remaining <= 0 {
-				return ErrTimeout
-			}
+		if deadline.IsZero() {
+			<-wake
+			continue
 		}
-		s.waitLocked(remaining)
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			return ErrTimeout
+		}
+		t := time.NewTimer(remaining)
+		select {
+		case <-wake:
+			t.Stop()
+		case <-t.C:
+		}
 	}
 }
 

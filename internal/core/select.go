@@ -13,19 +13,19 @@ import (
 // and Eliza-vs-Eliza loops of §2.2 poll their two children with it instead
 // of the 200 hand-typed ^Z/fg sequences the shell would demand.
 //
-// Missed-wakeup audit (sharded scheduler): the fan-in paths here and in
-// ExpectAny are safe against a child exiting between the attempt (the
-// HasData/scan pass) and the wait, because the shared wake channel is
-// registered with every session *before* the first attempt and both
-// chunk and EOF ingest — pump or shard loop, applyChunk/applyEOF — poke
-// watchers under s.mu. The window that does exist under sharding is on
-// the ingest side: a child that spoke or died before its shard took
-// ownership would never ring the doorbell, and an Expect admitted after
-// the shard consumed the EOF would never be re-stepped. Both are closed
-// in shard.go (adopt's unconditional initial markDirty; admitOp's
-// synchronous attempt) and pinned by TestShardedFanInCutChildNoHang and
-// TestShardedEOFBeforeExpectResolves, which kill a child mid-dialogue
-// with a faultify CutAfterBytes schedule.
+// Missed-wakeup audit: the fan-in paths here and in ExpectAny are safe
+// against a child exiting between the attempt (the HasData/scan pass) and
+// the wait, because the shared wake channel is registered with every
+// session *before* the first attempt and both chunk and EOF ingest — pump
+// or shard loop, applyChunk/applyEOF — poke watchers under s.mu. The
+// window that does exist under sharding is on the ingest side: a child
+// that spoke or died before its shard took ownership would never ring
+// the doorbell. adopt closes it with an unconditional initial markDirty.
+// A parked Expect has no such window: its admission attempt and its
+// parking share one critical section under s.mu, so ingest lands before
+// the attempt or finds the op parked. TestShardedFanInCutChildNoHang and
+// TestShardedEOFBeforeExpectResolves pin both, killing a child
+// mid-dialogue with a faultify CutAfterBytes schedule.
 func Select(d time.Duration, sessions ...*Session) []*Session {
 	var deadline time.Time
 	if d >= 0 {

@@ -74,10 +74,12 @@ type Config struct {
 	// SID tags the session's flight-recorder events; the engine sets it to
 	// the spawn id so recordings read in script terms (-1 = no id).
 	SID int32
-	// Sched, when non-nil, hands the session to a sharded scheduler: one
-	// of its event loops owns the read side instead of a per-session pump
-	// goroutine (see shard.go). Raw-stream sessions (no process) always
-	// keep a pump.
+	// Sched, when non-nil, hands a session whose transport is
+	// event-capable (virtual duplexes, sockets, mux streams) to a sharded
+	// scheduler: one of its event loops drains it instead of a
+	// per-session pump goroutine (see shard.go). Sessions that can only
+	// be read by blocking (pty, pipe, fault-wrapped transports) and
+	// raw-stream sessions (no process) keep their pump.
 	Sched *Scheduler
 	// Spawn options passed through to the transport layer.
 	SpawnOptions proc.Options
@@ -136,8 +138,14 @@ type Session struct {
 	watchers  map[chan struct{}]struct{}
 	screen    *vt.Screen
 	// lastRead timestamps the most recent chunk arrival (guarded by mu);
-	// the expect loop uses it for the read-to-wakeup latency histogram.
+	// a parked Expect prices its wakeup from it (HistReadToWakeup).
 	lastRead time.Time
+	// parked holds the unresolved Expect calls in arrival order; the
+	// ingest side and each op's timer step them (expect.go). abandoned
+	// is set when the shard that drained the session exited first, so
+	// nothing will ever resolve a new op.
+	parked    []*expectOp
+	abandoned bool
 
 	pumpDone chan struct{}
 	pumpOnce sync.Once
@@ -147,16 +155,10 @@ type Session struct {
 	// flags its loop coordinates on. adopt writes shard once, before the
 	// session is returned, and it never changes (shard.go invariant 1),
 	// so it is read without the lock.
-	shard      *shard
-	shardKey   uint64
-	notifyMode bool
-	inDirty    atomic.Bool
-	shardEOF   atomic.Bool
-	// stepPending is owned by the shard loop: set when a feeder chunk
-	// arrives mid-batch, cleared when the post-batch sweep steps the
-	// session. It coalesces match attempts to one per ingest batch, the
-	// same granularity the pump's wakeup gives the classic cond-wait path.
-	stepPending bool
+	shard    *shard
+	shardKey uint64
+	inDirty  atomic.Bool
+	shardEOF atomic.Bool
 	// ownedMode marks a shard-owned session whose transport hands chunks
 	// over by ownership transfer (TryReadOwned) instead of copying drains.
 	ownedMode bool
@@ -329,10 +331,10 @@ func newManualSession(cfg *Config, name string) *Session {
 }
 
 // Feed applies one chunk of child output exactly as the pump would:
-// match_max trimming, taps, recording, waiter wakeup. Replay and tests
-// drive sessions with it; it must not race a live pump on the same
-// session.
-func (s *Session) Feed(chunk []byte) { s.applyChunk(chunk) }
+// match_max trimming, taps, recording, then a step of the parked Expect
+// calls. Replay and tests drive sessions with it; it must not race a live
+// pump on the same session.
+func (s *Session) Feed(chunk []byte) { s.applyChunk(chunk, true) }
 
 // FeedEOF applies end-of-stream; a nil or io.EOF err is a clean hangup.
 func (s *Session) FeedEOF(err error) { s.applyEOF(err) }
@@ -411,12 +413,13 @@ func isTransient(err error) bool {
 	return errors.Is(err, syscall.EAGAIN) || errors.Is(err, syscall.EINTR)
 }
 
-// pump moves child output into the match buffer, enforcing match_max and
-// waking waiters. One pump goroutine per session is the classic
-// concurrency model — the dialogue logic itself stays single-threaded,
-// like the original select-loop implementation (§7.2). Sessions created
-// with Config.Sched skip the pump entirely: a shard event loop performs
-// the same applyChunk/applyEOF sequence (shard.go).
+// pump moves child output into the match buffer, enforcing match_max,
+// and steps the session's parked Expect calls after each read. One pump
+// goroutine per session is the classic concurrency model — the dialogue
+// logic itself stays single-threaded, like the original select-loop
+// implementation (§7.2). Sessions a scheduler adopted skip the pump
+// entirely: a shard event loop performs the same applyChunk/applyEOF
+// sequence (shard.go).
 func (s *Session) pump() {
 	defer s.closePumpDone()
 	chunk := make([]byte, 4096)
@@ -425,7 +428,7 @@ func (s *Session) pump() {
 		n, err := s.rw.Read(chunk)
 		stop()
 		if n > 0 {
-			s.applyChunk(chunk[:n])
+			s.applyChunk(chunk[:n], true)
 		}
 		if err != nil {
 			if isTransient(err) {
@@ -440,8 +443,10 @@ func (s *Session) pump() {
 
 // applyChunk is the single ingest path shared by the pump and the shard
 // loops: tap loggers and the screen, append under the match_max bound,
-// record, and wake every waiter.
-func (s *Session) applyChunk(chunk []byte) {
+// record, and wake watchers. With step set it also steps the parked
+// Expect calls in the same critical section, as the pump does after each
+// read; a shard passes false and steps once per session per sweep.
+func (s *Session) applyChunk(chunk []byte, step bool) {
 	n := len(chunk)
 	if s.logger != nil {
 		s.logger(chunk)
@@ -471,6 +476,9 @@ func (s *Session) applyChunk(chunk []byte) {
 		}
 	}
 	s.notifyLocked()
+	if step {
+		s.stepParkedLocked()
+	}
 	s.mu.Unlock()
 }
 
@@ -523,9 +531,9 @@ func (s *Session) applyOwned(o proc.Owned) {
 	}
 }
 
-// applyEOF marks the stream finished and wakes every waiter; a nil or
-// io.EOF err is a clean hangup, anything else is preserved for the
-// ExpectError report.
+// applyEOF marks the stream finished, wakes watchers and resolves every
+// parked Expect call; a nil or io.EOF err is a clean hangup, anything
+// else is preserved for the ExpectError report.
 func (s *Session) applyEOF(err error) {
 	s.mu.Lock()
 	s.eof = true
@@ -533,6 +541,7 @@ func (s *Session) applyEOF(err error) {
 		s.readErr = err
 	}
 	s.notifyLocked()
+	s.stepParkedLocked()
 	s.mu.Unlock()
 }
 

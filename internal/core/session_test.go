@@ -583,3 +583,35 @@ func (b *lockedBuffer) String() string {
 	defer b.mu.Unlock()
 	return b.buf.String()
 }
+
+// TestParkedExpectsResolveFIFO: concurrent Expects on one session resolve
+// in the order they parked, so the first one parked gets the first match
+// in a chunk that satisfies both.
+func TestParkedExpectsResolveFIFO(t *testing.T) {
+	s := NewManualSession(nil, "fifo")
+	got := make([]chan string, 2)
+	for i := range got {
+		got[i] = make(chan string, 1)
+		go func() {
+			m, err := s.ExpectTimeout(5*time.Second, Exact(";"))
+			if err != nil {
+				got[i] <- err.Error()
+				return
+			}
+			got[i] <- m.Text
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.Info().ParkedOps != i+1 {
+			if time.Now().After(deadline) {
+				t.Fatalf("expect %d never parked", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	s.Feed([]byte("a;b;"))
+	for i, want := range []string{"a;", "b;"} {
+		if text := <-got[i]; text != want {
+			t.Errorf("expect %d matched %q, want %q", i, text, want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -9,15 +8,17 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/netx"
+	"repro/internal/proc"
 	"repro/internal/trace"
 )
 
 // This file is the many-session scale layer: a sharded scheduler that
 // owns sessions in N event loops instead of one pump goroutine each.
-// Every session hashes to exactly one shard, and that shard's loop is the
-// only goroutine that ingests its output, steps its pending Expect calls,
-// and fires its deadlines — the paper's single-threaded select loop
-// (§7.2), multiplied.
+// Every adopted session hashes to exactly one shard, and that shard's
+// loop is the only goroutine that ingests its output — the paper's
+// single-threaded select loop (§7.2), multiplied. Expect calls park on
+// their session, not on the loop (expect.go): the loop steps them after
+// it ingests, and each op's own timer fires its deadline.
 //
 // Ownership invariants:
 //
@@ -25,41 +26,42 @@ import (
 //     picks it (ShardHash over a per-scheduler key) and writes s.shard
 //     once, before the session is published, so any goroutine may read
 //     the field unlocked.
-//  2. Only the owning shard's loop appends to the match buffer, applies
-//     EOF, and steps expect ops for a sharded session. It also closes
-//     pumpDone, unless it has already exited; then a feeder's final EOF
-//     does (postFeeder).
-//  3. Event-capable transports (unwrapped virtual duplexes and sockets)
-//     are drained with non-blocking TryRead/TryReadOwned from the loop
-//     itself when their doorbell rings; a socket's bytes reach its inbox
-//     through the shard's readiness poller (or, without one, the
-//     connection's own reader). Blocking transports (pty, pipe,
-//     fault-wrapped) keep one dedicated reader feeding the shard through
-//     its bounded queue.
-//  4. Expect calls are admitted by the loop with an immediate synchronous
-//     match attempt, so output or EOF ingested before admission is
-//     observed at admission — there is no window in which a child that
-//     already exited can strand a waiter (TestShardedEOFBeforeExpectResolves).
+//  2. A shard owns exactly the sessions it can drain without blocking:
+//     those with event-capable transports (unwrapped virtual duplexes,
+//     sockets and mux streams). Every other session keeps its pump.
+//  3. Only the owning shard's loop appends to the match buffer and
+//     applies EOF for a sharded session, and it closes pumpDone. It
+//     drains a transport with non-blocking TryRead/TryReadOwned when
+//     the doorbell rings (a socket's bytes reach its inbox through the
+//     shard's readiness poller or, without one, the connection's own
+//     reader), and then steps the session's parked Expect calls once
+//     per sweep.
+//  4. A parked op is resolved exactly once, under s.mu, by whichever
+//     comes first: the loop's step after ingest or EOF, or the op's
+//     timer. The caller's own admission attempt runs in the critical
+//     section that parks it, so output or EOF ingested before admission
+//     is seen by that attempt and output ingested after finds the op
+//     parked (TestShardedEOFBeforeExpectResolves).
 //  5. adopt checks stopped and queues msgRegister under stopMu's read
 //     lock, and Stop sets stopped under the write lock before it signals
-//     a loop; a draining loop exits only with an empty queue or at the
-//     drain deadline, when shutdown releases what is left. So a spawn
-//     racing Stop is registered or falls back to a pump, never stranded
-//     (TestSchedulerStopRacingSpawn).
+//     a loop; a draining loop exits only with no sessions and an empty
+//     queue, or at the drain deadline, when shutdown abandons what is
+//     left. So a spawn racing Stop is registered or falls back to a
+//     pump, never stranded (TestSchedulerStopRacingSpawn).
 //
-// Session.mu stays: Send, Interact, Select, and the introspection
-// accessors still run on caller goroutines, and the shard takes the same
-// lock for the brief append/step critical sections. What sharding removes
-// is the per-session blocked reader and the per-call cond-wait.
+// Session.mu stays: Send, Expect admission, Interact, Select, and the
+// introspection accessors run on caller goroutines, and the shard takes
+// the same lock for the brief append/step critical sections. What
+// sharding removes is the per-session blocked reader.
 
-// defaultQueueCap bounds each shard's message queue; feeders posting into
-// a full queue block, which is the backpressure that keeps a torrent of
-// child output from outrunning the loop.
+// defaultQueueCap bounds each shard's message queue; an adopt or
+// inspect request posting into a full queue blocks until the loop catches
+// up.
 const defaultQueueCap = 1024
 
-// drainGrace is how long a stopping shard keeps servicing its queue so
-// in-flight EOFs land and pumpDone closes; past it, leftover waiters are
-// failed with ErrClosed rather than stranded.
+// drainGrace is how long a stopping shard keeps servicing its sessions so
+// in-flight EOFs land and pumpDone closes; past it, leftover Expect calls
+// are failed with ErrClosed rather than stranded.
 const drainGrace = 5 * time.Second
 
 // ShardHash maps a session key to a shard index. The mix is the
@@ -116,7 +118,6 @@ func NewScheduler(opt SchedulerOptions) *Scheduler {
 			stopCh:   make(chan struct{}),
 			done:     make(chan struct{}),
 			sessions: make(map[*Session]struct{}),
-			ops:      make(map[*Session][]*expectOp),
 			scratch:  make([]byte, 4096),
 		}
 		if opt.Rec != nil {
@@ -137,10 +138,10 @@ func (sc *Scheduler) PeakQueueDepths() []int {
 	return out
 }
 
-// Dropped counts events a shard lost: expect waiters failed at the drain
-// deadline and chunks discarded after a forced exit. A clean run —
-// sessions closed and drained before Stop — is structurally zero, and the
-// soak test asserts exactly that.
+// Dropped counts the Expect calls a shard failed with ErrClosed when it
+// was forced to exit at the drain deadline. A clean run — sessions closed
+// and drained before Stop — is structurally zero, and the soak test
+// asserts exactly that.
 func (sc *Scheduler) Dropped() uint64 {
 	var n uint64
 	for _, sh := range sc.shards {
@@ -151,7 +152,7 @@ func (sc *Scheduler) Dropped() uint64 {
 
 // Stop drains and joins every shard loop. Sessions should be closed (and
 // ideally WaitPumpDrained) first; a loop still owning live sessions keeps
-// servicing them for drainGrace before failing their waiters.
+// servicing them for drainGrace before failing their parked Expects.
 func (sc *Scheduler) Stop() {
 	if sc == nil {
 		return
@@ -179,11 +180,15 @@ func (sc *Scheduler) Stop() {
 
 // adopt hashes s onto a shard and hands ownership of its read side to
 // that shard's loop. Returns nil (caller falls back to a pump goroutine)
-// if the scheduler is stopped. The read lock spans the stopped check and
-// the registration post (invariant 5); the post may wait on a full queue
-// but not forever, because the loop never takes stopMu and cannot begin
-// its drain before Stop holds it.
+// if the transport cannot be drained without blocking (invariant 2) or
+// the scheduler is stopped. The read lock spans the stopped check and the
+// registration post (invariant 5); the post may wait on a full queue but
+// not forever, because the loop never takes stopMu and cannot begin its
+// drain before Stop holds it.
 func (sc *Scheduler) adopt(s *Session) *shard {
+	if !s.p.EventCapable() {
+		return nil
+	}
 	sc.stopMu.RLock()
 	defer sc.stopMu.RUnlock()
 	if sc.stopped {
@@ -193,24 +198,17 @@ func (sc *Scheduler) adopt(s *Session) *shard {
 	sh := sc.shards[ShardHash(key, len(sc.shards))]
 	s.shard = sh
 	s.shardKey = key
-	if s.p.EventCapable() {
-		s.notifyMode = true
-		s.ownedMode = s.p.OwnedCapable()
-		s.p.SetReadNotify(func() { sh.markDirty(s) })
-		// A deferred network connection has no ingest producer yet: claim
-		// it for this shard's readiness loop, or start its fallback reader.
-		// The doorbell is already installed, so no arrival can slip by.
-		sh.attachNetIngest(s)
-	}
+	s.ownedMode = s.p.OwnedCapable()
+	s.p.SetReadNotify(func() { sh.markDirty(s) })
+	// A deferred network connection has no ingest producer yet: claim it
+	// for this shard's readiness loop, or start its fallback reader. The
+	// doorbell is already installed, so no arrival can slip by.
+	sh.attachNetIngest(s)
 	sh.post(shardMsg{kind: msgRegister, s: s})
-	if s.notifyMode {
-		// The doorbell went in after the child started: ring once
-		// unconditionally so output — or an exit — that predates it is
-		// swept at registration instead of waited on forever.
-		sh.markDirty(s)
-	} else {
-		go s.feed(sh)
-	}
+	// The doorbell went in after the child started: ring once
+	// unconditionally so output — or an exit — that predates it is swept
+	// at registration instead of waited on forever.
+	sh.markDirty(s)
 	return sh
 }
 
@@ -218,28 +216,16 @@ type shardMsgKind uint8
 
 const (
 	msgRegister shardMsgKind = iota
-	msgChunk
-	msgEOF
-	msgExpect
-	// msgCheckpoint asks the owning loop for a session snapshot that
-	// includes its parked expect ops.
-	msgCheckpoint
 	// msgInspect asks a loop for a telemetry snapshot of everything it
-	// owns — sessions, parked ops, earliest deadlines — taken on the loop
-	// itself, so it is consistent with the loop's own view (no session is
-	// half-registered or mid-step in the reply).
+	// owns, taken on the loop itself, so the session set is the one the
+	// loop acts on (no session is half-registered in the reply).
 	msgInspect
 )
 
 type shardMsg struct {
 	kind shardMsgKind
 	s    *Session
-	data []byte
-	err  error
-	op   *expectOp
-	// Reply channels of msgCheckpoint and msgInspect; each is buffered
-	// and written at most once.
-	cpc  chan *SessionCheckpoint
+	// insp is msgInspect's reply channel: buffered, written at most once.
 	insp chan ShardSnapshot
 }
 
@@ -256,13 +242,8 @@ type shard struct {
 	dirty   []*Session
 
 	// Loop-owned state; no other goroutine touches it.
-	sessions   map[*Session]struct{}
-	ops        map[*Session][]*expectOp
-	timers     opHeap
-	scratch    []byte
-	touched    []*Session // sessions with chunks applied this batch, step pending
-	draining   bool
-	drainUntil time.Time
+	sessions map[*Session]struct{}
+	scratch  []byte
 
 	depthPeak atomic.Int64
 	dropped   atomic.Uint64
@@ -325,58 +306,21 @@ func (sh *shard) attachNetIngest(s *Session) {
 	nc.StartIngest()
 }
 
-// loop is the shard's event loop: one goroutine multiplexing the ingest,
-// timers, and match attempts of every session hashed here.
+// loop is the shard's event loop: one goroutine multiplexing the ingest
+// of every session hashed here.
 func (sh *shard) loop() {
 	defer close(sh.done)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
+	var drainC <-chan time.Time
 	for {
-		// Fire due deadlines and find the next one.
-		now := time.Now()
-		for sh.timers.Len() > 0 {
-			next := sh.timers[0]
-			if next.resolved {
-				heap.Pop(&sh.timers)
-				continue
-			}
-			if next.deadline.After(now) {
-				break
-			}
-			heap.Pop(&sh.timers)
-			next.timed = false
-			if next.s.rec.On() {
-				next.s.rec.Record(trace.KindTimerFire, next.s.sid, 0, 0, false, "", "")
-			}
-			sh.stepOp(next, now)
-			now = time.Now()
+		if drainC != nil && len(sh.sessions) == 0 && len(sh.cmds) == 0 {
+			sh.shutdown()
+			return
 		}
-		var timerC <-chan time.Time
-		if sh.timers.Len() > 0 {
-			timer.Reset(sh.timers[0].deadline.Sub(now))
-			timerC = timer.C
-		} else if sh.draining {
-			timer.Reset(time.Until(sh.drainUntil))
-			timerC = timer.C
-		}
-
-		if sh.draining {
-			quiesced := len(sh.sessions) == 0 && len(sh.cmds) == 0 && len(sh.ops) == 0
-			if quiesced || now.After(sh.drainUntil) {
-				sh.disarm(timer, timerC)
-				sh.shutdown()
-				return
-			}
-		}
-
 		select {
 		case m := <-sh.cmds:
-			sh.disarm(timer, timerC)
 			wake := time.Now()
 			sh.handle(m)
-			// Batch whatever else is already queued before re-arming.
+			// Batch whatever else is already queued.
 			for more := true; more; {
 				select {
 				case m := <-sh.cmds:
@@ -385,81 +329,46 @@ func (sh *shard) loop() {
 					more = false
 				}
 			}
-			// Step every session the batch touched exactly once, so a
-			// feeder delivering one logical write as many small reads
-			// produces one match attempt against the accumulated buffer —
-			// the same scan granularity the pump's coalesced wakeup gives
-			// the classic path. Stepping per chunk instead would let an
-			// early `*foo*` glob consume a prefix the pump path never
-			// observes in isolation.
-			sh.stepTouched()
 			sh.wake.Observe(time.Since(wake))
 		case <-sh.wakeCh:
-			sh.disarm(timer, timerC)
 			wake := time.Now()
 			sh.drainDirty()
 			sh.wake.Observe(time.Since(wake))
-		case <-timerC:
+		case <-drainC:
+			sh.shutdown()
+			return
 		case <-sh.stopCh:
-			sh.disarm(timer, timerC)
-			sh.draining = true
-			sh.drainUntil = time.Now().Add(drainGrace)
+			t := time.NewTimer(drainGrace)
+			defer t.Stop()
+			drainC = t.C
 			sh.stopCh = nil
 		}
 	}
 }
 
-// disarm stops the loop timer and clears a pending tick.
-func (sh *shard) disarm(t *time.Timer, armed <-chan time.Time) {
-	if armed == nil {
-		return
-	}
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-// shutdown is the forced exit at the drain deadline: whatever is still
-// queued or parked is failed rather than stranded, and every loss is
-// counted in dropped.
+// shutdown is the forced exit at the drain deadline: every session the
+// loop still owns, or never got to register, is abandoned — its parked
+// Expect calls fail with ErrClosed and count in dropped — and released,
+// so its WaitPumpDrained returns.
 func (sh *shard) shutdown() {
+	release := func(s *Session) {
+		sh.dropped.Add(uint64(s.abandon()))
+		s.closePumpDone()
+	}
 	for {
 		select {
 		case m := <-sh.cmds:
 			switch m.kind {
-			case msgRegister, msgEOF:
-				// A session the loop never got to is released, not
-				// stranded: its WaitPumpDrained returns.
-				m.s.closePumpDone()
-			case msgChunk:
-				sh.dropped.Add(1)
-			case msgExpect:
-				sh.dropped.Add(1)
-				m.op.resolved = true
-				m.op.ch <- expectOutcome{nil, ErrClosed}
-			case msgCheckpoint:
-				// No reply; the requester's select sees sh.done close.
+			case msgRegister:
+				release(m.s)
 			case msgInspect:
 				// The loop is gone; reply with an empty snapshot so a
 				// scraper that raced the drain never hangs.
 				m.insp <- ShardSnapshot{Shard: sh.idx}
 			}
 		default:
-			for s, ops := range sh.ops {
-				for _, op := range ops {
-					if !op.resolved {
-						sh.dropped.Add(1)
-						op.resolved = true
-						op.ch <- expectOutcome{nil, ErrClosed}
-					}
-				}
-				delete(sh.ops, s)
-			}
 			for s := range sh.sessions {
-				s.closePumpDone()
+				release(s)
 				delete(sh.sessions, s)
 			}
 			return
@@ -480,59 +389,17 @@ func (sh *shard) handle(m shardMsg) {
 		if sh.rec.On() {
 			sh.rec.Record(trace.KindSpawn, m.s.sid, int64(sh.idx), 0, false, m.s.name, "shard")
 		}
-		if m.s.notifyMode {
-			// The child may have spoken — or hung up — before we existed.
-			sh.ingest(m.s)
-		}
-	case msgChunk:
-		m.s.applyChunk(m.data)
-		if sh.rec.On() {
-			sh.rec.RecordBytes(trace.KindRead, m.s.sid, int64(len(m.data)), 0, false, m.data, nil)
-		}
-		// Deferred: the loop steps touched sessions after the whole batch
-		// is applied (see the cmds case in loop).
-		sh.touch(m.s)
-	case msgEOF:
-		sh.finishSession(m.s, m.err)
-	case msgExpect:
-		sh.admitOp(m.op)
-	case msgCheckpoint:
-		cp := m.s.Checkpoint()
-		now := time.Now()
-		for _, op := range sh.ops[m.s] {
-			if !op.resolved {
-				cp.Pending = append(cp.Pending, op.checkpoint(now))
-			}
-		}
-		m.cpc <- cp
+		// The child may have spoken — or hung up — before we existed.
+		sh.ingest(m.s)
 	case msgInspect:
-		m.insp <- sh.inspect(time.Now())
+		m.insp <- sh.inspect()
 	}
 }
 
-// post delivers a message to the loop, blocking when the queue is full —
-// the bounded-queue backpressure of invariant 3.
+// post delivers a message to the loop, blocking when the queue is full.
 func (sh *shard) post(m shardMsg) {
 	sh.cmds <- m
 	sh.noteDepth(len(sh.cmds))
-}
-
-// postFeeder is post for reader goroutines, which must not deadlock
-// against a loop that already exited; it reports whether the loop can
-// still see the message.
-func (sh *shard) postFeeder(m shardMsg) bool {
-	select {
-	case sh.cmds <- m:
-		sh.noteDepth(len(sh.cmds))
-		return true
-	case <-sh.done:
-		if m.kind == msgEOF {
-			m.s.closePumpDone()
-		} else {
-			sh.dropped.Add(1)
-		}
-		return false
-	}
 }
 
 func (sh *shard) noteDepth(d int) {
@@ -562,10 +429,10 @@ func (sh *shard) markDirty(s *Session) {
 	}
 }
 
-// drainDirty is two-phase: drain every rung session's transport first,
-// then step the touched set once. One poll round that readied N sockets
-// of the same shard costs one sweep with one match attempt per session,
-// however many segments each delivered — the batch granularity contract.
+// drainDirty sweeps every rung session once: each is drained and then
+// stepped, so one poll round that readied N sockets of the same shard
+// costs one match attempt per session, however many segments each
+// delivered — the batch granularity contract.
 func (sh *shard) drainDirty() {
 	sh.dirtyMu.Lock()
 	ds := sh.dirty
@@ -577,107 +444,87 @@ func (sh *shard) drainDirty() {
 		s.inDirty.Store(false)
 		sh.ingest(s)
 	}
-	sh.stepTouched()
-}
-
-// touch defers a session's match attempt to the end of the current ingest
-// batch, coalescing however many chunks arrive meanwhile into one step.
-func (sh *shard) touch(s *Session) {
-	if !s.stepPending {
-		s.stepPending = true
-		sh.touched = append(sh.touched, s)
-	}
-}
-
-// stepTouched steps every session the current batch touched exactly once.
-func (sh *shard) stepTouched() {
-	for _, s := range sh.touched {
-		if s.stepPending {
-			s.stepPending = false
-			sh.stepSession(s)
-		}
-	}
-	sh.touched = sh.touched[:0]
 }
 
 // maxSweepReads bounds how long one session may hold the loop; a firehose
 // re-queues itself so its shard-mates still get stepped.
 const maxSweepReads = 16
 
-// ingest drains an event-capable transport from the loop — TryReadOwned
-// segment handoff for zero-copy sockets, copying TryRead otherwise —
-// then defers the session's match attempt to the end of the batch.
+// ingest drains an event-capable transport from the loop, then steps the
+// session's parked Expect calls once against everything the sweep
+// appended. At EOF, applyEOF does the stepping.
 func (sh *shard) ingest(s *Session) {
 	if s.shardEOF.Load() {
 		return
 	}
-	if s.ownedMode {
-		sh.ingestOwned(s)
+	got, err := sh.drain(s)
+	if err != nil {
+		sh.finishSession(s, err)
 		return
 	}
+	if got {
+		s.stepParked()
+	}
+}
+
+// drain moves up to maxSweepReads reads into the match buffer — segment
+// handoff for ownership-transfer transports, a copying TryRead otherwise —
+// and reports whether it appended anything and the error that ended the
+// stream, if any.
+//
+// With ownership transfer each queued segment moves from the connection's
+// inbox into the session whole — no scratch buffer, no copy in the steady
+// state — and the lease travels with it (applyOwned either adopts it as
+// match-buffer backing or, when a partial match pins the window, copies
+// and releases).
+func (sh *shard) drain(s *Session) (got bool, err error) {
 	for reads := 0; reads < maxSweepReads; reads++ {
+		var ok bool
 		stop := s.prof.Start(metrics.PhaseIO)
-		n, ok, err := s.p.TryRead(sh.scratch)
-		stop()
-		if n > 0 {
-			if s.ingest != nil {
-				s.ingest.AddCopied(n)
+		if s.ownedMode {
+			var o proc.Owned
+			o, ok, err = s.p.TryReadOwned()
+			stop()
+			if o != nil {
+				if sh.rec.On() {
+					// Record before the handoff: the recorder copies what
+					// it keeps, and the lease may end inside applyOwned.
+					sh.rec.RecordBytes(trace.KindRead, s.sid, int64(len(o.Bytes())), 0, false, o.Bytes(), nil)
+				}
+				s.applyOwned(o)
+				got = true
 			}
-			s.applyChunk(sh.scratch[:n])
-			if sh.rec.On() {
-				sh.rec.RecordBytes(trace.KindRead, s.sid, int64(n), 0, false, sh.scratch[:n], nil)
+		} else {
+			var n int
+			n, ok, err = s.p.TryRead(sh.scratch)
+			stop()
+			if n > 0 {
+				if s.ingest != nil {
+					s.ingest.AddCopied(n)
+				}
+				s.applyChunk(sh.scratch[:n], false)
+				if sh.rec.On() {
+					sh.rec.RecordBytes(trace.KindRead, s.sid, int64(n), 0, false, sh.scratch[:n], nil)
+				}
+				got = true
 			}
-			sh.touch(s)
 		}
 		if !ok {
-			return
+			return got, nil
 		}
 		if err != nil {
 			if isTransient(err) {
 				continue
 			}
-			sh.finishSession(s, err)
-			return
+			return got, err
 		}
 	}
 	sh.markDirty(s)
+	return got, nil
 }
 
-// ingestOwned is ingest for ownership-transfer transports: each queued
-// segment moves from the connection's inbox into the session whole — no
-// scratch buffer, no copy in the steady state — and the lease travels
-// with it (applyOwned either adopts it as match-buffer backing or, when
-// a partial match pins the window, copies and releases).
-func (sh *shard) ingestOwned(s *Session) {
-	for reads := 0; reads < maxSweepReads; reads++ {
-		stop := s.prof.Start(metrics.PhaseIO)
-		o, ok, err := s.p.TryReadOwned()
-		stop()
-		if o != nil {
-			if sh.rec.On() {
-				// Record before the handoff: the recorder copies what it
-				// keeps, and the lease may end inside applyOwned.
-				sh.rec.RecordBytes(trace.KindRead, s.sid, int64(len(o.Bytes())), 0, false, o.Bytes(), nil)
-			}
-			s.applyOwned(o)
-			sh.touch(s)
-		}
-		if !ok {
-			return
-		}
-		if err != nil {
-			if isTransient(err) {
-				continue
-			}
-			sh.finishSession(s, err)
-			return
-		}
-	}
-	sh.markDirty(s)
-}
-
-// finishSession applies EOF exactly once, resolves what it resolves, and
-// releases the session from the shard.
+// finishSession applies EOF exactly once, which resolves every parked
+// Expect call, and releases the session from the shard.
 func (sh *shard) finishSession(s *Session, err error) {
 	if s.shardEOF.Swap(true) {
 		return
@@ -686,190 +533,6 @@ func (sh *shard) finishSession(s *Session, err error) {
 	if sh.rec.On() {
 		sh.rec.Record(trace.KindEOF, s.sid, 0, 0, false, s.name, "")
 	}
-	sh.stepSession(s)
 	delete(sh.sessions, s)
 	s.closePumpDone()
-}
-
-// admitOp is the synchronous attempt of invariant 4: a new Expect is
-// stepped immediately on the loop, so anything already ingested — a
-// buffered match, an EOF from a child that died mid-schedule — resolves
-// it here instead of stranding it in the parked set.
-func (sh *shard) admitOp(op *expectOp) {
-	s := op.s
-	s.mu.Lock()
-	res, err, done := op.stepLocked(time.Now())
-	s.mu.Unlock()
-	if done {
-		sh.resolve(op, res, err)
-		return
-	}
-	sh.ops[s] = append(sh.ops[s], op)
-	if !op.deadline.IsZero() {
-		heap.Push(&sh.timers, op)
-		op.timed = true
-		if s.rec.On() {
-			s.rec.Record(trace.KindTimerArm, s.sid, int64(time.Until(op.deadline)), 0, false, "", "")
-		}
-	}
-}
-
-// stepSession re-attempts every expect parked on s after fresh input.
-func (sh *shard) stepSession(s *Session) {
-	ops := sh.ops[s]
-	if len(ops) == 0 {
-		return
-	}
-	now := time.Now()
-	keep := ops[:0]
-	for _, op := range ops {
-		if op.resolved {
-			continue
-		}
-		s.mu.Lock()
-		res, err, done := op.stepLocked(now)
-		s.mu.Unlock()
-		if done {
-			sh.resolve(op, res, err)
-		} else {
-			keep = append(keep, op)
-		}
-	}
-	if len(keep) == 0 {
-		delete(sh.ops, s)
-	} else {
-		sh.ops[s] = keep
-	}
-}
-
-// stepOp re-attempts a single op whose deadline fired.
-func (sh *shard) stepOp(op *expectOp, now time.Time) {
-	if op.resolved {
-		return
-	}
-	s := op.s
-	s.mu.Lock()
-	res, err, done := op.stepLocked(now)
-	s.mu.Unlock()
-	if !done {
-		// The timer fired a hair early; re-arm.
-		heap.Push(&sh.timers, op)
-		op.timed = true
-		return
-	}
-	sh.resolve(op, res, err)
-	ops := sh.ops[s]
-	for i, o := range ops {
-		if o == op {
-			ops = append(ops[:i], ops[i+1:]...)
-			break
-		}
-	}
-	if len(ops) == 0 {
-		delete(sh.ops, s)
-	} else {
-		sh.ops[s] = ops
-	}
-}
-
-func (sh *shard) resolve(op *expectOp, res *MatchResult, err error) {
-	op.resolved = true
-	op.ch <- expectOutcome{res, err}
-}
-
-// CheckpointSession snapshots a session including any Expect calls parked
-// on its owning shard loop — state Session.Checkpoint alone cannot see.
-// Pump-driven sessions fall back to the plain snapshot.
-func (sc *Scheduler) CheckpointSession(s *Session) (*SessionCheckpoint, error) {
-	sh := s.shard
-	if sh == nil {
-		return s.Checkpoint(), nil
-	}
-	cpc := make(chan *SessionCheckpoint, 1)
-	select {
-	case sh.cmds <- shardMsg{kind: msgCheckpoint, s: s, cpc: cpc}:
-		sh.noteDepth(len(sh.cmds))
-	case <-sh.done:
-		return nil, ErrClosed
-	}
-	select {
-	case cp := <-cpc:
-		return cp, nil
-	case <-sh.done:
-		return nil, ErrClosed
-	}
-}
-
-// runExpect hands an op to the owning shard and blocks the caller until
-// the loop resolves it.
-func (sh *shard) runExpect(op *expectOp) (*MatchResult, error) {
-	op.ch = make(chan expectOutcome, 1)
-	select {
-	case sh.cmds <- shardMsg{kind: msgExpect, s: op.s, op: op}:
-		sh.noteDepth(len(sh.cmds))
-	case <-sh.done:
-		return nil, ErrClosed
-	}
-	select {
-	case out := <-op.ch:
-		return out.res, out.err
-	case <-sh.done:
-		// The loop exited; its shutdown path resolves admitted ops, so
-		// one more non-blocking look before giving up.
-		select {
-		case out := <-op.ch:
-			return out.res, out.err
-		default:
-			return nil, ErrClosed
-		}
-	}
-}
-
-// feed is the dedicated reader for transports that cannot TryRead (pty,
-// pipe, fault-wrapped): blocking reads, chunks posted into the owning
-// shard's bounded queue.
-func (s *Session) feed(sh *shard) {
-	chunk := make([]byte, 4096)
-	for {
-		stop := s.prof.Start(metrics.PhaseIO)
-		n, err := s.rw.Read(chunk)
-		stop()
-		if n > 0 {
-			data := make([]byte, n)
-			copy(data, chunk[:n])
-			if s.ingest != nil {
-				// The clone is a real ingest-path copy+alloc; the queue
-				// hand-off that follows is not.
-				s.ingest.AddCopied(n)
-				s.ingest.AddAlloc()
-			}
-			if !sh.postFeeder(shardMsg{kind: msgChunk, s: s, data: data}) {
-				return
-			}
-		}
-		if err != nil {
-			if isTransient(err) {
-				continue
-			}
-			sh.postFeeder(shardMsg{kind: msgEOF, s: s, err: err})
-			return
-		}
-	}
-}
-
-// opHeap orders parked expect ops by deadline (earliest first); resolved
-// entries are skipped lazily by the loop.
-type opHeap []*expectOp
-
-func (h opHeap) Len() int           { return len(h) }
-func (h opHeap) Less(i, j int) bool { return h[i].deadline.Before(h[j].deadline) }
-func (h opHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *opHeap) Push(x any)        { *h = append(*h, x.(*expectOp)) }
-func (h *opHeap) Pop() any {
-	old := *h
-	n := len(old)
-	op := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return op
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -201,9 +202,10 @@ func TestShardAssignmentStability(t *testing.T) {
 
 // TestShardedEOFBeforeExpectResolves is the missed-wakeup regression for
 // the admission path: the child speaks a partial pattern and exits before
-// the first Expect is even issued. Without admitOp's synchronous attempt
-// (and adopt's initial doorbell) the op would park forever, since no
-// further ingest event will ever arrive for this session.
+// the first Expect is even issued. Without the caller's attempt in the
+// critical section that parks the op (and adopt's initial doorbell) the
+// op would park forever, since no further ingest event will ever arrive
+// for this session.
 func TestShardedEOFBeforeExpectResolves(t *testing.T) {
 	sc := NewScheduler(SchedulerOptions{Shards: 2})
 	defer sc.Stop()
@@ -253,7 +255,8 @@ func TestShardedFanInCutChildNoHang(t *testing.T) {
 	// The cut transport delivers 5 bytes of "echo:hello\n" and then EOFs
 	// forever: the child exits, from the engine's point of view, between
 	// the attempt and the wait. The wrapper also makes the transport
-	// non-event-capable, so this exercises the feeder path.
+	// non-event-capable, so the session keeps its pump beside a sharded
+	// one.
 	sched := faultify.Schedule{Seed: 7, CutAfterBytes: 5}
 	cut, err := SpawnProgram(&Config{
 		Sched:        sc,
@@ -288,8 +291,9 @@ func TestShardedFanInCutChildNoHang(t *testing.T) {
 }
 
 // TestShardedPipeSessionResolvesParkedExpect runs a real pipe transport
-// on the feeder arm: the session is shard-owned, an Expect parks on its
-// loop, and the chunk its dedicated reader posts later resolves it.
+// spawned with Config.Sched: a shard cannot drain a pipe without
+// blocking, so the session keeps its pump; an Expect parks on the
+// session, and the chunk the pump reads later resolves it.
 func TestShardedPipeSessionResolvesParkedExpect(t *testing.T) {
 	sc := NewScheduler(SchedulerOptions{Shards: 2})
 	defer sc.Stop()
@@ -298,8 +302,8 @@ func TestShardedPipeSessionResolvesParkedExpect(t *testing.T) {
 		t.Skipf("cannot spawn cat: %v", err)
 	}
 	defer s.Close()
-	if s.ShardIndex() < 0 {
-		t.Fatal("pipe session not shard-owned")
+	if s.ShardIndex() != -1 {
+		t.Fatalf("pipe session on shard %d, want its own pump (-1)", s.ShardIndex())
 	}
 	type outcome struct {
 		res *MatchResult
@@ -310,7 +314,7 @@ func TestShardedPipeSessionResolvesParkedExpect(t *testing.T) {
 		res, err := s.ExpectTimeout(10*time.Second, Glob("*hello-echo*"))
 		resCh <- outcome{res, err}
 	}()
-	waitParked(t, sc, s)
+	waitParked(t, s)
 	if err := s.Send("hello-echo\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +381,10 @@ func TestShardedChurnDoesNotLeakGoroutines(t *testing.T) {
 }
 
 // TestSchedulerStopFailsLateExpect pins the shutdown contract: once the
-// loops are gone, a straggling Expect gets ErrClosed instead of hanging.
+// loops are gone, a straggling Expect gets an error instead of hanging.
+// A session that reached EOF first answers from its buffer; one its
+// shard abandoned at the drain deadline fails its parked op with
+// ErrClosed (counted in Dropped) and any later Expect at once.
 func TestSchedulerStopFailsLateExpect(t *testing.T) {
 	sc := NewScheduler(SchedulerOptions{Shards: 1})
 	s, err := SpawnProgram(&Config{Sched: sc}, "late", echoLines)
@@ -386,21 +393,50 @@ func TestSchedulerStopFailsLateExpect(t *testing.T) {
 	}
 	s.Close()
 	s.WaitPumpDrained()
-	sc.Stop()
-	// The session is at EOF, so even post-Stop the admission fast path
-	// could in principle answer; what must not happen is a hang.
-	done := make(chan error, 1)
+	mute, err := SpawnProgram(&Config{Sched: sc}, "mute", func(stdin io.Reader, stdout io.Writer) error {
+		io.Copy(io.Discard, stdin)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	parked := make(chan error, 1)
 	go func() {
-		_, err := s.ExpectTimeout(time.Second, Exact("never"))
-		done <- err
+		_, err := mute.ExpectTimeout(time.Minute, Exact("never"))
+		parked <- err
 	}()
+	waitParked(t, mute)
+	sc.Stop() // mute never hangs up: the loop exits at the drain deadline
 	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("want an error from post-Stop expect")
+	case err := <-parked:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("parked expect at forced exit: %v, want ErrClosed", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("post-Stop expect hung")
+		t.Fatal("parked expect outlived the forced exit")
+	}
+	if d := sc.Dropped(); d != 1 {
+		t.Errorf("Dropped() = %d after failing one parked expect, want 1", d)
+	}
+
+	for _, late := range []*Session{s, mute} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := late.ExpectTimeout(time.Minute, Exact("never"))
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("%s: want an error from post-Stop expect", late.Name())
+			}
+			if late == mute && !errors.Is(err, ErrClosed) {
+				t.Fatalf("abandoned session: %v, want ErrClosed", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: post-Stop expect hung", late.Name())
+		}
 	}
 }
 

@@ -22,9 +22,10 @@ import (
 // O(connections).
 //
 // Workers run with load.Config.NoWrap: a faultify-wrapped stream hides
-// the transport capabilities and deliberately keeps a feeder goroutine,
-// which the conformance equivalence matrix covers; here it would only
-// blur the guards with a constant they are not measuring.
+// the transport capabilities, so its session keeps a pump goroutine
+// instead of joining a shard, which the conformance equivalence matrix
+// covers; here it would only blur the guards with a constant they are
+// not measuring.
 func ZeroCopyIngest(repoRoot string) (Result, error) {
 	const (
 		shardCount = 8

@@ -113,7 +113,7 @@ func TestE12MatrixShape(t *testing.T) {
 
 func TestE16TraceOverheadShape(t *testing.T) {
 	if testing.Short() {
-		t.Skip("interleaved overhead passes take seconds of wall clock")
+		t.Skip("paired overhead rounds take seconds of wall clock")
 	}
 	r := checkShape(t, "E16", TraceOverhead)
 	// No assertion on the overhead percentages: they are what check.sh's

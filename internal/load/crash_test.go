@@ -303,16 +303,12 @@ func TestCrashRecoverySoak(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Wait until every cohort op is actually parked on its shard loop —
-	// the loop-synchronized checkpoint is the only honest witness.
+	// Wait until every cohort op is actually parked on its session — the
+	// session's checkpoint, taken under its lock, is the honest witness.
 	for i := 0; i < cohort; i++ {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			cp, err := sc.CheckpointSession(live[i])
-			if err != nil {
-				t.Fatalf("checkpoint poll %d: %v", i, err)
-			}
-			if len(cp.Pending) > 0 {
+			if cp := live[i].Checkpoint(); len(cp.Pending) > 0 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -327,10 +323,7 @@ func TestCrashRecoverySoak(t *testing.T) {
 	ckptDir := t.TempDir()
 	ckptFile := func(i int) string { return filepath.Join(ckptDir, fmt.Sprintf("sess-%04d.json", i)) }
 	for i, s := range live {
-		cp, err := sc.CheckpointSession(s)
-		if err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
-		}
+		cp := s.Checkpoint()
 		if i < cohort && len(cp.Pending) != 1 {
 			t.Fatalf("session %d checkpoint carries %d pending ops, want 1", i, len(cp.Pending))
 		}
@@ -555,15 +548,11 @@ func TestMuxCrashRecoverySoak(t *testing.T) {
 		t.Logf("mux crash battery: %d sessions over %d pooled connections", sessions, st.Conns)
 	}
 
-	// Wait until every cohort op is actually parked on its shard loop.
+	// Wait until every cohort op is actually parked on its session.
 	for i := 0; i < cohort; i++ {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			cp, err := sc.CheckpointSession(live[i])
-			if err != nil {
-				t.Fatalf("checkpoint poll %d: %v", i, err)
-			}
-			if len(cp.Pending) > 0 {
+			if cp := live[i].Checkpoint(); len(cp.Pending) > 0 {
 				break
 			}
 			if time.Now().After(deadline) {
@@ -576,10 +565,7 @@ func TestMuxCrashRecoverySoak(t *testing.T) {
 	ckptDir := t.TempDir()
 	ckptFile := func(i int) string { return filepath.Join(ckptDir, fmt.Sprintf("sess-%04d.json", i)) }
 	for i, s := range live {
-		cp, err := sc.CheckpointSession(s)
-		if err != nil {
-			t.Fatalf("checkpoint %d: %v", i, err)
-		}
+		cp := s.Checkpoint()
 		if i < cohort && len(cp.Pending) != 1 {
 			t.Fatalf("session %d checkpoint carries %d pending ops, want 1", i, len(cp.Pending))
 		}

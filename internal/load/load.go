@@ -151,9 +151,10 @@ type Config struct {
 	// NoWrap drops the flaky worker's faultify transport wrapper, so
 	// every session stays on the raw event-capable transport. E19 uses
 	// it to isolate the ingest architecture: a wrapped stream hides the
-	// TryRead/TryReadOwned capability and deliberately falls back to a
-	// feeder goroutine, which would smear the O(shards)-vs-O(conns)
-	// goroutine comparison with a constant it isn't measuring.
+	// TryRead/TryReadOwned capability, so its session keeps a pump
+	// goroutine beside the shards, which would smear the
+	// O(shards)-vs-O(conns) goroutine comparison with a constant it isn't
+	// measuring.
 	NoWrap bool
 	// Prof, when non-nil, receives the engine's phase timings and the
 	// wakeup-to-match histogram; nil allocates a private one.

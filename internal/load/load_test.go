@@ -104,7 +104,7 @@ func TestWorkbenchReportsLatency(t *testing.T) {
 // workers dialing loopback servers instead of spawning virtual programs:
 // same mix, same seeds, same flaky cut — the transport must not be an
 // observable. Sharded cells additionally exercise the socket doorbell
-// (netx sessions are event-capable, so shards own them with no feeder).
+// (netx sessions are event-capable, so shards own them with no pump).
 func TestNetworkModeConservation(t *testing.T) {
 	addrs, stop, err := ServeLoopback(0, 0)
 	if err != nil {

@@ -16,11 +16,15 @@ import (
 type HistKind int
 
 const (
-	// HistWakeupToMatch: from a pump wakeup (new bytes notified) to the
-	// pattern-scan verdict for that wakeup.
+	// HistWakeupToMatch: one match attempt of an expect call, from its
+	// start to the pattern-scan verdict. Attempts run at admission, after
+	// each ingest of new bytes (a pump read, a shard sweep) and at the
+	// deadline, so the count is attempts, not caller wakeups.
 	HistWakeupToMatch HistKind = iota
-	// HistReadToWakeup: from the transport read returning to the waiting
-	// expect call observing the new bytes.
+	// HistReadToWakeup: the handoff, from the arrival of the chunk whose
+	// ingest resolved a parked expect call to that call's caller running
+	// again. One observation per call that parked and was resolved by
+	// new bytes.
 	HistReadToWakeup
 	// HistEvalDispatch: one Tcl command dispatch (lookup + execution).
 	HistEvalDispatch

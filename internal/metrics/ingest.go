@@ -13,17 +13,17 @@ import "sync/atomic"
 // A nil *IngestStats is a valid no-op sink, like Profiler and Counters.
 type IngestStats struct {
 	// bytesCopied counts payload bytes physically copied between buffers
-	// on the ingest path (TryRead copy-outs, gap-buffer appends, feeder
-	// chunk duplication, the gateway client's demux copy). The
-	// steady-state socket path adds nothing here.
+	// on the ingest path (TryRead copy-outs, gap-buffer appends, the
+	// gateway client's demux copy). The steady-state socket path adds
+	// nothing here.
 	bytesCopied atomic.Int64
 	// bytesHandedOff counts payload bytes whose buffer changed owner
 	// without being copied: a leased segment queued whole, or adopted as
 	// gap-buffer backing.
 	bytesHandedOff atomic.Int64
 	// ingestAllocs counts heap allocations the ingest path performed for
-	// payload bytes: feeder chunk clones, gap-buffer reallocation, and
-	// segment-pool misses. Pool hits add nothing.
+	// payload bytes: gap-buffer reallocation and segment-pool misses.
+	// Pool hits add nothing.
 	ingestAllocs atomic.Int64
 	// segLeases / segReuses count pool traffic: every Get is a lease, and
 	// a lease satisfied from the free list (no allocation) is a reuse.

@@ -326,8 +326,8 @@ type ReadNotifier interface {
 // EventCapable reports whether the transport supports the non-blocking
 // TryRead + SetReadNotify pair the sharded scheduler needs to own a
 // session without a dedicated reader goroutine. Unwrapped virtual
-// transports qualify; ptys, pipes, and wrapped (fault-injected) streams
-// do not and keep a feeder.
+// transports, sockets and mux streams qualify; ptys, pipes, and wrapped
+// (fault-injected) streams do not, and their sessions keep a pump.
 func (p *Process) EventCapable() bool {
 	_, tr := p.rw.(TryReader)
 	_, rn := p.rw.(ReadNotifier)

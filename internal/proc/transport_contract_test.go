@@ -447,7 +447,7 @@ func (c *countingWrap) CloseWrite() error {
 // path of every transport — each engine read and write crosses it, and
 // half-close routes through it to the real stream. A wrapped stream also
 // loses the doorbell (the wrapper hides TryReader/ReadNotifier), which
-// is what demotes fault-injected sessions to feeder mode.
+// is what keeps fault-injected sessions on a pump under a scheduler.
 func TestTransportContractWrap(t *testing.T) {
 	for _, lg := range contractLegs() {
 		lg := lg

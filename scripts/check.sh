@@ -46,7 +46,9 @@ go test -race -count=1 -run 'TestEvalEventsModeNeutral|TestEvalEventStampIsDispa
 go run ./cmd/goexpect -transport pipe -sims -q scripts/passwd.exp >/dev/null
 go run ./cmd/goexpect -evalmode classic -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
-# Sharded-scheduler matrix leg: the shard unit tests plus a goexpect run
+# Sharded-scheduler matrix leg: the shard unit tests (among them the
+# parked-op tables, whose rows are a pump session, a one-shard session
+# and a pipe session spawned with a scheduler) plus a goexpect run
 # under -shards, proving the flag-wired path end to end. The spawn-vs-Stop
 # race (a registration must never reach a loop that already drained) is
 # timing-dependent, so it reruns ten times under the race detector.
@@ -129,8 +131,11 @@ go run ./cmd/benchreport -exp e20 -json BENCH_7.json
 # checks — /debug/sessions agreeing with the load workbench's
 # conservation law at a parked instant, the expectd admin protocol
 # (admin line before ready, plane readable mid-drain, listener closed
-# last), and the gateway's write-queue gauges on a live expectd -mux.
+# last), and the gateway's write-queue gauges on a live expectd -mux —
+# plus the parked-op tables: a parked expect shows in Session.Info,
+# Engine.SessionInfos and Session.Checkpoint on every kind of session.
 go test -race -count=1 ./internal/metrics ./internal/admin
+go test -race -count=1 -run 'TestShardSnapshotSeesParkedOp|TestSchedulerCheckpointSeesParkedOp' ./internal/core
 go test -race -count=1 -run 'TestAdminSessionsConservation|TestExpectdAdminProtocol|TestExpectdMuxWriteQueueGauges' ./internal/load
 
 # Live-daemon curl leg: boot expectd with -admin, scrape /metrics and
