@@ -309,6 +309,15 @@ func main() {
 		}
 		fmt.Printf("expectd: admin %s\n", adminSrv.Addr())
 	}
+	// The handlers go in before the ready line: a harness may signal the
+	// moment it reads it, and an uncaught SIGTERM would kill the daemon
+	// without a drain.
+	notif := []os.Signal{syscall.SIGTERM, syscall.SIGINT}
+	if *ckptPath != "" {
+		notif = append(notif, syscall.SIGUSR1)
+	}
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, notif...)
 	fmt.Println("expectd: ready")
 
 	if *drive != "" {
@@ -321,12 +330,6 @@ func main() {
 		}()
 	}
 
-	notif := []os.Signal{syscall.SIGTERM, syscall.SIGINT}
-	if *ckptPath != "" {
-		notif = append(notif, syscall.SIGUSR1)
-	}
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, notif...)
 	for s := range sig {
 		if s != syscall.SIGUSR1 {
 			break

@@ -92,7 +92,10 @@ type Variant struct {
 // cells (shard counts pinned explicitly — the default would collapse to
 // GOMAXPROCS). The six cached cells with a vm twin (pump, shard1, shard8,
 // net and mux) run watched, so the twin pair checks that observing every
-// dispatch changes nothing on each kind of session. Variants[0], the
+// dispatch changes nothing on each kind of session. Only the clean
+// condition drives the shard cells' sessions through a shard: a fault
+// condition wraps every transport, the wrapper hides TryRead, and those
+// sessions run on pumps beside the cell's scheduler. Variants[0], the
 // classic referee on the seed's rescan matcher, is the baseline every
 // cell is compared against.
 var Variants = []Variant{

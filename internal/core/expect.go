@@ -121,7 +121,8 @@ func (s *Session) ExpectMatch(glob string) (*MatchResult, error) {
 // The call makes one attempt itself. If that does not resolve it, the op
 // parks on the session in the same critical section, and whatever changes
 // the session resolves it: the ingest side (pump or shard loop) after it
-// applies input or EOF, or the op's own timer at its deadline. The caller
+// applies input or EOF, or the op's own timer, which at the deadline
+// unparks the op and leaves its last step to this goroutine. The caller
 // sleeps until then and wakes exactly once.
 func (s *Session) ExpectTimeout(d time.Duration, cases ...Case) (*MatchResult, error) {
 	op := s.newExpectOp(d, cases)
@@ -141,6 +142,20 @@ func (s *Session) ExpectTimeout(d time.Duration, cases ...Case) (*MatchResult, e
 		return res, err
 	}
 	op.wake.Wait()
+	if op.expired {
+		// The timer unparked the op at its deadline. Its last step runs
+		// here rather than on the timer's fresh goroutine, which would
+		// grow its stack inside the attempt; it is judged at no earlier
+		// instant than the deadline, so it always resolves.
+		s.mu.Lock()
+		now := time.Now()
+		if now.Before(op.deadline) {
+			now = op.deadline
+		}
+		res, err, _ = op.stepLocked(now)
+		s.mu.Unlock()
+		return res, err
+	}
 	if op.timer != nil {
 		// Stopped by the caller, which armed it, rather than by the
 		// resolver: that measured cheaper on a pump round trip. A fire
@@ -156,9 +171,9 @@ func (s *Session) ExpectTimeout(d time.Duration, cases ...Case) (*MatchResult, e
 }
 
 // expectOp is one in-flight Expect call in step form. Every attempt runs
-// stepLocked under s.mu, whoever makes it: the caller at admission, the
-// ingest side after input or EOF, the op's timer at its deadline, or a
-// replay driving a ManualExpect.
+// stepLocked under s.mu, whoever makes it: the caller at admission and
+// once its timer has expired the op, the ingest side after input or EOF,
+// or a replay driving a ManualExpect.
 type expectOp struct {
 	s           *Session
 	cases       []Case
@@ -176,12 +191,15 @@ type expectOp struct {
 	// not resolved the op. The resolver sets the outcome (res, err) and
 	// readAt, the arrival of the chunk whose ingest step resolved the op
 	// (the caller prices its wakeup from it, HistReadToWakeup), before it
-	// releases wake; the caller reads them after wake.Wait returns.
-	timer  *time.Timer // nil without a deadline
-	res    *MatchResult
-	err    error
-	readAt time.Time
-	wake   sync.WaitGroup
+	// releases wake; the caller reads them after wake.Wait returns. An
+	// expired op carries no outcome: its timer unparked it at the
+	// deadline, and the caller takes the last step.
+	timer   *time.Timer // nil without a deadline
+	res     *MatchResult
+	err     error
+	readAt  time.Time
+	expired bool
+	wake    sync.WaitGroup
 }
 
 // newExpectOp compiles the case patterns once and records the expect
@@ -373,75 +391,98 @@ func (op *expectOp) stepLocked(now time.Time) (*MatchResult, error, bool) {
 	}
 	// buf may alias adopted backing that consume and reset release to its
 	// pool, so everything that reads it runs first.
-	if idx >= 0 {
-		text := string(buf[:consumed])
-		if s.rec.On() {
-			s.rec.RecordBytes(trace.KindMatch, s.sid, int64(idx), int64(consumed), true, buf[:consumed], nil)
-		}
-		s.mb.consume(consumed)
-		s.nMatches.Add(1)
-		return &MatchResult{Index: idx, Case: cases[idx], Text: text}, nil, true
+	switch {
+	case idx >= 0:
+		return op.matchLocked(buf, idx, consumed), nil, true
+	case s.eof:
+		res, err := op.eofLocked(buf)
+		return res, err, true
+	case !op.deadline.IsZero() && !now.Before(op.deadline):
+		res, err := op.timeoutLocked(buf)
+		return res, err, true
 	}
-
-	if s.eof {
-		text := string(buf)
-		s.nEofs.Add(1)
-		for i, c := range cases {
-			if c.Kind == CaseEOF {
-				if s.rec.On() {
-					s.rec.Record(trace.KindEOF, s.sid, int64(len(buf)), 0, true, tailString(buf, trace.TextCap), "")
-				}
-				s.mb.reset()
-				return &MatchResult{Index: i, Case: c, Text: text, Eof: true}, nil, true
-			}
-		}
-		readErr := s.readErr
-		if s.rec.On() {
-			aux := ""
-			if readErr != nil {
-				aux = readErr.Error()
-			}
-			s.rec.Record(trace.KindEOF, s.sid, int64(len(buf)), 0, false, tailString(buf, trace.TextCap), aux)
-		}
-		return &MatchResult{Index: -1, Text: text, Eof: true}, &ExpectError{
-			Err:        ErrEOF,
-			Name:       s.name,
-			SID:        s.sid,
-			Elapsed:    time.Since(op.start),
-			BufferLen:  len(buf),
-			BufferTail: tailString(buf, tailBytes),
-			ReadErr:    readErr,
-			Dump:       s.rec.Dump(dumpEvents),
-		}, true
-	}
-
-	if !op.deadline.IsZero() && !now.Before(op.deadline) {
-		text := string(buf)
-		s.nTimeouts.Add(1)
-		elapsed := time.Since(op.start)
-		for i, c := range cases {
-			if c.Kind == CaseTimeout {
-				if s.rec.On() {
-					s.rec.Record(trace.KindTimeout, s.sid, int64(len(buf)), int64(elapsed), true, tailString(buf, trace.TextCap), "")
-				}
-				return &MatchResult{Index: i, Case: c, Text: text, TimedOut: true}, nil, true
-			}
-		}
-		if s.rec.On() {
-			s.rec.Record(trace.KindTimeout, s.sid, int64(len(buf)), int64(elapsed), false, tailString(buf, trace.TextCap), "")
-		}
-		return &MatchResult{Index: -1, Text: text, TimedOut: true}, &ExpectError{
-			Err:        ErrTimeout,
-			Name:       s.name,
-			SID:        s.sid,
-			Elapsed:    elapsed,
-			BufferLen:  len(buf),
-			BufferTail: tailString(buf, tailBytes),
-			Dump:       s.rec.Dump(dumpEvents),
-		}, true
-	}
-
 	return nil, nil, false
+}
+
+// The three ways an attempt resolves live outside stepLocked, so the
+// frame every attempt pays holds only the scan. A pump's first attempt
+// then fits the goroutine's starting stack instead of growing it.
+
+// matchLocked resolves the op with case idx, whose match covers the first
+// consumed bytes of buf, and removes those bytes from the buffer.
+func (op *expectOp) matchLocked(buf []byte, idx, consumed int) *MatchResult {
+	s := op.s
+	text := string(buf[:consumed])
+	if s.rec.On() {
+		s.rec.RecordBytes(trace.KindMatch, s.sid, int64(idx), int64(consumed), true, buf[:consumed], nil)
+	}
+	s.mb.consume(consumed)
+	s.nMatches.Add(1)
+	return &MatchResult{Index: idx, Case: op.cases[idx], Text: text}
+}
+
+// eofLocked resolves the op at end of stream: with its EOF case if it
+// has one, with ErrEOF otherwise.
+func (op *expectOp) eofLocked(buf []byte) (*MatchResult, error) {
+	s := op.s
+	text := string(buf)
+	s.nEofs.Add(1)
+	for i, c := range op.cases {
+		if c.Kind == CaseEOF {
+			if s.rec.On() {
+				s.rec.Record(trace.KindEOF, s.sid, int64(len(buf)), 0, true, tailString(buf, trace.TextCap), "")
+			}
+			s.mb.reset()
+			return &MatchResult{Index: i, Case: c, Text: text, Eof: true}, nil
+		}
+	}
+	readErr := s.readErr
+	if s.rec.On() {
+		aux := ""
+		if readErr != nil {
+			aux = readErr.Error()
+		}
+		s.rec.Record(trace.KindEOF, s.sid, int64(len(buf)), 0, false, tailString(buf, trace.TextCap), aux)
+	}
+	return &MatchResult{Index: -1, Text: text, Eof: true}, &ExpectError{
+		Err:        ErrEOF,
+		Name:       s.name,
+		SID:        s.sid,
+		Elapsed:    time.Since(op.start),
+		BufferLen:  len(buf),
+		BufferTail: tailString(buf, tailBytes),
+		ReadErr:    readErr,
+		Dump:       s.rec.Dump(dumpEvents),
+	}
+}
+
+// timeoutLocked resolves the op at its deadline: with its timeout case if
+// it has one, with ErrTimeout otherwise.
+func (op *expectOp) timeoutLocked(buf []byte) (*MatchResult, error) {
+	s := op.s
+	text := string(buf)
+	s.nTimeouts.Add(1)
+	elapsed := time.Since(op.start)
+	for i, c := range op.cases {
+		if c.Kind == CaseTimeout {
+			if s.rec.On() {
+				s.rec.Record(trace.KindTimeout, s.sid, int64(len(buf)), int64(elapsed), true, tailString(buf, trace.TextCap), "")
+			}
+			return &MatchResult{Index: i, Case: c, Text: text, TimedOut: true}, nil
+		}
+	}
+	if s.rec.On() {
+		s.rec.Record(trace.KindTimeout, s.sid, int64(len(buf)), int64(elapsed), false, tailString(buf, trace.TextCap), "")
+	}
+	return &MatchResult{Index: -1, Text: text, TimedOut: true}, &ExpectError{
+		Err:        ErrTimeout,
+		Name:       s.name,
+		SID:        s.sid,
+		Elapsed:    elapsed,
+		BufferLen:  len(buf),
+		BufferTail: tailString(buf, tailBytes),
+		Dump:       s.rec.Dump(dumpEvents),
+	}
 }
 
 // scanCases checks prepared cases in order against buf; it returns the
@@ -523,8 +564,10 @@ func (op *expectOp) parkLocked() {
 	stop()
 }
 
-// fire is the op's timer: at the deadline it takes the op's last step,
-// which resolves its timeout unless a match or EOF is already buffered.
+// fire is the op's timer: at the deadline it unparks the op, so no
+// ingest step can resolve it any more, and wakes the caller, which takes
+// the last step (ExpectTimeout). That step resolves the timeout unless a
+// match or EOF is buffered by then.
 func (op *expectOp) fire() {
 	s := op.s
 	s.mu.Lock()
@@ -536,20 +579,14 @@ func (op *expectOp) fire() {
 	if s.rec.On() {
 		s.rec.Record(trace.KindTimerFire, s.sid, 0, 0, false, "", "")
 	}
-	// The timer is the judge of the deadline: step at no earlier instant,
-	// so this step always resolves.
-	now := time.Now()
-	if now.Before(op.deadline) {
-		now = op.deadline
-	}
-	res, err, _ := op.stepLocked(now)
 	s.parked = slices.Delete(s.parked, i, i+1)
-	op.resolveLocked(res, err)
+	op.expired = true
+	op.wake.Done()
 }
 
 // resolveLocked hands an op that has left the parked list its outcome
-// and wakes its caller. Each op reaches it once, because every resolver
-// runs under s.mu and only for an op still parked.
+// and wakes its caller. Each op is woken once, by resolveLocked or fire,
+// because both run under s.mu and only for an op still parked.
 func (op *expectOp) resolveLocked(res *MatchResult, err error) {
 	op.res, op.err = res, err
 	op.wake.Done()

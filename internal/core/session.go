@@ -141,7 +141,8 @@ type Session struct {
 	// a parked Expect prices its wakeup from it (HistReadToWakeup).
 	lastRead time.Time
 	// parked holds the unresolved Expect calls in arrival order; the
-	// ingest side and each op's timer step them (expect.go). abandoned
+	// ingest side steps them, and each op's timer unparks it at its
+	// deadline (expect.go). abandoned
 	// is set when the shard that drained the session exited first, so
 	// nothing will ever resolve a new op.
 	parked    []*expectOp
@@ -334,7 +335,10 @@ func newManualSession(cfg *Config, name string) *Session {
 // match_max trimming, taps, recording, then a step of the parked Expect
 // calls. Replay and tests drive sessions with it; it must not race a live
 // pump on the same session.
-func (s *Session) Feed(chunk []byte) { s.applyChunk(chunk, true) }
+func (s *Session) Feed(chunk []byte) {
+	s.applyChunk(chunk)
+	s.stepParked()
+}
 
 // FeedEOF applies end-of-stream; a nil or io.EOF err is a clean hangup.
 func (s *Session) FeedEOF(err error) { s.applyEOF(err) }
@@ -428,7 +432,8 @@ func (s *Session) pump() {
 		n, err := s.rw.Read(chunk)
 		stop()
 		if n > 0 {
-			s.applyChunk(chunk[:n], true)
+			s.applyChunk(chunk[:n])
+			s.stepParked()
 		}
 		if err != nil {
 			if isTransient(err) {
@@ -443,10 +448,10 @@ func (s *Session) pump() {
 
 // applyChunk is the single ingest path shared by the pump and the shard
 // loops: tap loggers and the screen, append under the match_max bound,
-// record, and wake watchers. With step set it also steps the parked
-// Expect calls in the same critical section, as the pump does after each
-// read; a shard passes false and steps once per session per sweep.
-func (s *Session) applyChunk(chunk []byte, step bool) {
+// record, and wake watchers. The caller steps the parked Expect calls
+// afterwards: the pump after each read, a shard once per session per
+// sweep.
+func (s *Session) applyChunk(chunk []byte) {
 	n := len(chunk)
 	if s.logger != nil {
 		s.logger(chunk)
@@ -476,9 +481,6 @@ func (s *Session) applyChunk(chunk []byte, step bool) {
 		}
 	}
 	s.notifyLocked()
-	if step {
-		s.stepParkedLocked()
-	}
 	s.mu.Unlock()
 }
 

@@ -615,3 +615,43 @@ func TestParkedExpectsResolveFIFO(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadlineRacingIngestResolvesOnce: an op whose deadline passes just
+// as its input lands resolves once, either way: the ingest step matches
+// it, or its timer unparks it and the caller's deadline step resolves it
+// (a match, if the input beat that step, or the timeout). Nothing stays
+// parked, and no input is lost to the race.
+func TestDeadlineRacingIngestResolvesOnce(t *testing.T) {
+	s := NewManualSession(nil, "race")
+	const rounds = 300
+	matched := 0
+	for i := 0; i < rounds; i++ {
+		fed := make(chan struct{})
+		go func() {
+			defer close(fed)
+			time.Sleep(time.Duration(i%7) * 20 * time.Microsecond)
+			s.Feed([]byte("x;"))
+		}()
+		m, err := s.ExpectTimeout(60*time.Microsecond, Exact(";"), TimeoutCase())
+		if err != nil {
+			t.Fatalf("round %d: %v", i, err)
+		}
+		<-fed
+		if m.TimedOut {
+			// The input arrived after the verdict; it is still buffered.
+			if m, err = s.ExpectTimeout(0, Exact(";")); err != nil {
+				t.Fatalf("round %d: buffered input lost: %v", i, err)
+			}
+		}
+		if m.Text != "x;" {
+			t.Fatalf("round %d matched %q, want %q", i, m.Text, "x;")
+		}
+		matched++
+		if n := s.Info().ParkedOps; n != 0 {
+			t.Fatalf("round %d left %d ops parked", i, n)
+		}
+	}
+	if matched != rounds {
+		t.Errorf("matched %d of %d inputs", matched, rounds)
+	}
+}

@@ -18,7 +18,8 @@ import (
 // loop is the only goroutine that ingests its output — the paper's
 // single-threaded select loop (§7.2), multiplied. Expect calls park on
 // their session, not on the loop (expect.go): the loop steps them after
-// it ingests, and each op's own timer fires its deadline.
+// it ingests, and each op's own timer hands it back to its caller at the
+// deadline.
 //
 // Ownership invariants:
 //
@@ -36,12 +37,12 @@ import (
 //     shard's readiness poller or, without one, the connection's own
 //     reader), and then steps the session's parked Expect calls once
 //     per sweep.
-//  4. A parked op is resolved exactly once, under s.mu, by whichever
-//     comes first: the loop's step after ingest or EOF, or the op's
-//     timer. The caller's own admission attempt runs in the critical
-//     section that parks it, so output or EOF ingested before admission
-//     is seen by that attempt and output ingested after finds the op
-//     parked (TestShardedEOFBeforeExpectResolves).
+//  4. A parked op is resolved exactly once, under s.mu: by the loop's
+//     step after ingest or EOF, or, once its timer has unparked it, by
+//     its caller's deadline step. The caller's admission attempt runs in
+//     the critical section that parks it, so output or EOF ingested
+//     before admission is seen by that attempt and output ingested after
+//     finds the op parked (TestShardedEOFBeforeExpectResolves).
 //  5. adopt checks stopped and queues msgRegister under stopMu's read
 //     lock, and Stop sets stopped under the write lock before it signals
 //     a loop; a draining loop exits only with no sessions and an empty
@@ -502,7 +503,7 @@ func (sh *shard) drain(s *Session) (got bool, err error) {
 				if s.ingest != nil {
 					s.ingest.AddCopied(n)
 				}
-				s.applyChunk(sh.scratch[:n], false)
+				s.applyChunk(sh.scratch[:n])
 				if sh.rec.On() {
 					sh.rec.RecordBytes(trace.KindRead, s.sid, int64(n), 0, false, sh.scratch[:n], nil)
 				}
