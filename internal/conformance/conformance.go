@@ -26,9 +26,11 @@ package conformance
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -92,12 +94,12 @@ type Variant struct {
 // cells (shard counts pinned explicitly — the default would collapse to
 // GOMAXPROCS). The six cached cells with a vm twin (pump, shard1, shard8,
 // net and mux) run watched, so the twin pair checks that observing every
-// dispatch changes nothing on each kind of session. Only the clean
-// condition drives the shard cells' sessions through a shard: a fault
-// condition wraps every transport, the wrapper hides TryRead, and those
-// sessions run on pumps beside the cell's scheduler. Variants[0], the
-// classic referee on the seed's rescan matcher, is the baseline every
-// cell is compared against.
+// dispatch changes nothing on each kind of session. Under every
+// condition the shard cells' sessions run on a shard: the fault wrapper
+// keeps each transport's TryRead and doorbell, and RunScript fails a
+// shard cell in which any child ran on a pump. Variants[0], the classic
+// referee on the seed's rescan matcher, is the baseline every cell is
+// compared against.
 var Variants = []Variant{
 	{Name: "rescan-classic", Matcher: core.MatcherRescan, EvalMode: "classic"},
 	{Name: "rescan-cached", Matcher: core.MatcherRescan, Watched: true},
@@ -352,6 +354,9 @@ type childTap struct {
 	seq  int
 	name string
 	buf  lockedBuf
+	// pumped is set once a pump goroutine delivers any of the child's
+	// output; in a shard cell every child must run on a shard.
+	pumped atomic.Bool
 }
 
 func (ts *tapSet) hook(seq int, name string) io.Writer {
@@ -359,7 +364,45 @@ func (ts *tapSet) hook(seq int, name string) io.Writer {
 	ts.mu.Lock()
 	ts.taps = append(ts.taps, ct)
 	ts.mu.Unlock()
-	return &ct.buf
+	return ct
+}
+
+// Write is called from whatever ingests the child's output: the
+// session's pump or its shard loop.
+func (ct *childTap) Write(p []byte) (int, error) {
+	if !ct.pumped.Load() && onPump() {
+		ct.pumped.Store(true)
+	}
+	return ct.buf.Write(p)
+}
+
+// onPump reports whether the calling goroutine is a session pump rather
+// than a shard loop.
+func onPump() bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if f.Function == "repro/internal/core.(*Session).pump" {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// pumped names the children whose output a pump delivered.
+func (ts *tapSet) pumped() []string {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	var out []string
+	for _, ct := range ts.taps {
+		if ct.pumped.Load() {
+			out = append(out, ct.name)
+		}
+	}
+	return out
 }
 
 func (ts *tapSet) children() []Child {
@@ -378,7 +421,9 @@ func (ts *tapSet) children() []Child {
 const drainDeadline = 10 * time.Second
 
 // RunScript replays scriptsDir/sc.File through one engine variant with
-// one fault schedule and returns the invariant outcome.
+// one fault schedule and returns the invariant outcome. In a shard cell
+// (v.Shards > 0) it fails if any child's output reached the engine
+// through a pump: such a child would repeat a pump cell.
 //
 // The drain protocol matters: a script often ends with bytes still in
 // flight (a logout banner, a farewell line). Comparing transcripts
@@ -459,6 +504,9 @@ func RunScript(scriptsDir string, sc ScriptCase, v Variant, sched faultify.Sched
 	out.ExitCode, out.ExitCalled = eng.ExitCode()
 	if runErr != nil {
 		out.Err = runErr.Error()
+	}
+	if pumped := taps.pumped(); v.Shards > 0 && len(pumped) > 0 {
+		return nil, fmt.Errorf("%s: children %v ran on a pump in a %d-shard cell", sc.File, pumped, v.Shards)
 	}
 	return out, nil
 }

@@ -46,6 +46,39 @@ func TestVariantsNameTheirEvaluator(t *testing.T) {
 	}
 }
 
+// TestOnPumpTellsPumpFromShard pins the probe behind RunScript's shard-cell
+// check: a child's output reaches its tap on a pump goroutine when no
+// scheduler owns the session, and on a shard loop when one does.
+func TestOnPumpTellsPumpFromShard(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		cfg := &core.Config{}
+		if shards > 0 {
+			sc := core.NewScheduler(core.SchedulerOptions{Shards: shards})
+			defer sc.Stop()
+			cfg.Sched = sc
+		}
+		onPumpCh := make(chan bool, 1)
+		cfg.Logger = func([]byte) {
+			select {
+			case onPumpCh <- onPump():
+			default:
+			}
+		}
+		s, err := core.SpawnProgram(cfg, "hello", func(stdin io.Reader, stdout io.Writer) error {
+			io.WriteString(stdout, "hi")
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := <-onPumpCh; got != (shards == 0) {
+			t.Errorf("shards=%d: onPump() = %v in the session's ingest", shards, got)
+		}
+		s.Close()
+		s.WaitPumpDrained()
+	}
+}
+
 // TestConformanceScripts replays every shipped script through the full
 // variant × condition matrix and requires each cell's outcome to be
 // identical to the baseline (rescan matcher, classic eval, clean

@@ -174,8 +174,19 @@ type ScenarioRun struct {
 
 // spawn starts one scenario child under the run's transport. The
 // returned cleanup tears down the loopback server or gateway (no-op for
-// virtual).
+// virtual). Under a scheduler every child must run on a shard: one left
+// to a pump would repeat a pump cell, so spawn fails the cell instead.
 func (rn ScenarioRun) spawn(cfg *core.Config, name string, prog proc.Program) (*core.Session, func(), error) {
+	s, cleanup, err := rn.spawnOn(cfg, name, prog)
+	if err == nil && cfg.Sched != nil && s.ShardIndex() < 0 {
+		s.Close()
+		cleanup()
+		return nil, nil, fmt.Errorf("%s runs on a pump in a %d-shard cell", name, rn.Shards)
+	}
+	return s, cleanup, err
+}
+
+func (rn ScenarioRun) spawnOn(cfg *core.Config, name string, prog proc.Program) (*core.Session, func(), error) {
 	if rn.Mux {
 		srv, err := netx.NewMuxServer("127.0.0.1:0",
 			map[string]proc.Program{name: prog}, netx.MuxServerOptions{})

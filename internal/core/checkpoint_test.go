@@ -64,7 +64,7 @@ func TestSessionCheckpointRestoreRoundTrip(t *testing.T) {
 func TestCheckpointCopiesOwnedBacking(t *testing.T) {
 	s := NewManualSession(&Config{MatchMax: 64}, "owned")
 	o := &fakeOwned{data: []byte("prompt> ")}
-	s.applyOwned(o)
+	s.apply(o.Bytes(), o)
 	cp := s.Checkpoint()
 
 	// Simulate the pool reclaiming the segment out from under any alias.
@@ -93,7 +93,7 @@ func TestRecordReadsOwnedBackingBeforeRelease(t *testing.T) {
 		rec.SetRecording(true)
 		s := NewManualSession(&Config{MatchMax: 64, Rec: rec}, "rec")
 		o := &fakeOwned{data: []byte("prompt> ")}
-		s.applyOwned(o)
+		s.apply(o.Bytes(), o)
 		if tc.eof {
 			s.FeedEOF(nil)
 		}

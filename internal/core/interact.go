@@ -68,22 +68,29 @@ func (s *Session) Interact(opt InteractOptions) (*InteractOutcome, error) {
 		opt.UserOut = io.Discard
 	}
 
-	// Output side: drain the match buffer to the user as it fills.
-	drainStop := false
+	// Output side: drain the match buffer to the user as it fills. The
+	// watcher is registered before the first look, so output or EOF
+	// arriving between a look and the wait still wakes the drain (the
+	// Select discipline). stopCh is closed under s.mu, and the drain
+	// checks it under s.mu before each take, so once stopDrain holds the
+	// lock no further output is taken from the script's next expect.
+	wake := make(chan struct{}, 1)
+	s.addWatcher(wake)
+	stopCh := make(chan struct{})
 	drainDone := make(chan struct{})
 	go func() {
 		defer close(drainDone)
+		defer s.removeWatcher(wake)
 		for {
 			s.mu.Lock()
-			for s.mb.length() == 0 && !s.eof && !drainStop {
-				s.cond.Wait()
-			}
-			if drainStop {
+			select {
+			case <-stopCh:
 				s.mu.Unlock()
 				return
+			default:
 			}
 			// take copies: the write below happens after unlock, while the
-			// pump may append into the same backing array.
+			// ingest side may append into the same backing array.
 			chunk := s.mb.take()
 			eof := s.eof
 			s.mu.Unlock()
@@ -95,12 +102,16 @@ func (s *Session) Interact(opt InteractOptions) (*InteractOutcome, error) {
 			if eof {
 				return
 			}
+			select {
+			case <-wake:
+			case <-stopCh:
+				return
+			}
 		}
 	}()
 	stopDrain := func() {
 		s.mu.Lock()
-		drainStop = true
-		s.cond.Broadcast()
+		close(stopCh)
 		s.mu.Unlock()
 		<-drainDone
 	}

@@ -85,13 +85,15 @@ func (s *Session) Info() SessionInfo {
 	return info
 }
 
-// ShardSnapshot is one shard loop's telemetry snapshot: its backlog, its
+// ShardSnapshot is one shard's telemetry snapshot: its backlog, its
 // losses, the wakeup-servicing latency distribution, and every session it
-// owns. Taken on the loop itself (msgInspect), so the session set is
-// exactly the one the loop acts on next; each session's parked ops are
-// read under that session's lock.
+// owns. The session set is copied under the shard's lock, so a session is
+// in it from registration to its finish; each session's parked ops are
+// then read under that session's lock.
 type ShardSnapshot struct {
-	Shard      int                 `json:"shard"`
+	Shard int `json:"shard"`
+	// QueueDepth and PeakDepth count dirty sessions awaiting a sweep,
+	// now and at the high-water mark; a shard queues no messages.
 	QueueDepth int                 `json:"queue_depth"`
 	PeakDepth  int                 `json:"peak_depth"`
 	Dropped    uint64              `json:"dropped"`
@@ -100,8 +102,8 @@ type ShardSnapshot struct {
 	Sessions   []SessionInfo       `json:"sessions,omitempty"`
 }
 
-// inspect builds the snapshot on the shard loop, sessions sorted by SID
-// for deterministic output.
+// inspect builds the snapshot, sessions sorted by SID for deterministic
+// output. It never waits on the loop.
 func (sh *shard) inspect() ShardSnapshot {
 	snap := ShardSnapshot{
 		Shard:      sh.idx,
@@ -110,7 +112,7 @@ func (sh *shard) inspect() ShardSnapshot {
 		Dropped:    sh.dropped.Load(),
 		Wakeup:     sh.wake.Summary("wakeup"),
 	}
-	for s := range sh.sessions {
+	for _, s := range sh.owned() {
 		info := s.Info()
 		snap.ParkedOps += info.ParkedOps
 		snap.Sessions = append(snap.Sessions, info)
@@ -119,48 +121,45 @@ func (sh *shard) inspect() ShardSnapshot {
 	return snap
 }
 
-// backlog samples the shard's current queue depth: queued messages plus
-// dirty sessions awaiting a sweep. Safe from any goroutine.
+// backlog samples the shard's current queue depth: the dirty sessions
+// awaiting a sweep. Safe from any goroutine.
 func (sh *shard) backlog() int {
-	sh.dirtyMu.Lock()
-	d := len(sh.dirty)
-	sh.dirtyMu.Unlock()
-	return len(sh.cmds) + d
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.dirty)
 }
 
-// requestInspect posts msgInspect and waits for the loop's reply. A
-// stopped or
-// draining loop yields an empty snapshot instead of an error: the
-// telemetry plane must stay readable while the daemon drains, and an
-// empty shard is the truthful answer once its loop has exited.
-func (sh *shard) requestInspect() ShardSnapshot {
-	insp := make(chan ShardSnapshot, 1)
-	select {
-	case sh.cmds <- shardMsg{kind: msgInspect, insp: insp}:
-		sh.noteDepth(len(sh.cmds))
-	case <-sh.done:
-		return ShardSnapshot{Shard: sh.idx}
-	}
-	select {
-	case snap := <-insp:
-		return snap
-	case <-sh.done:
-		return ShardSnapshot{Shard: sh.idx}
-	}
+// size is the number of sessions the shard owns.
+func (sh *shard) size() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.sessions)
 }
 
-// SnapshotShards returns one loop-consistent snapshot per shard. Each
-// shard's snapshot is internally consistent (taken on its loop between
-// batches); the slice as a whole is not a global cut — shard 0 may step a
-// session while shard 1 is being photographed — which is the same
-// consistency a fleet scrape of separate processes would get.
+// parkedOps counts the Expect calls parked on the shard's sessions.
+func (sh *shard) parkedOps() int {
+	n := 0
+	for _, s := range sh.owned() {
+		s.mu.Lock()
+		n += len(s.parked)
+		s.mu.Unlock()
+	}
+	return n
+}
+
+// SnapshotShards returns one snapshot per shard. Each shard's session set
+// is read at one instant; the slice as a whole is not a global cut —
+// shard 0 may step a session while shard 1 is being photographed — which
+// is the same consistency a fleet scrape of separate processes would get.
+// It never waits on a loop: on a stopped or draining scheduler each shard
+// reports what it still owns, which is nothing once its loop has exited.
 func (sc *Scheduler) SnapshotShards() []ShardSnapshot {
 	if sc == nil {
 		return nil
 	}
 	out := make([]ShardSnapshot, len(sc.shards))
 	for i, sh := range sc.shards {
-		out[i] = sh.requestInspect()
+		out[i] = sh.inspect()
 	}
 	return out
 }
@@ -190,11 +189,11 @@ func (sc *Scheduler) ShardWakeups() []*metrics.Histogram {
 }
 
 // RegisterMetrics publishes the scheduler's per-shard gauges and the
-// merged wakeup histogram. Queue depth, peak, and dropped are read from
-// the shards without a loop round-trip; the per-shard session and
-// parked-op gauges take a loop snapshot per render, which is what makes
-// them consistent with the loops' own view. Safe on a nil scheduler or
-// registry.
+// merged wakeup histogram. Every gauge reads the shards directly, without
+// a loop round-trip and without building a session snapshot: queue depth,
+// peak and dropped from counters, sessions from the size of each shard's
+// set, and parked ops from each owned session's parked count. Safe on a
+// nil scheduler or registry.
 func (sc *Scheduler) RegisterMetrics(r *metrics.Registry) {
 	if sc == nil || r == nil {
 		return
@@ -209,32 +208,20 @@ func (sc *Scheduler) RegisterMetrics(r *metrics.Registry) {
 		}
 	}
 	r.GaugeVec("expect_shard_queue_depth",
-		"Queued messages plus dirty sessions awaiting a sweep, per shard.",
+		"Dirty sessions awaiting a sweep, per shard.",
 		"shard", shardVec((*shard).backlog))
 	r.GaugeVec("expect_shard_queue_peak",
-		"High-water shard backlog since start, per shard.",
+		"High-water count of dirty sessions since start, per shard.",
 		"shard", shardVec(func(sh *shard) int { return int(sh.depthPeak.Load()) }))
 	r.Counter("expect_shard_dropped_total",
 		"Events lost at the drain deadline across all shards (zero on a clean run).",
 		func() float64 { return float64(sc.Dropped()) })
 	r.GaugeVec("expect_shard_sessions",
-		"Sessions owned per shard loop (loop-consistent snapshot).",
-		"shard", func() map[string]float64 {
-			out := make(map[string]float64, len(sc.shards))
-			for _, snap := range sc.SnapshotShards() {
-				out[shardLabel(snap.Shard)] = float64(len(snap.Sessions))
-			}
-			return out
-		})
+		"Sessions owned per shard loop.",
+		"shard", shardVec((*shard).size))
 	r.GaugeVec("expect_shard_parked_ops",
 		"Unresolved Expect calls parked per shard loop.",
-		"shard", func() map[string]float64 {
-			out := make(map[string]float64, len(sc.shards))
-			for _, snap := range sc.SnapshotShards() {
-				out[shardLabel(snap.Shard)] = float64(snap.ParkedOps)
-			}
-			return out
-		})
+		"shard", shardVec((*shard).parkedOps))
 	r.Histogram("expect_shard_wakeup_seconds",
 		"Wakeup-servicing latency per shard loop batch, merged across shards.",
 		sc.ShardWakeups)

@@ -115,7 +115,8 @@ func (b *matchBuffer) consume(n int) {
 
 // take returns a copy of the live bytes and empties the buffer. It copies
 // because callers (the interact drain) write the result after releasing
-// the session lock, while the pump may be appending into the same backing.
+// the session lock, while the ingest side may be appending into the same
+// backing.
 func (b *matchBuffer) take() []byte {
 	if b.length() == 0 {
 		b.reset()

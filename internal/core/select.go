@@ -17,7 +17,7 @@ import (
 // against a child exiting between the attempt (the HasData/scan pass) and
 // the wait, because the shared wake channel is registered with every
 // session *before* the first attempt and both chunk and EOF ingest — pump
-// or shard loop, applyChunk/applyEOF — poke watchers under s.mu. The
+// or shard loop, apply/applyEOF — poke watchers under s.mu. The
 // window that does exist under sharding is on the ingest side: a child
 // that spoke or died before its shard took ownership would never ring
 // the doorbell. adopt closes it with an unconditional initial markDirty.

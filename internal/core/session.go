@@ -75,11 +75,11 @@ type Config struct {
 	// the spawn id so recordings read in script terms (-1 = no id).
 	SID int32
 	// Sched, when non-nil, hands a session whose transport is
-	// event-capable (virtual duplexes, sockets, mux streams) to a sharded
-	// scheduler: one of its event loops drains it instead of a
-	// per-session pump goroutine (see shard.go). Sessions that can only
-	// be read by blocking (pty, pipe, fault-wrapped transports) and
-	// raw-stream sessions (no process) keep their pump.
+	// event-capable (virtual duplexes, sockets, mux streams, and those
+	// behind a fault wrapper) to a sharded scheduler: one of its event
+	// loops drains it instead of a per-session pump goroutine (see
+	// shard.go). Sessions that can only be read by blocking (pty, pipe)
+	// and raw-stream sessions (no process) keep their pump.
 	Sched *Scheduler
 	// Spawn options passed through to the transport layer.
 	SpawnOptions proc.Options
@@ -125,7 +125,6 @@ type Session struct {
 	ingest *metrics.IngestStats
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	mb        matchBuffer
 	totalSeen int64
 	forgotten int64
@@ -152,14 +151,13 @@ type Session struct {
 	pumpOnce sync.Once
 
 	// Sharded-scheduler state (nil/zero for pump-driven sessions): the
-	// owning shard, the hash key it was assigned with, and the ingest
-	// flags its loop coordinates on. adopt writes shard once, before the
+	// owning shard, the hash key it was assigned with, and the flag that
+	// coalesces its doorbell rings. adopt writes shard once, before the
 	// session is returned, and it never changes (shard.go invariant 1),
 	// so it is read without the lock.
 	shard    *shard
 	shardKey uint64
 	inDirty  atomic.Bool
-	shardEOF atomic.Bool
 	// ownedMode marks a shard-owned session whose transport hands chunks
 	// over by ownership transfer (TryReadOwned) instead of copying drains.
 	ownedMode bool
@@ -326,7 +324,6 @@ func newManualSession(cfg *Config, name string) *Session {
 	if cfg.ScreenRows > 0 && cfg.ScreenCols > 0 {
 		s.screen = vt.NewScreen(cfg.ScreenRows, cfg.ScreenCols)
 	}
-	s.cond = sync.NewCond(&s.mu)
 	s.closePumpDone() // nothing will ever pump
 	return s
 }
@@ -336,7 +333,7 @@ func newManualSession(cfg *Config, name string) *Session {
 // calls. Replay and tests drive sessions with it; it must not race a live
 // pump on the same session.
 func (s *Session) Feed(chunk []byte) {
-	s.applyChunk(chunk)
+	s.apply(chunk, nil)
 	s.stepParked()
 }
 
@@ -384,7 +381,6 @@ func newSession(cfg *Config, name string, p *proc.Process, rw io.ReadWriteCloser
 			s.screen = vt.NewScreen(cfg.ScreenRows, cfg.ScreenCols)
 		}
 	}
-	s.cond = sync.NewCond(&s.mu)
 	if cfg != nil && cfg.Sched != nil && p != nil {
 		if cfg.Sched.adopt(s) != nil {
 			return s
@@ -417,41 +413,98 @@ func isTransient(err error) bool {
 	return errors.Is(err, syscall.EAGAIN) || errors.Is(err, syscall.EINTR)
 }
 
-// pump moves child output into the match buffer, enforcing match_max,
-// and steps the session's parked Expect calls after each read. One pump
-// goroutine per session is the classic concurrency model — the dialogue
+// maxSweepReads bounds one drain, on a pump and a shard loop alike: a
+// firehose gives way after this many reads (a shard re-queues it, so its
+// shard-mates still get stepped; a pump returns to its blocking Read).
+const maxSweepReads = 16
+
+// pump ingests for every session no event loop owns: a goroutine
+// blocked in Read, the classic concurrency model, while the dialogue
 // logic itself stays single-threaded, like the original select-loop
-// implementation (§7.2). Sessions a scheduler adopted skip the pump
-// entirely: a shard event loop performs the same applyChunk/applyEOF
-// sequence (shard.go).
+// implementation (§7.2). After each read it drains what its stream still
+// holds without blocking, when the stream can be read that way, and then
+// steps the parked Expect calls once — a shard sweep's batch rule. It
+// steps from this frame rather than inside drain, so a new pump's first
+// attempt runs no deeper on its goroutine's starting stack (DESIGN §9).
 func (s *Session) pump() {
-	defer s.closePumpDone()
-	chunk := make([]byte, 4096)
+	buf := make([]byte, 4096)
+	budget := 0
+	if s.p != nil && s.p.EventCapable() {
+		budget = maxSweepReads - 1
+	}
 	for {
 		stop := s.prof.Start(metrics.PhaseIO)
-		n, err := s.rw.Read(chunk)
+		n, err := s.rw.Read(buf)
 		stop()
-		if n > 0 {
-			s.applyChunk(chunk[:n])
-			s.stepParked()
-		}
-		if err != nil {
-			if isTransient(err) {
-				// A transient fault, not a hangup: retry the read.
-				continue
-			}
-			s.applyEOF(err)
+		got, _, ended := s.drain(buf, n, err, budget, nil)
+		if ended {
 			return
 		}
+		if got {
+			s.stepParked()
+		}
 	}
 }
 
-// applyChunk is the single ingest path shared by the pump and the shard
-// loops: tap loggers and the screen, append under the match_max bound,
-// record, and wake watchers. The caller steps the parked Expect calls
-// afterwards: the pump after each read, a shard once per session per
-// sweep.
-func (s *Session) applyChunk(chunk []byte) {
+// drain is the one ingest routine, run by the pump and the shard loop
+// alike. A pump calls it after each blocking Read with that read's result
+// (n bytes of buf, err); a shard loop calls it when the session's
+// doorbell rings, with nothing read yet. Each chunk goes through apply;
+// then, while budget lasts and the transport holds more, drain reads on
+// with TryReadOwned on a shard whose transport hands chunks over, or
+// TryRead into buf. At end of stream it finishes the session. rec, a
+// shard's recorder, gets a KindRead per chunk. It reports whether it
+// appended anything (the caller then steps the parked Expect calls once),
+// whether it stopped at its budget with the transport perhaps holding
+// more, and whether the stream ended.
+func (s *Session) drain(buf []byte, n int, err error, budget int, rec *trace.Recorder) (got, more, ended bool) {
+	var o proc.Owned
+	for {
+		if n > 0 || o != nil {
+			chunk := buf[:n]
+			if o != nil {
+				chunk = o.Bytes()
+			}
+			if rec.On() {
+				// Record before apply: the recorder copies what it keeps,
+				// and a lease may end inside apply.
+				rec.RecordBytes(trace.KindRead, s.sid, int64(len(chunk)), 0, false, chunk, nil)
+			}
+			s.apply(chunk, o)
+			got = true
+		}
+		if err != nil && !isTransient(err) {
+			s.finish(err, rec)
+			return got, false, true
+		}
+		if budget == 0 {
+			return got, true, false
+		}
+		budget--
+		var ok bool
+		stop := s.prof.Start(metrics.PhaseIO)
+		if s.ownedMode {
+			o, ok, err = s.p.TryReadOwned()
+		} else {
+			n, ok, err = s.p.TryRead(buf)
+		}
+		stop()
+		if !ok {
+			return got, false, false
+		}
+	}
+}
+
+// apply is the one chunk-ingest step, for the pump, the shard loops and
+// Feed alike: tap loggers and the screen, append under the match_max
+// bound, account, record, and wake watchers. With a lease o (chunk is
+// o.Bytes(), a pooled netx segment) the chunk, in the steady state of an
+// empty match window, becomes the gap buffer's backing without a copy:
+// the lease travels kernel → segment → window and is released when the
+// window forgets it. When the window is mid-match and cannot adopt, the
+// bytes are copied in and the lease returned here. The caller steps the
+// parked Expect calls afterwards.
+func (s *Session) apply(chunk []byte, o proc.Owned) {
 	n := len(chunk)
 	if s.logger != nil {
 		s.logger(chunk)
@@ -461,48 +514,7 @@ func (s *Session) applyChunk(chunk []byte) {
 	}
 	s.mu.Lock()
 	s.totalSeen += int64(n)
-	// Forgetting per §3.1 happens inside appendData in O(1).
-	prevCap := cap(s.mb.data)
-	forgot := int64(s.mb.appendData(chunk))
-	if s.ingest != nil {
-		s.ingest.AddCopied(n)
-		if cap(s.mb.data) != prevCap {
-			s.ingest.AddAlloc()
-		}
-	}
-	s.forgotten += forgot
-	if s.prof != nil || s.rec.On() {
-		s.lastRead = time.Now()
-	}
-	if s.rec.On() {
-		s.rec.RecordBytes(trace.KindRead, s.sid, int64(n), s.totalSeen, false, chunk, nil)
-		if forgot > 0 {
-			s.rec.Record(trace.KindForget, s.sid, forgot, s.forgotten, false, "", "")
-		}
-	}
-	s.notifyLocked()
-	s.mu.Unlock()
-}
-
-// applyOwned is applyChunk's ownership-transfer twin: the chunk arrives
-// as a leased buffer (a pooled netx segment) and, in the steady state of
-// an empty match window, becomes the gap buffer's backing without a
-// copy — the lease travels kernel → segment → window and is released
-// when the window forgets it. Taps (logger, screen, recorder) read the
-// payload before any release; the recorder copies what it keeps. When
-// the window is mid-match and cannot adopt, the bytes are copied in and
-// the lease returned here.
-func (s *Session) applyOwned(o proc.Owned) {
-	chunk := o.Bytes()
-	n := len(chunk)
-	if s.logger != nil {
-		s.logger(chunk)
-	}
-	if s.screen != nil {
-		s.screen.Write(chunk)
-	}
-	s.mu.Lock()
-	s.totalSeen += int64(n)
+	// Forgetting per §3.1 happens inside the append in O(1).
 	prevCap := cap(s.mb.data)
 	forgotN, adopted := s.mb.appendOwned(chunk, o)
 	forgot := int64(forgotN)
@@ -528,9 +540,26 @@ func (s *Session) applyOwned(o proc.Owned) {
 	}
 	s.notifyLocked()
 	s.mu.Unlock()
-	if !adopted {
+	if o != nil && !adopted {
 		o.Release()
 	}
+}
+
+// finish ends the stream once, whether a pump or a shard loop saw it
+// end: EOF is applied, which resolves every parked Expect call, a
+// shard's recorder notes it, the session leaves its shard, and
+// WaitPumpDrained returns.
+func (s *Session) finish(err error, rec *trace.Recorder) {
+	s.pumpOnce.Do(func() {
+		s.applyEOF(err)
+		if rec.On() {
+			rec.Record(trace.KindEOF, s.sid, 0, 0, false, s.name, "")
+		}
+		if s.shard != nil {
+			s.shard.drop(s)
+		}
+		close(s.pumpDone)
+	})
 }
 
 // applyEOF marks the stream finished, wakes watchers and resolves every
@@ -547,14 +576,15 @@ func (s *Session) applyEOF(err error) {
 	s.mu.Unlock()
 }
 
-// closePumpDone releases WaitPumpDrained exactly once, whether the pump
-// or the owning shard observed EOF.
+// closePumpDone releases WaitPumpDrained without applying EOF: for a
+// manual session, which nothing pumps, and for one a stopping shard
+// abandons. Either way it spends pumpOnce, so a later finish does
+// nothing.
 func (s *Session) closePumpDone() {
 	s.pumpOnce.Do(func() { close(s.pumpDone) })
 }
 
 func (s *Session) notifyLocked() {
-	s.cond.Broadcast()
 	for ch := range s.watchers {
 		select {
 		case ch <- struct{}{}:

@@ -21,11 +21,11 @@ import (
 // goroutines added by spawning the 10k sessions: O(shards), not
 // O(connections).
 //
-// Workers run with load.Config.NoWrap: a faultify-wrapped stream hides
-// the transport capabilities, so its session keeps a pump goroutine
-// instead of joining a shard, which the conformance equivalence matrix
-// covers; here it would only blur the guards with a constant they are
-// not measuring.
+// Workers run with load.Config.NoWrap: a faultify-wrapped stream keeps
+// TryRead and its doorbell but not TryReadOwned, so its chunks are
+// copied where a raw socket hands them off, which the conformance
+// equivalence matrix covers; here it would only blur the copy guards
+// with a constant they are not measuring.
 func ZeroCopyIngest(repoRoot string) (Result, error) {
 	const (
 		shardCount = 8

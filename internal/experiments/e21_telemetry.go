@@ -31,13 +31,13 @@ import (
 //     Bar: <=1% per dialogue.
 //  2. scraped — /metrics is scraped at 1 Hz, the Prometheus-shaped
 //     worst case. Every scrape renders the full exposition, which
-//     posts an inspect message to every shard loop (twice: the session
-//     and parked-op gauges each take a loop-consistent snapshot). The
-//     price is measured against a live-but-quiescent plane carrying
-//     10k scheduled sessions, where inspects are serviced immediately:
-//     the median scrape round-trip is the work one scrape does, and
-//     the overhead is that work as a share of one second — what 1 Hz
-//     scraping steals from one core. Bar: <=3% per dialogue.
+//     reads each shard's session count and each owned session's parked
+//     count under their locks, never waiting on a loop. The price is
+//     measured against a live-but-quiescent plane carrying 10k
+//     scheduled sessions: the median scrape round-trip is the work one
+//     scrape does, and the overhead is that work as a share of one
+//     second — what 1 Hz scraping steals from one core. Bar: <=3% per
+//     dialogue.
 //
 // Why accounting and not a bare-vs-scraped wall-clock differential:
 // this host's run-to-run soak variance is ±2-5% (virtualized CPU, GC
@@ -238,10 +238,9 @@ func TelemetryEconomics() (Result, error) {
 }
 
 // priceScrape measures what one /metrics scrape costs over a quiescent
-// scheduler carrying n live sessions: full exposition render, two
-// loop-consistent shard snapshots, and the HTTP round-trip, with no
-// dialogue backlog in front of the inspect messages. Returns the median
-// of timed scrapes after warmup.
+// scheduler carrying n live sessions: full exposition render, the
+// per-shard session and parked-op gauges over every owned session, and
+// the HTTP round-trip. Returns the median of timed scrapes after warmup.
 func priceScrape(n, shards int) (time.Duration, error) {
 	sc := core.NewScheduler(core.SchedulerOptions{Shards: shards})
 	defer sc.Stop()

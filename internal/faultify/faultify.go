@@ -37,12 +37,20 @@
 //     the conformance mutation test uses it to prove divergences are
 //     caught, and targeted tests use it for EOF-mid-pattern coverage.
 //
+// Event-capable streams stay event-capable: the hooks (Wrapper,
+// TracedWrapper) keep a stream's non-blocking TryRead and its doorbell
+// when it has both, so a wrapped virtual or socket session still runs on
+// a shard. TryRead applies the same schedule as Read; a read delay reads
+// as "not ready" until it has passed, and then rings the doorbell.
+// Streams without them (ptys, pipes) get a wrapper without them too.
+//
 // Reproducibility contract: a Transport's choices are a pure function of
-// (Schedule.Seed, the sequence of Read/Write calls on it). With
-// MaxReadChunk == 1 the delivered chunking is fully deterministic; larger
-// values keep the adversary's choices fixed by the seed while the chunk
-// boundaries additionally depend on arrival timing. Divergence reports
-// therefore always carry both the seed and the schedule.
+// (Schedule.Seed, the sequence of Read/Write calls on it); a TryRead that
+// finds no bytes draws nothing, so polling does not move the schedule.
+// With MaxReadChunk == 1 the delivered chunking is fully deterministic;
+// larger values keep the adversary's choices fixed by the seed while the
+// chunk boundaries additionally depend on arrival timing. Divergence
+// reports therefore always carry both the seed and the schedule.
 package faultify
 
 import (
@@ -174,9 +182,14 @@ type Transport struct {
 
 	readMu    sync.Mutex
 	readRng   rng
+	chunk     []byte // refill buffer behind pending
 	pending   []byte // bytes read from rw but not yet delivered
 	delivered int64  // child-output bytes handed to the engine
 	cut       bool   // CutAfterBytes reached: EOF forever
+	// delayUntil is the end of a drawn read delay that has not yet been
+	// served. The read that serves it delivers without drawing again.
+	delayUntil time.Time
+	notify     func() // the doorbell, rung when a TryRead's delay ends
 
 	writeMu  sync.Mutex
 	writeRng rng
@@ -203,10 +216,12 @@ func Wrap(rw io.ReadWriteCloser, sched Schedule, sink *metrics.Counters) *Transp
 
 // Wrapper returns a proc.Options.WrapTransport-shaped hook building a
 // Transport per spawned process. Each process gets its own PRNG state
-// (same seed), so single-process runs are unaffected by spawn order.
+// (same seed), so single-process runs are unaffected by spawn order. The
+// hook's transport has TryRead and SetReadNotify exactly when rw has
+// both.
 func Wrapper(sched Schedule, sink *metrics.Counters) func(io.ReadWriteCloser) io.ReadWriteCloser {
 	return func(rw io.ReadWriteCloser) io.ReadWriteCloser {
-		return Wrap(rw, sched, sink)
+		return Wrap(rw, sched, sink).events()
 	}
 }
 
@@ -223,8 +238,38 @@ func TracedWrapper(sched Schedule, sink *metrics.Counters, rec *trace.Recorder) 
 		t := Wrap(rw, sched, sink)
 		t.rec = rec
 		t.sid = -1
+		return t.events()
+	}
+}
+
+// tryReader and readNotifier restate proc's event-capable transport
+// contract (proc.TryReader, proc.ReadNotifier).
+type tryReader interface {
+	TryRead(b []byte) (n int, ok bool, err error)
+}
+
+type readNotifier interface {
+	SetReadNotify(fn func())
+}
+
+// eventTransport is a Transport over a stream with a non-blocking read and
+// a doorbell, and keeps both.
+type eventTransport struct {
+	*Transport
+	tr tryReader
+	rn readNotifier
+}
+
+// events returns t with its stream's TryRead and doorbell when the stream
+// has both, and t alone otherwise, so proc.EventCapable stays true to the
+// wrapped stream.
+func (t *Transport) events() io.ReadWriteCloser {
+	tr, ok := t.rw.(tryReader)
+	rn, ok2 := t.rw.(readNotifier)
+	if !ok || !ok2 {
 		return t
 	}
+	return eventTransport{Transport: t, tr: tr, rn: rn}
 }
 
 // Schedule returns the transport's schedule (for divergence reports).
@@ -257,18 +302,15 @@ func (t *Transport) Read(b []byte) (int, error) {
 	if t.cut {
 		return 0, io.EOF
 	}
-	if t.sched.TransientEveryN > 0 && t.readRng.intn(t.sched.TransientEveryN) == 0 {
-		t.count(CounterReadTransients, 1)
-		t.recordFault("read transient (injected EAGAIN)", t.delivered)
-		return 0, ErrTransient
+	if t.delayUntil.IsZero() {
+		if t.drawTransient() {
+			return 0, ErrTransient
+		}
+		t.drawDelay()
 	}
-	if t.sched.ReadDelay > 0 && t.sched.DelayEveryN > 0 &&
-		t.readRng.intn(t.sched.DelayEveryN) == 0 {
-		t.count(CounterReadDelays, 1)
-		// Uniform in (0, ReadDelay]; the duration is drawn from the PRNG
-		// so the delay pattern is part of the reproducible schedule.
-		d := time.Duration(1 + t.readRng.intn(int(t.sched.ReadDelay)))
-		t.recordFault("read delay "+d.String(), t.delivered)
+	if !t.delayUntil.IsZero() {
+		d := time.Until(t.delayUntil)
+		t.delayUntil = time.Time{}
 		t.readMu.Unlock()
 		time.Sleep(d)
 		t.readMu.Lock()
@@ -279,10 +321,9 @@ func (t *Transport) Read(b []byte) (int, error) {
 
 	// Refill the pending buffer from the wrapped stream when empty.
 	if len(t.pending) == 0 {
-		chunk := make([]byte, 4096)
-		n, err := t.rw.Read(chunk)
+		n, err := t.rw.Read(t.refillBuf())
 		if n > 0 {
-			t.pending = chunk[:n]
+			t.pending = t.chunk[:n]
 		}
 		if err != nil {
 			if n == 0 {
@@ -293,7 +334,105 @@ func (t *Transport) Read(b []byte) (int, error) {
 			// unnecessary: the wrapped stream will repeat it).
 		}
 	}
+	return t.deliver(b)
+}
 
+// TryRead is Read without blocking: ok=false when the wrapped stream has
+// nothing yet or a drawn delay has not passed. The schedule is the same:
+// a transient fault is (0, true, ErrTransient), the cut is (0, true,
+// io.EOF), and a delay reads as not ready until it has passed, when a
+// timer rings the doorbell. A call that finds no bytes draws nothing.
+func (e eventTransport) TryRead(b []byte) (int, bool, error) {
+	t := e.Transport
+	t.readMu.Lock()
+	defer t.readMu.Unlock()
+	if t.cut {
+		return 0, true, io.EOF
+	}
+	if !t.delayUntil.IsZero() && time.Now().Before(t.delayUntil) {
+		return 0, false, nil
+	}
+	if len(t.pending) == 0 {
+		n, ok, err := e.tr.TryRead(t.refillBuf())
+		if n == 0 {
+			return 0, ok, err
+		}
+		t.pending = t.chunk[:n]
+	}
+	if t.delayUntil.IsZero() {
+		t.count(CounterReads, 1)
+		if t.drawTransient() {
+			return 0, true, ErrTransient
+		}
+		if d := t.drawDelay(); d > 0 {
+			time.AfterFunc(d, t.ring)
+			return 0, false, nil
+		}
+	}
+	t.delayUntil = time.Time{}
+	n, err := t.deliver(b)
+	return n, true, err
+}
+
+// SetReadNotify installs the doorbell on the wrapped stream and keeps it
+// for the end of a delay.
+func (e eventTransport) SetReadNotify(fn func()) {
+	e.readMu.Lock()
+	e.notify = fn
+	e.readMu.Unlock()
+	e.rn.SetReadNotify(fn)
+}
+
+// ring is a TryRead delay's timer: the delayed bytes are readable now.
+func (t *Transport) ring() {
+	t.readMu.Lock()
+	fn := t.notify
+	t.readMu.Unlock()
+	if fn != nil {
+		fn()
+	}
+}
+
+// drawTransient draws whether this read fails with ErrTransient, and
+// counts and records it if so. The caller holds readMu.
+func (t *Transport) drawTransient() bool {
+	if t.sched.TransientEveryN > 0 && t.readRng.intn(t.sched.TransientEveryN) == 0 {
+		t.count(CounterReadTransients, 1)
+		t.recordFault("read transient (injected EAGAIN)", t.delivered)
+		return true
+	}
+	return false
+}
+
+// drawDelay draws whether this read is delayed and, if so, for how long,
+// and sets delayUntil. The caller holds readMu.
+func (t *Transport) drawDelay() time.Duration {
+	if t.sched.ReadDelay <= 0 || t.sched.DelayEveryN <= 0 ||
+		t.readRng.intn(t.sched.DelayEveryN) != 0 {
+		return 0
+	}
+	t.count(CounterReadDelays, 1)
+	// Uniform in (0, ReadDelay]; the duration is drawn from the PRNG so
+	// the delay pattern is part of the reproducible schedule.
+	d := time.Duration(1 + t.readRng.intn(int(t.sched.ReadDelay)))
+	t.recordFault("read delay "+d.String(), t.delivered)
+	t.delayUntil = time.Now().Add(d)
+	return d
+}
+
+// refillBuf returns the buffer pending is refilled into; pending is empty
+// whenever it is refilled, so one buffer serves every refill.
+func (t *Transport) refillBuf() []byte {
+	if t.chunk == nil {
+		t.chunk = make([]byte, 4096)
+	}
+	return t.chunk
+}
+
+// deliver copies at most k pending bytes into b, k drawn per the
+// resegmentation schedule, and applies the stream cut. The caller holds
+// readMu and has pending bytes to deliver.
+func (t *Transport) deliver(b []byte) (int, error) {
 	// Resegment: deliver at most k bytes of what is pending.
 	n := len(t.pending)
 	if n > len(b) {

@@ -3,7 +3,9 @@ package faultify
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -269,5 +271,141 @@ func TestWrapperOnVirtualTransport(t *testing.T) {
 	}
 	if sink.Get(CounterReads) == 0 {
 		t.Error("sink saw no reads")
+	}
+}
+
+// eventStream is what a shard needs of a transport.
+type eventStream interface {
+	TryRead(b []byte) (int, bool, error)
+	SetReadNotify(fn func())
+}
+
+// The hooks keep a stream's event capability exactly when it has one: a
+// wrapped duplex can still be drained by a shard, and a wrapped stream
+// without TryRead does not claim one.
+func TestWrapperKeepsEventCapability(t *testing.T) {
+	engine, _ := proc.NewDuplexPair(64)
+	for _, wrap := range []func(io.ReadWriteCloser) io.ReadWriteCloser{
+		Wrapper(Schedule{Seed: 1, MaxReadChunk: 1}, nil),
+		TracedWrapper(Schedule{Seed: 1, MaxReadChunk: 1}, nil, nil),
+	} {
+		if _, ok := wrap(engine).(eventStream); !ok {
+			t.Error("wrapping a duplex hid TryRead or SetReadNotify")
+		}
+		if _, ok := wrap(newLoopback(payload)).(eventStream); ok {
+			t.Error("wrapping a stream without TryRead produced one with it")
+		}
+	}
+	p, err := proc.SpawnVirtual("quiet", func(stdin io.Reader, stdout io.Writer) error {
+		io.Copy(io.Discard, stdin)
+		return nil
+	}, proc.Options{WrapTransport: Wrapper(Schedule{Seed: 2, MaxReadChunk: 1}, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if !p.EventCapable() {
+		t.Error("a wrapped virtual transport is not event-capable")
+	}
+}
+
+// tryDrain reads sched's transport over a fully buffered stream to EOF
+// through TryRead, waiting on the doorbell whenever it reads as not
+// ready, and returns the data, the chunk sizes and the fault counters.
+func tryDrain(t *testing.T, sched Schedule, output string) (string, []int, map[string]int64) {
+	t.Helper()
+	engine, child := proc.NewDuplexPair(1 << 16)
+	tr, ok := Wrapper(sched, nil)(engine).(eventTransport)
+	if !ok {
+		t.Fatal("wrapped duplex is not an eventTransport")
+	}
+	bell := make(chan struct{}, 1)
+	tr.SetReadNotify(func() {
+		select {
+		case bell <- struct{}{}:
+		default:
+		}
+	})
+	child.Write([]byte(output))
+	child.CloseWrite()
+	var data bytes.Buffer
+	var sizes []int
+	buf := make([]byte, 4096)
+	for {
+		n, ok, err := tr.TryRead(buf)
+		if !ok {
+			select {
+			case <-bell:
+			case <-time.After(5 * time.Second):
+				t.Fatal("a delayed TryRead never rang the doorbell")
+			}
+			continue
+		}
+		if n > 0 {
+			sizes = append(sizes, n)
+			data.Write(buf[:n])
+		}
+		if err == io.EOF {
+			return data.String(), sizes, tr.Stats()
+		}
+		if err != nil && !errors.Is(err, ErrTransient) {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TryRead applies the schedule Read does, and polling does not move it:
+// one stream driven twice through TryRead, with polls that find nothing
+// between deliveries, chunks identically and counts identical faults,
+// and chunks as Read does.
+func TestTryReadScheduleIsDeterministic(t *testing.T) {
+	output := strings.Repeat(payload, 4)
+	for _, tc := range []struct {
+		name  string
+		sched Schedule
+	}{
+		{"reseg1", Schedule{Seed: 11, MaxReadChunk: 1}},
+		{"mixed", Schedule{Seed: 12, MaxReadChunk: 3, MaxWriteChunk: 2, TransientEveryN: 5,
+			WriteTransientEveryN: 7, DelayEveryN: 9, ReadDelay: time.Millisecond}},
+		{"cut", Schedule{Seed: 13, MaxReadChunk: 5, TransientEveryN: 4, CutAfterBytes: 30}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, sizes, stats := tryDrain(t, tc.sched, output)
+			data2, sizes2, stats2 := tryDrain(t, tc.sched, output)
+			want := output
+			if c := tc.sched.CutAfterBytes; c > 0 {
+				want = output[:c]
+			}
+			if data != want || data2 != want {
+				t.Fatalf("TryRead delivered %q and %q, want %q", data, data2, want)
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(sizes2) {
+				t.Fatalf("same schedule chunked differently:\n%v\n%v", sizes, sizes2)
+			}
+			if fmt.Sprint(stats) != fmt.Sprint(stats2) {
+				t.Fatalf("same schedule counted different faults:\n%v\n%v", stats, stats2)
+			}
+			_, readSizes, err := drain(Wrap(newLoopback(output), tc.sched, nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(sizes) != fmt.Sprint(readSizes) {
+				t.Fatalf("TryRead and Read chunked differently:\n%v\n%v", sizes, readSizes)
+			}
+			switch tc.name {
+			case "reseg1":
+				if len(sizes) != len(output) {
+					t.Errorf("%d chunks, want one per byte (%d)", len(sizes), len(output))
+				}
+			case "mixed":
+				if stats[CounterReadDelays] == 0 || stats[CounterReadTransients] == 0 {
+					t.Errorf("mixed schedule injected no delay or no transient: %v", stats)
+				}
+			case "cut":
+				if stats[CounterEOFCuts] != 1 {
+					t.Errorf("cut counted %d times, want 1: %v", stats[CounterEOFCuts], stats)
+				}
+			}
+		})
 	}
 }

@@ -149,12 +149,11 @@ type Config struct {
 	// netx default of 8); the E23 acceptance bound is ≤64 per process.
 	MuxConns int
 	// NoWrap drops the flaky worker's faultify transport wrapper, so
-	// every session stays on the raw event-capable transport. E19 uses
-	// it to isolate the ingest architecture: a wrapped stream hides the
-	// TryRead/TryReadOwned capability, so its session keeps a pump
-	// goroutine beside the shards, which would smear the
-	// O(shards)-vs-O(conns) goroutine comparison with a constant it isn't
-	// measuring.
+	// every session stays on the raw transport. E19 uses it to isolate
+	// the ingest architecture's copy accounting: the wrapper forwards
+	// TryRead and the doorbell, so a wrapped session still runs on its
+	// shard, but not TryReadOwned, so its chunks would be copied where
+	// the raw socket or mux stream hands them off.
 	NoWrap bool
 	// Prof, when non-nil, receives the engine's phase timings and the
 	// wakeup-to-match histogram; nil allocates a private one.

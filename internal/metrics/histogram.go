@@ -17,9 +17,10 @@ type HistKind int
 
 const (
 	// HistWakeupToMatch: one match attempt of an expect call, from its
-	// start to the pattern-scan verdict. Attempts run at admission, after
-	// each ingest of new bytes (a pump read, a shard sweep) and at the
-	// deadline, so the count is attempts, not caller wakeups.
+	// start to the pattern-scan verdict. Attempts run at admission, once
+	// per drain of new bytes (a pump's read plus what its stream held
+	// behind it, or a shard sweep; at most 16 reads each) and at the
+	// deadline, so the count is attempts, not caller wakeups or reads.
 	HistWakeupToMatch HistKind = iota
 	// HistReadToWakeup: the handoff, from the arrival of the chunk whose
 	// ingest resolved a parked expect call to that call's caller running

@@ -325,9 +325,10 @@ type ReadNotifier interface {
 
 // EventCapable reports whether the transport supports the non-blocking
 // TryRead + SetReadNotify pair the sharded scheduler needs to own a
-// session without a dedicated reader goroutine. Unwrapped virtual
-// transports, sockets and mux streams qualify; ptys, pipes, and wrapped
-// (fault-injected) streams do not, and their sessions keep a pump.
+// session without a dedicated reader goroutine. Virtual transports,
+// sockets and mux streams qualify, and so do they behind a faultify
+// wrapper, which keeps the pair; ptys and pipes do not, wrapped or not,
+// and their sessions keep a pump.
 func (p *Process) EventCapable() bool {
 	_, tr := p.rw.(TryReader)
 	_, rn := p.rw.(ReadNotifier)

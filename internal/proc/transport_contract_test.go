@@ -445,9 +445,10 @@ func (c *countingWrap) CloseWrite() error {
 
 // TestTransportContractWrap: the WrapTransport hook must sit on the byte
 // path of every transport — each engine read and write crosses it, and
-// half-close routes through it to the real stream. A wrapped stream also
-// loses the doorbell (the wrapper hides TryReader/ReadNotifier), which
-// is what keeps fault-injected sessions on a pump under a scheduler.
+// half-close routes through it to the real stream. A wrapper that offers
+// no TryReader/ReadNotifier of its own also loses the doorbell, so its
+// session runs on a pump under a scheduler (faultify's hooks offer both
+// when the stream has them, and keep their sessions on a shard).
 func TestTransportContractWrap(t *testing.T) {
 	for _, lg := range contractLegs() {
 		lg := lg

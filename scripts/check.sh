@@ -61,12 +61,13 @@ go run ./cmd/goexpect -shards 8 -transport pipe -sims -q scripts/passwd.exp >/de
 # conservation checks. Skipped from the unit tier by -short.
 GORACE=halt_on_error=1 go test -race -count=1 -run TestSoak2kSessions ./internal/load
 
-# Replay leg: the journal/replay engine unit tier plus the journaled
-# conformance matrix under the race detector. Every scenario is recorded
-# to a JSONL journal and re-driven byte-for-byte; dispositions must be
-# identical, and any divergence carries its journal as the repro artifact.
+# Replay leg: the journal/replay engine unit tier under the race
+# detector. Its TestReplayDeterminismMatrix records every conformance
+# scenario under each fault condition to a JSONL journal and re-drives
+# it byte-for-byte; dispositions must be identical, and any divergence
+# carries its journal as the repro artifact. The conformance leg above
+# records a journal in every cell of the script matrices.
 go test -race -count=1 ./internal/trace ./internal/replay
-go test -race -count=1 -run 'Journal|Replay' ./internal/conformance
 
 # Crash/recovery battery: SIGKILL expectd mid-soak at a seeded point with
 # 2k live sessions, restore every session from its checkpoint against a
