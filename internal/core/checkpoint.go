@@ -101,11 +101,7 @@ func (s *Session) Checkpoint() *SessionCheckpoint {
 
 // checkpoint captures a parked op's portable form. The caller holds s.mu.
 func (op *expectOp) checkpoint(now time.Time) OpCheckpoint {
-	oc := OpCheckpoint{RemainingNS: op.remainingNS(now)}
-	for _, c := range op.cases {
-		oc.Cases = append(oc.Cases, CaseSpec{Kind: int(c.Kind), Pattern: c.Pattern})
-	}
-	return oc
+	return OpCheckpoint{Cases: appendCaseSpecs(nil, op.cases), RemainingNS: op.remainingNS(now)}
 }
 
 // remainingNS is the op's deadline budget left at now: -1 for a
@@ -224,13 +220,9 @@ func (e *Engine) RestoreGlobals(ec *EngineCheckpoint) {
 // ResumeExpect re-issues a checkpointed pending Expect with whatever
 // deadline budget it had left.
 func (s *Session) ResumeExpect(oc OpCheckpoint) (*MatchResult, error) {
-	cases := make([]Case, len(oc.Cases))
-	for i, cs := range oc.Cases {
-		c, err := caseFromSpec(cs.Kind, cs.Pattern)
-		if err != nil {
-			return nil, err
-		}
-		cases[i] = c
+	cases, err := casesFromSpecs(oc.Cases)
+	if err != nil {
+		return nil, err
 	}
 	d := time.Duration(-1)
 	if oc.RemainingNS >= 0 {

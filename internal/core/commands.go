@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -62,46 +63,21 @@ func (e *Engine) cmdExpectAny(i *tcl.Interp, args []string) tcl.Result {
 	if len(args) < 3 {
 		return tcl.Errf(`wrong # args: should be "expect_any spawnIdList patlist action ?patlist action ...?"`)
 	}
-	idList, err := tcl.ParseList(args[1])
-	if err != nil || len(idList) == 0 {
+	ids, err := tcl.ParseList(args[1])
+	if err != nil || len(ids) == 0 {
 		return tcl.Errf("expect_any: bad spawn_id list %q", args[1])
 	}
-	sessions := make([]*Session, 0, len(idList))
-	sessionID := make(map[*Session]string, len(idList))
-	for _, idStr := range idList {
-		id, err := strconv.Atoi(idStr)
-		if err != nil {
-			return tcl.Errf("expect_any: bad spawn_id %q", idStr)
+	sessions, err := e.sessionsByID("expect_any", ids)
+	if err != nil {
+		return tcl.Errf("%v", err)
+	}
+	return e.evalExpect("expect_any", sessions, args[2:], func(cases []Case) (*MatchResult, error) {
+		winner, r, err := ExpectAny(e.scriptTimeout(), sessions, cases...)
+		if winner != nil {
+			e.Interp.GlobalSet("spawn_id", ids[slices.Index(sessions, winner)])
 		}
-		s, ok := e.SessionByID(id)
-		if !ok {
-			return tcl.Errf("expect_any: spawn_id %d refers to no live process", id)
-		}
-		sessions = append(sessions, s)
-		sessionID[s] = idStr
-	}
-	cases, caseArm, arms, berr := buildExpectCases(args[2:])
-	if berr != nil {
-		return tcl.Errf("%v", berr)
-	}
-	winner, r, eerr := ExpectAny(e.scriptTimeout(), sessions, cases...)
-	if r != nil {
-		e.Interp.GlobalSet("expect_match", r.Text)
-	}
-	if eerr != nil {
-		if errors.Is(eerr, ErrTimeout) || errors.Is(eerr, ErrEOF) {
-			return tcl.Ok("")
-		}
-		return tcl.Errf("expect_any: %v", eerr)
-	}
-	if winner != nil {
-		e.Interp.GlobalSet("spawn_id", sessionID[winner])
-	}
-	action := arms[caseArm[r.Index]].action
-	if action == "" {
-		return tcl.Ok("")
-	}
-	return e.Interp.EvalScript(action)
+		return r, err
+	})
 }
 
 // cmdSpawn: spawn program ?args? — creates a new process whose stdin,
@@ -227,40 +203,32 @@ func buildExpectCases(args []string) (cases []Case, caseArm []int, arms []expect
 	return cases, caseArm, arms, nil
 }
 
-// evalExpect is the shared core of expect and expect_user.
-func (e *Engine) evalExpect(s *Session, sid int, implicitClose bool, args []string) tcl.Result {
+// evalExpect is the shared core of expect, expect_user and expect_any:
+// it builds the cases, applies the script's match_max to every session in
+// ss, lets wait resolve the call over them, and runs the winning arm. A
+// wait that ends at EOF or at the deadline without an arm for it simply
+// completes.
+func (e *Engine) evalExpect(cmd string, ss []*Session, args []string, wait func([]Case) (*MatchResult, error)) tcl.Result {
 	cases, caseArm, arms, err := buildExpectCases(args)
 	if err != nil {
 		return tcl.Errf("%v", err)
 	}
 	// Honor the script-level variables at call time (§3.1).
-	if mm := e.varInt("match_max", DefaultMatchMax); mm != s.MatchMax() {
-		s.SetMatchMax(mm)
+	mm := e.varInt("match_max", DefaultMatchMax)
+	for _, s := range ss {
+		if mm != s.MatchMax() {
+			s.SetMatchMax(mm)
+		}
 	}
-	r, eerr := s.ExpectTimeout(e.scriptTimeout(), cases...)
+	r, eerr := wait(cases)
 	if r != nil {
 		e.Interp.GlobalSet("expect_match", r.Text)
 	}
 	if eerr != nil {
-		switch {
-		case errors.Is(eerr, ErrTimeout):
-			// No timeout arm: expect simply completes.
+		if errors.Is(eerr, ErrTimeout) || errors.Is(eerr, ErrEOF) {
 			return tcl.Ok("")
-		case errors.Is(eerr, ErrEOF):
-			// "Both expect and interact will detect when the current
-			// process exits and implicitly do a close" (§3.2).
-			if implicitClose {
-				s.Close()
-				e.removeSession(sid)
-			}
-			return tcl.Ok("")
-		default:
-			return tcl.Errf("expect: %v", eerr)
 		}
-	}
-	if r.Eof && implicitClose {
-		s.Close()
-		e.removeSession(sid)
+		return tcl.Errf("%s: %v", cmd, eerr)
 	}
 	action := arms[caseArm[r.Index]].action
 	if action == "" {
@@ -281,7 +249,16 @@ func (e *Engine) cmdExpect(i *tcl.Interp, args []string) tcl.Result {
 	if err != nil {
 		return tcl.Errf("expect: %v", err)
 	}
-	return e.evalExpect(s, sid, true, args[1:])
+	return e.evalExpect("expect", []*Session{s}, args[1:], func(cases []Case) (*MatchResult, error) {
+		r, err := s.ExpectTimeout(e.scriptTimeout(), cases...)
+		if r != nil && r.Eof {
+			// "Both expect and interact will detect when the current
+			// process exits and implicitly do a close" (§3.2).
+			s.Close()
+			e.removeSession(sid)
+		}
+		return r, err
+	})
 }
 
 func (e *Engine) currentWithID() (*Session, int, error) {
@@ -424,26 +401,34 @@ func (e *Engine) cmdSelect(i *tcl.Interp, args []string) tcl.Result {
 	if len(args) < 2 {
 		return tcl.Errf(`wrong # args: should be "select spawn_id ?spawn_id ...?"`)
 	}
-	var sessions []*Session
-	ids := make(map[*Session]string, len(args)-1)
-	for _, a := range args[1:] {
-		id, err := strconv.Atoi(a)
-		if err != nil {
-			return tcl.Errf("select: bad spawn_id %q", a)
-		}
-		s, ok := e.SessionByID(id)
-		if !ok {
-			return tcl.Errf("select: spawn_id %d refers to no live process", id)
-		}
-		sessions = append(sessions, s)
-		ids[s] = a
+	sessions, err := e.sessionsByID("select", args[1:])
+	if err != nil {
+		return tcl.Errf("%v", err)
 	}
 	ready := Select(e.scriptTimeout(), sessions...)
 	out := make([]string, 0, len(ready))
 	for _, s := range ready {
-		out = append(out, ids[s])
+		out = append(out, args[1+slices.Index(sessions, s)])
 	}
 	return tcl.Ok(strings.Join(out, " "))
+}
+
+// sessionsByID resolves select's and expect_any's spawn id arguments,
+// each of which must name a live process.
+func (e *Engine) sessionsByID(cmd string, ids []string) ([]*Session, error) {
+	sessions := make([]*Session, 0, len(ids))
+	for _, idStr := range ids {
+		id, err := strconv.Atoi(idStr)
+		if err != nil {
+			return nil, fmt.Errorf("%s: bad spawn_id %q", cmd, idStr)
+		}
+		s, ok := e.SessionByID(id)
+		if !ok {
+			return nil, fmt.Errorf("%s: spawn_id %d refers to no live process", cmd, id)
+		}
+		sessions = append(sessions, s)
+	}
+	return sessions, nil
 }
 
 // cmdWait: wait — reaps the current process and returns its exit status.
@@ -480,7 +465,10 @@ func (e *Engine) cmdExpectUser(i *tcl.Interp, args []string) tcl.Result {
 	if len(args) < 2 {
 		return tcl.Errf(`wrong # args: should be "expect_user patlist action ?patlist action ...?"`)
 	}
-	return e.evalExpect(e.UserSession(), -1, false, args[1:])
+	s := e.UserSession()
+	return e.evalExpect("expect", []*Session{s}, args[1:], func(cases []Case) (*MatchResult, error) {
+		return s.ExpectTimeout(e.scriptTimeout(), cases...)
+	})
 }
 
 // cmdLogUser: log_user 0|1 — controls whether the user sees the dialogue

@@ -234,61 +234,55 @@ func (s *Session) newExpectOp(d time.Duration, cases []Case) *expectOp {
 	return op
 }
 
-// caseJSON is the journal schema for one expect case.
-type caseJSON struct {
-	K int    `json:"k"`
-	P string `json:"p,omitempty"`
-}
-
-// EncodeCases serializes an expect case list for the journal (kind +
-// pattern per case; compiled forms are rebuilt on decode).
+// EncodeCases serializes an expect case list for the journal, in the
+// portable form a checkpoint also uses (compiled forms are rebuilt on
+// decode).
 func EncodeCases(cases []Case) []byte {
-	out := make([]caseJSON, len(cases))
-	for i, c := range cases {
-		out[i] = caseJSON{K: int(c.Kind), P: c.Pattern}
-	}
-	b, _ := json.Marshal(out)
+	b, _ := json.Marshal(appendCaseSpecs(make([]CaseSpec, 0, len(cases)), cases))
 	return b
 }
 
 // DecodeCases inverts EncodeCases, recompiling regexp cases.
 func DecodeCases(data []byte) ([]Case, error) {
-	var in []caseJSON
-	if err := json.Unmarshal(data, &in); err != nil {
+	var specs []CaseSpec
+	if err := json.Unmarshal(data, &specs); err != nil {
 		return nil, fmt.Errorf("core: bad case list %q: %w", data, err)
 	}
-	out := make([]Case, len(in))
-	for i, c := range in {
-		cs, err := caseFromSpec(c.K, c.P)
+	return casesFromSpecs(specs)
+}
+
+// appendCaseSpecs appends the portable form of each case to dst: the one
+// conversion behind the journal's case lists and a checkpoint's pending
+// ops.
+func appendCaseSpecs(dst []CaseSpec, cases []Case) []CaseSpec {
+	for _, c := range cases {
+		dst = append(dst, CaseSpec{Kind: int(c.Kind), Pattern: c.Pattern})
+	}
+	return dst
+}
+
+// casesFromSpecs rebuilds cases from their portable form, recompiling
+// regexp cases. Shared by journal decode and checkpoint restore.
+func casesFromSpecs(specs []CaseSpec) ([]Case, error) {
+	out := make([]Case, len(specs))
+	for i, cs := range specs {
+		c := Case{Kind: CaseKind(cs.Kind), Pattern: cs.Pattern}
+		var err error
+		switch c.Kind {
+		case CaseGlob, CaseExact:
+		case CaseRegexp:
+			c.re, err = pattern.CompileRegexp(c.Pattern)
+		case CaseEOF, CaseTimeout:
+			c.Pattern = ""
+		default:
+			err = fmt.Errorf("unknown case kind %d", cs.Kind)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: case %d: %w", i, err)
 		}
-		out[i] = cs
+		out[i] = c
 	}
 	return out, nil
-}
-
-// caseFromSpec rebuilds one case from its portable kind+pattern form,
-// recompiling as needed. Shared by journal decode and checkpoint restore.
-func caseFromSpec(kind int, pat string) (Case, error) {
-	switch CaseKind(kind) {
-	case CaseGlob:
-		return Glob(pat), nil
-	case CaseExact:
-		return Exact(pat), nil
-	case CaseRegexp:
-		re, err := pattern.CompileRegexp(pat)
-		if err != nil {
-			return Case{}, err
-		}
-		return Case{Kind: CaseRegexp, Pattern: pat, re: re}, nil
-	case CaseEOF:
-		return EOFCase(), nil
-	case CaseTimeout:
-		return TimeoutCase(), nil
-	default:
-		return Case{}, fmt.Errorf("unknown case kind %d", kind)
-	}
 }
 
 // ManualExpect is an Expect call driven by hand: it never parks, and no

@@ -37,7 +37,10 @@ type SessionInfo struct {
 
 	// Dialogue counters: expects issued and how each resolved. Their
 	// conservation law (matches + timeouts + eofs accounts for every
-	// completed expect) is the same one the load workbench asserts.
+	// completed expect) is the same one the load workbench asserts. An
+	// op that never completes counts in Expects alone: an ExpectAny
+	// loser, dropped unresolved once another session wins, like an op a
+	// stopping shard abandons.
 	Expects  int64 `json:"expects"`
 	Matches  int64 `json:"matches"`
 	Timeouts int64 `json:"timeouts"`

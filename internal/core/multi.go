@@ -1,88 +1,90 @@
 package core
 
 import (
+	"slices"
 	"time"
-
-	"repro/internal/metrics"
 )
 
 // ExpectAny is the combined expect/select the paper's §8 wonders about
 // ("How would the buffering work in a combined expect/select command?").
 // The answer implemented here: every session keeps its own independent
-// match buffer; ExpectAny scans the case list against each session in
-// argument order and the first session with a match wins, consuming only
-// from that session's buffer. EOF/timeout cases fire only when every
-// session is at EOF (for EOFCase) or the shared deadline passes.
+// match buffer, and the call issues one expect op per session, each with
+// the pattern cases and all with one shared deadline. After every wakeup
+// the ops are stepped in argument order, by the same attempt that
+// resolves an Expect, and the first match wins, consuming only from that
+// session's buffer. A session at EOF drops out. The EOF case fires (or
+// ErrEOF returns) once every session is at EOF, the timeout case (or
+// ErrTimeout) at the shared deadline, where every session still live
+// records its timeout. The losers' ops are dropped unresolved.
 //
-// It returns the winning session alongside the match.
+// It returns the winning session alongside the match; the session is nil
+// on EOF and timeout. Without an EOF or timeout case, the error is the
+// *ExpectError of the first session to reach EOF, or of the first to
+// time out. With no sessions it waits out the deadline and returns
+// ErrTimeout alone.
 func ExpectAny(d time.Duration, sessions []*Session, cases ...Case) (*Session, *MatchResult, error) {
-	var deadline time.Time
-	if d >= 0 {
-		deadline = time.Now().Add(d)
-	}
-	var prof *metrics.Profiler
-	if len(sessions) > 0 {
-		prof = sessions[0].prof
-	}
-	prepareCases(cases, prof)
-	wake := make(chan struct{}, 1)
-	for _, s := range sessions {
-		s.addWatcher(wake)
-		defer s.removeWatcher(wake)
-	}
-	for {
-		allEOF := len(sessions) > 0
-		for _, s := range sessions {
-			s.mu.Lock()
-			buf := s.mb.bytes()
-			stop := s.prof.Start(metrics.PhaseMatch)
-			idx, consumed := scanBuffer(buf, cases)
-			stop()
-			if idx >= 0 {
-				text := string(buf[:consumed])
-				s.mb.consume(consumed)
-				s.mu.Unlock()
-				return s, &MatchResult{Index: idx, Case: cases[idx], Text: text}, nil
-			}
-			if !s.eof {
-				allEOF = false
-			}
-			s.mu.Unlock()
+	// The ops carry no EOF or timeout case: one would fire, and an EOF
+	// case reset the buffer, at a single session's verdict. patIdx maps an
+	// op's case index back onto cases.
+	eofIdx := slices.IndexFunc(cases, func(c Case) bool { return c.Kind == CaseEOF })
+	timeoutIdx := slices.IndexFunc(cases, func(c Case) bool { return c.Kind == CaseTimeout })
+	var pats []Case
+	var patIdx []int
+	for i, c := range cases {
+		if c.Kind != CaseEOF && c.Kind != CaseTimeout {
+			pats = append(pats, c)
+			patIdx = append(patIdx, i)
 		}
-		if allEOF {
-			for i, c := range cases {
-				if c.Kind == CaseEOF {
-					return nil, &MatchResult{Index: i, Case: c, Eof: true}, nil
-				}
-			}
-			return nil, &MatchResult{Index: -1, Eof: true}, ErrEOF
-		}
-		var remaining time.Duration
-		if !deadline.IsZero() {
-			remaining = time.Until(deadline)
-			if remaining <= 0 {
-				for i, c := range cases {
-					if c.Kind == CaseTimeout {
-						return nil, &MatchResult{Index: i, Case: c, TimedOut: true}, nil
-					}
-				}
-				return nil, &MatchResult{Index: -1, TimedOut: true}, ErrTimeout
-			}
-			t := time.NewTimer(remaining)
-			select {
-			case <-wake:
-				t.Stop()
-			case <-t.C:
-			}
-			continue
-		}
-		<-wake
 	}
-}
-
-// scanBuffer checks prepared cases against a raw buffer (rescan strategy);
-// it is scanCases without incremental state, kept as the multi-session
-// entry point.
-func scanBuffer(buf []byte, cases []Case) (int, int) {
-	return scanCases(buf, cases, false)
+	deadline := deadlineAfter(d)
+	// Each op gets its own copy of the cases: an incremental matcher
+	// keeps its state in the Case.
+	ops := make([]*expectOp, len(sessions))
+	for i, s := range sessions {
+		ops[i] = s.newExpectOp(d, slices.Clone(pats))
+		ops[i].deadline = deadline
+	}
+	var winner *Session
+	var res *MatchResult
+	var err error
+	live := len(ops)
+	waitAny(deadline, sessions, func(now time.Time) bool {
+		for i, op := range ops {
+			if op == nil {
+				continue
+			}
+			op.s.mu.Lock()
+			r, e, done := op.stepLocked(now)
+			op.s.mu.Unlock()
+			if !done {
+				continue
+			}
+			ops[i] = nil
+			live--
+			if !r.Eof && !r.TimedOut {
+				winner, res = op.s, r
+				return true
+			}
+			// The first EOF is reported, unless a session timed out.
+			if res == nil || r.TimedOut && !res.TimedOut {
+				res, err = r, e
+			}
+		}
+		return len(ops) > 0 && live == 0
+	})
+	if res == nil {
+		return nil, nil, ErrTimeout // no sessions: the deadline passed
+	}
+	arm := eofIdx
+	switch {
+	case winner != nil:
+		arm = patIdx[res.Index]
+	case res.TimedOut:
+		arm = timeoutIdx
+	}
+	if arm < 0 {
+		return nil, res, err
+	}
+	res.Index, res.Case = arm, cases[arm]
+	return winner, res, nil
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func spawnSpeaker(t *testing.T, name, line string, delay time.Duration) *Session {
@@ -186,4 +188,178 @@ func TestScriptExpectAny(t *testing.T) {
 	if out != "fast 1" {
 		t.Errorf("result = %q, want 'fast 1' (winner selected and spawn_id switched)", out)
 	}
+}
+
+// TestScriptExpectAnyMatchMax: expect_any applies the script's match_max
+// to every session it waits on, as expect does to its one.
+func TestScriptExpectAnyMatchMax(t *testing.T) {
+	e, _ := newTestEngine(t)
+	e.RegisterVirtual("talker", func(stdin io.Reader, stdout io.Writer) error {
+		fmt.Fprintln(stdout, "hi")
+		io.Copy(io.Discard, stdin)
+		return nil
+	})
+	e.RegisterVirtual("quiet", func(stdin io.Reader, stdout io.Writer) error {
+		io.Copy(io.Discard, stdin)
+		return nil
+	})
+	if _, err := e.Run(`
+		set timeout 5
+		spawn quiet
+		set q $spawn_id
+		spawn talker
+		set k $spawn_id
+		set match_max 8
+		expect_any "$q $k" {*hi*} {}
+	`); err != nil {
+		t.Fatalf("script: %v", err)
+	}
+	ids := e.SessionIDs()
+	if len(ids) != 2 {
+		t.Fatalf("live sessions %v, want 2", ids)
+	}
+	for _, id := range ids {
+		s, _ := e.SessionByID(id)
+		if got := s.MatchMax(); got != 8 {
+			t.Errorf("spawn_id %d: match_max %d, want 8", id, got)
+		}
+	}
+}
+
+// journalKinds lists the kinds of one session's journaled events, and its
+// match events.
+func journalKinds(t *testing.T, jrn *trace.Journal, sid int32) (kinds []string, matches []trace.EventJSON) {
+	t.Helper()
+	events, err := trace.ParseJSONL(jrn.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.SID != sid {
+			continue
+		}
+		kinds = append(kinds, ev.Kind)
+		if ev.Kind == trace.KindMatch.String() {
+			matches = append(matches, ev)
+		}
+	}
+	return kinds, matches
+}
+
+func countKind(kinds []string, k trace.Kind) int {
+	n := 0
+	for _, got := range kinds {
+		if got == k.String() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestExpectAnyMembersObserved checks that a fan-in resolves through the
+// expect path every Expect takes, one op per session: each member
+// journals its expect and attempts, the winner journals and counts a
+// match over its own buffer only, a member at EOF and a member live at
+// the deadline record and count their verdicts, and under
+// MatcherIncremental the members' globs match through their incremental
+// matchers.
+func TestExpectAnyMembersObserved(t *testing.T) {
+	for name, m := range map[string]MatcherMode{"rescan": MatcherRescan, "incremental": MatcherIncremental} {
+		t.Run(name, func(t *testing.T) {
+			rec := trace.New(0)
+			rec.SetRecording(true)
+			jrn := trace.NewJournal()
+			rec.SetJournal(jrn)
+			member := func(sid int32) *Session {
+				s := NewManualSession(&Config{Matcher: m, Rec: rec, SID: sid}, fmt.Sprintf("m%d", sid))
+				t.Cleanup(func() { s.Close() })
+				return s
+			}
+			a, b, c := member(1), member(2), member(3)
+
+			a.Feed([]byte("xx"))
+			b.Feed([]byte("hello"))
+			winner, r, err := ExpectAny(5*time.Second, []*Session{a, b}, EOFCase(), Glob("*hello*"))
+			if err != nil || winner != b || r.Index != 1 || r.Text != "hello" {
+				t.Fatalf("match: winner=%v r=%+v err=%v", winner, r, err)
+			}
+			if a.Buffer() != "xx" || b.Buffer() != "" {
+				t.Errorf("buffers a=%q b=%q, want only the winner's consumed", a.Buffer(), b.Buffer())
+			}
+			kinds, matches := journalKinds(t, jrn, 2)
+			if countKind(kinds, trace.KindExpect) != 1 || countKind(kinds, trace.KindAttempt) == 0 ||
+				len(matches) != 1 || matches[0].A != 0 || matches[0].B != int64(len("hello")) {
+				t.Errorf("winner's journal %v, match events %+v: want its expect, attempts and a 5-byte match of its case 0", kinds, matches)
+			}
+
+			c.Feed([]byte("zz"))
+			c.FeedEOF(nil)
+			winner, r, err = ExpectAny(50*time.Millisecond, []*Session{a, c}, Glob("*never*"))
+			var ee *ExpectError
+			if winner != nil || r == nil || !r.TimedOut || !errors.Is(err, ErrTimeout) || !errors.As(err, &ee) || ee.Name != a.Name() {
+				t.Fatalf("timeout: winner=%v r=%+v err=%v", winner, r, err)
+			}
+			if ee.BufferTail != "xx" || len(ee.Dump) == 0 {
+				t.Errorf("timeout error carries tail %q and %d dump bytes, want xx and a dump", ee.BufferTail, len(ee.Dump))
+			}
+			if c.Buffer() != "zz" {
+				t.Errorf("EOF member's buffer %q, want zz kept", c.Buffer())
+			}
+			kinds, _ = journalKinds(t, jrn, 1)
+			if countKind(kinds, trace.KindExpect) != 2 || countKind(kinds, trace.KindAttempt) == 0 || countKind(kinds, trace.KindTimeout) != 1 {
+				t.Errorf("loser-then-timeout member's journal %v, want two expects, attempts and one timeout", kinds)
+			}
+			kinds, _ = journalKinds(t, jrn, 3)
+			if countKind(kinds, trace.KindExpect) != 1 || countKind(kinds, trace.KindAttempt) == 0 || countKind(kinds, trace.KindEOF) != 1 {
+				t.Errorf("EOF member's journal %v, want its expect, attempts and one eof", kinds)
+			}
+
+			for _, tc := range []struct {
+				s    *Session
+				want [4]int64 // expects, matches, timeouts, eofs
+			}{
+				{a, [4]int64{2, 0, 1, 0}},
+				{b, [4]int64{1, 1, 0, 0}},
+				{c, [4]int64{1, 0, 0, 1}},
+			} {
+				in := tc.s.Info()
+				if got := [4]int64{in.Expects, in.Matches, in.Timeouts, in.Eofs}; got != tc.want {
+					t.Errorf("%s counters (expects, matches, timeouts, eofs) = %v, want %v", tc.s.Name(), got, tc.want)
+				}
+			}
+
+			if m != MatcherIncremental {
+				return
+			}
+			// "A" is forgotten (match_max 4) before "B" arrives: only a
+			// matcher that saw the stream byte by byte, not a rescan of
+			// the buffer, finds *AB*.
+			d, quiet := member(4), member(5)
+			d.SetMatchMax(4)
+			d.Feed([]byte("xA"))
+			fed := make(chan struct{})
+			go func() {
+				defer close(fed)
+				for !hasAttempt(rec, 4) {
+					time.Sleep(time.Millisecond)
+				}
+				d.Feed([]byte("Bzzz"))
+			}()
+			winner, r, err = ExpectAny(5*time.Second, []*Session{quiet, d}, Glob("*AB*"))
+			<-fed
+			if err != nil || winner != d || d.Buffer() != "" {
+				t.Fatalf("incremental: winner=%v r=%+v err=%v buffer=%q", winner, r, err, d.Buffer())
+			}
+		})
+	}
+}
+
+// hasAttempt reports whether session sid has made a pattern attempt.
+func hasAttempt(rec *trace.Recorder, sid int32) bool {
+	for _, ev := range rec.Events() {
+		if ev.Kind == trace.KindAttempt && ev.SID == sid {
+			return true
+		}
+	}
+	return false
 }

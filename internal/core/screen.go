@@ -37,43 +37,25 @@ func (s *Session) ExpectScreen(d time.Duration, pred func(*vt.Screen) bool) erro
 	if s.screen == nil {
 		return errNoScreen
 	}
-	var deadline time.Time
-	if d >= 0 {
-		deadline = time.Now().Add(d)
-	}
-	// Registered before the first look, so output or EOF arriving between
-	// a look and the wait still wakes it (the Select discipline).
-	wake := make(chan struct{}, 1)
-	s.addWatcher(wake)
-	defer s.removeWatcher(wake)
-	for {
+	err := ErrTimeout
+	waitAny(deadlineAfter(d), []*Session{s}, func(time.Time) bool {
 		s.mu.Lock()
 		stop := s.prof.Start(metrics.PhaseMatch)
 		ok := pred(s.screen)
 		stop()
 		eof := s.eof
 		s.mu.Unlock()
-		if ok {
-			return nil
+		switch {
+		case ok:
+			err = nil
+		case eof:
+			err = ErrEOF
+		default:
+			return false
 		}
-		if eof {
-			return ErrEOF
-		}
-		if deadline.IsZero() {
-			<-wake
-			continue
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return ErrTimeout
-		}
-		t := time.NewTimer(remaining)
-		select {
-		case <-wake:
-			t.Stop()
-		case <-t.C:
-		}
-	}
+		return true
+	})
+	return err
 }
 
 // ExpectScreenGlob waits until the full rendered screen matches the glob

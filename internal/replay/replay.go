@@ -13,9 +13,10 @@
 // expect op with the clock forced past its deadline, so replaying a
 // 10-second timeout costs microseconds.
 //
-// Fidelity covers the Expect-driven dialogue path (the engine's core
-// loop). Multi-session ExpectAny and Interact record no match events, so
-// their sessions replay as read/write streams only.
+// Fidelity covers every expect op, the engine's core loop: an Expect's,
+// and each session's op of a multi-session ExpectAny, whose losers end
+// unresolved and replay as dropped. Interact records no match events, so
+// an interacted session replays as a read/write stream only.
 package replay
 
 import (

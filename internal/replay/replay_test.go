@@ -341,3 +341,52 @@ func TestReplayIdempotent(t *testing.T) {
 		prev = b
 	}
 }
+
+// A fan-in journals one expect op per session. The first ExpectAny below
+// leaves the silent session's op open (a loser, dropped unresolved) and
+// the second times out on both, the shape of the conformance fan-in
+// scenario: each session must replay clean with both of its ops.
+func TestReplayFanInLoserThenTimeout(t *testing.T) {
+	cfg, jrn := journaledConfig(t)
+	silent, err := core.SpawnProgram(cfg, "silent", func(stdin io.Reader, stdout io.Writer) error {
+		blockForever(stdin)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	cfg2 := *cfg
+	cfg2.SID = 2
+	talker, err := core.SpawnProgram(&cfg2, "talker", func(stdin io.Reader, stdout io.Writer) error {
+		io.WriteString(stdout, "ok ready\n")
+		blockForever(stdin)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer talker.Close()
+	sessions := []*core.Session{silent, talker}
+	winner, r, err := core.ExpectAny(5*time.Second, sessions, core.Exact("ready"), core.TimeoutCase())
+	if err != nil || winner != talker || r.Index != 0 {
+		t.Fatalf("fan-in: winner=%v r=%+v err=%v", winner, r, err)
+	}
+	winner, r, err = core.ExpectAny(50*time.Millisecond, sessions, core.Exact("never"), core.TimeoutCase())
+	if err != nil || winner != nil || !r.TimedOut || r.Index != 1 {
+		t.Fatalf("fan-in timeout: winner=%v r=%+v err=%v", winner, r, err)
+	}
+
+	reports, err := RunJournal(jrn.Bytes(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 2 {
+		t.Fatalf("replayed %d sessions, want 2", len(reports))
+	}
+	for _, rep := range reports {
+		if !rep.Clean() || rep.Ops != 2 || rep.Unresolved {
+			t.Errorf("%s: want clean, 2 ops, last one resolved", rep)
+		}
+	}
+}

@@ -51,9 +51,12 @@ go run ./cmd/goexpect -evalmode classic -transport pipe -sims -q scripts/passwd.
 # and a pipe session spawned with a scheduler) plus a goexpect run
 # under -shards, proving the flag-wired path end to end. The spawn-vs-Stop
 # race (a registration must never reach a loop that already drained) is
-# timing-dependent, so it reruns ten times under the race detector.
+# timing-dependent, so it reruns ten times under the race detector, and
+# so do the fan-in waits, whose one loop races watcher wakes, a member's
+# EOF and the shared deadline.
 go test -race -count=1 -run 'Shard|Scheduler' ./internal/core
 go test -race -count=10 -run 'TestSchedulerStopRacingSpawn' ./internal/core
+go test -race -count=10 -run 'ExpectAny|FanIn|Select|ExpectScreen' ./internal/core
 go run ./cmd/goexpect -shards 8 -transport pipe -sims -q scripts/passwd.exp >/dev/null
 
 # Soak tier: 2000 sessions across 8 shards for 5s under the race
