@@ -7,8 +7,6 @@
 //	goexpect script.exp [args...]      run a script file
 //	goexpect -c "commands" [script]    run commands before the script
 //	goexpect -transport pipe script    spawn over pipes instead of ptys
-//	goexpect -network script           dial spawn targets as host:port
-//	                                   socket sessions (see cmd/expectd)
 //	goexpect -shards N script          own event-capable sessions with N
 //	                                   sharded event loops instead of
 //	                                   one pump goroutine per session
@@ -93,7 +91,6 @@ func run() int {
 	var (
 		commands   = flag.String("c", "", "commands to execute before (or instead of) the script")
 		transport  = flag.String("transport", "pty", `spawn transport: "pty", "pipe", or "network" (spawn targets are host:port addresses)`)
-		network    = flag.Bool("network", false, `shorthand for -transport network: every spawn target is a host:port dialed over the socket transport (expectd serves the other end)`)
 		sims       = flag.Bool("sims", false, "register the simulated interactive programs as spawnable names")
 		quiet      = flag.Bool("q", false, "start with log_user 0 (script output only)")
 		timeout    = flag.Int("timeout", 0, "override the initial timeout variable (seconds; 0 keeps the default 10)")
@@ -135,9 +132,6 @@ func run() int {
 		}()
 	}
 
-	if *network {
-		*transport = "network"
-	}
 	if _, ok := tcl.ParseEvalMode(*evalmode); !ok {
 		fmt.Fprintf(os.Stderr, "goexpect: -evalmode: unknown mode %q (want vm or classic)\n", *evalmode)
 		return 2

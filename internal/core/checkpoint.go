@@ -16,7 +16,10 @@ import (
 // process boundary and resume on the other side. Checkpoints are what let
 // expectd survive a crash mid-soak (cmd/expectd -checkpoint/-restore).
 // Within a process a session never moves: it stays on the shard that
-// adopted it until it ends (shard.go invariant 1).
+// adopted it until it ends (shard.go invariant 1). Only parked Expect
+// calls are pending ops: an ExpectAny's member ops wait on the fan-in's
+// watcher instead, and are left out, because a restored session could
+// not resume a wait that spans other sessions.
 
 // CaseSpec is the portable form of one expect case: kind plus source
 // pattern. Compiled forms (regexp programs, glob NFAs) are rebuilt on

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"io"
 	"os"
 	"sort"
@@ -330,21 +329,8 @@ func (e *Engine) installSession(id int, s *Session) {
 // Current returns the session selected by the spawn_id variable — "the
 // variable spawn_id determines the current process" (§3.2).
 func (e *Engine) Current() (*Session, error) {
-	idStr, ok := e.Interp.GlobalGet("spawn_id")
-	if !ok || idStr == "" {
-		return nil, fmt.Errorf("no current process (nothing spawned yet)")
-	}
-	id, err := strconv.Atoi(idStr)
-	if err != nil {
-		return nil, fmt.Errorf("bad spawn_id %q", idStr)
-	}
-	e.mu.Lock()
-	s := e.sessions[id]
-	e.mu.Unlock()
-	if s == nil {
-		return nil, fmt.Errorf("spawn_id %d refers to no live process", id)
-	}
-	return s, nil
+	s, _, err := e.currentWithID()
+	return s, err
 }
 
 // SessionByID looks up a session by spawn id.

@@ -75,7 +75,7 @@ func (s *Session) Interact(opt InteractOptions) (*InteractOutcome, error) {
 	// checks it under s.mu before each take, so once stopDrain holds the
 	// lock no further output is taken from the script's next expect.
 	wake := make(chan struct{}, 1)
-	s.addWatcher(wake)
+	s.addWatcher(wake, nil)
 	stopCh := make(chan struct{})
 	drainDone := make(chan struct{})
 	go func() {

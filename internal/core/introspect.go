@@ -29,7 +29,10 @@ type SessionInfo struct {
 	TotalSeen int64 `json:"total_seen"`
 	Forgotten int64 `json:"forgotten"`
 
-	// ParkedOps counts unresolved Expect calls parked on the session;
+	// ParkedOps counts the unresolved Expect calls waiting on the
+	// session: those parked on it, and the op of an ExpectAny it is a
+	// member of, which waits on the fan-in's watcher until it wins, the
+	// call ends, or the session reaches EOF and drops out.
 	// RemainingTimeoutNS is the earliest armed deadline among them, in
 	// nanoseconds from the snapshot instant (-1 when none is armed).
 	ParkedOps          int   `json:"parked_ops"`
@@ -47,7 +50,7 @@ type SessionInfo struct {
 	Eofs     int64 `json:"eofs"`
 }
 
-// Info snapshots the session under its lock, parked Expect calls
+// Info snapshots the session under its lock, waiting Expect calls
 // included.
 func (s *Session) Info() SessionInfo {
 	now := time.Now()
@@ -76,16 +79,34 @@ func (s *Session) Info() SessionInfo {
 	if s.shard != nil {
 		info.Shard = s.shard.idx
 	}
-	info.ParkedOps = len(s.parked)
-	for _, op := range s.parked {
+	s.eachWaitingLocked(func(op *expectOp) {
+		info.ParkedOps++
 		rem := op.remainingNS(now)
 		if rem >= 0 && (info.RemainingTimeoutNS < 0 || rem < info.RemainingTimeoutNS) {
 			info.RemainingTimeoutNS = rem
 		}
-	}
+	})
 	s.mu.Unlock()
 	info.Kind = s.Kind()
 	return info
+}
+
+// eachWaitingLocked calls fn for every unresolved Expect call waiting on
+// the session: each parked op, and the op of each ExpectAny the session
+// is a member of, unless the session is at EOF, where a member has
+// dropped out. The caller holds s.mu.
+func (s *Session) eachWaitingLocked(fn func(*expectOp)) {
+	for _, op := range s.parked {
+		fn(op)
+	}
+	if s.eof {
+		return
+	}
+	for _, op := range s.watchers {
+		if op != nil {
+			fn(op)
+		}
+	}
 }
 
 // ShardSnapshot is one shard's telemetry snapshot: its backlog, its
@@ -139,12 +160,13 @@ func (sh *shard) size() int {
 	return len(sh.sessions)
 }
 
-// parkedOps counts the Expect calls parked on the shard's sessions.
+// parkedOps counts the Expect calls waiting on the shard's sessions, as
+// Info counts them.
 func (sh *shard) parkedOps() int {
 	n := 0
 	for _, s := range sh.owned() {
 		s.mu.Lock()
-		n += len(s.parked)
+		s.eachWaitingLocked(func(*expectOp) { n++ })
 		s.mu.Unlock()
 	}
 	return n

@@ -48,7 +48,7 @@ func ExpectAny(d time.Duration, sessions []*Session, cases ...Case) (*Session, *
 	var res *MatchResult
 	var err error
 	live := len(ops)
-	waitAny(deadline, sessions, func(now time.Time) bool {
+	waitAny(deadline, sessions, ops, func(now time.Time) bool {
 		for i, op := range ops {
 			if op == nil {
 				continue

@@ -122,6 +122,115 @@ func TestExpectAnyTimeout(t *testing.T) {
 	}
 }
 
+// waitWatched waits until a wait has registered its watcher on s.
+func waitWatched(t *testing.T, s *Session) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for time.Now().Before(deadline) {
+		s.mu.Lock()
+		n := len(s.watchers)
+		s.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("no wait registered on %s", s.Name())
+}
+
+// TestExpectAnyShowsInInfo: a fan-in wait shows on each member session
+// the way a parked Expect does, one op with a remaining timeout inside
+// the shared deadline, except on a member that has dropped out at EOF;
+// on a scheduler the shard's parked-op gauge counts the same ops. Once
+// the call returns no member shows it.
+func TestExpectAnyShowsInInfo(t *testing.T) {
+	for _, shards := range []int{0, 1} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			cfg := &Config{}
+			gauge := func() int { return 0 }
+			if shards > 0 {
+				sc := NewScheduler(SchedulerOptions{Shards: shards})
+				t.Cleanup(sc.Stop) // after the sessions' Close, which run first
+				cfg.Sched = sc
+				gauge = func() int {
+					n := 0
+					for _, sh := range sc.shards {
+						n += sh.parkedOps()
+					}
+					return n
+				}
+			}
+			gate := make(chan struct{})
+			release := sync.OnceFunc(func() { close(gate) })
+			t.Cleanup(release) // the gated program always unwinds
+			spawn := func(name string, prog func(io.Reader, io.Writer) error) *Session {
+				t.Helper()
+				s, err := SpawnProgram(cfg, name, prog)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { s.Close() })
+				return s
+			}
+			a := spawn("a", func(stdin io.Reader, stdout io.Writer) error {
+				<-gate
+				io.WriteString(stdout, "release\n")
+				io.Copy(io.Discard, stdin)
+				return nil
+			})
+			b := spawn("b", func(stdin io.Reader, _ io.Writer) error {
+				io.Copy(io.Discard, stdin)
+				return nil
+			})
+			gone := spawn("gone", func(io.Reader, io.Writer) error { return nil })
+			gone.WaitPumpDrained()
+
+			const d = 10 * time.Second
+			members := []*Session{a, b, gone}
+			type result struct {
+				winner *Session
+				err    error
+			}
+			done := make(chan result, 1)
+			go func() {
+				w, _, err := ExpectAny(d, members, Glob("*release*"))
+				done <- result{w, err}
+			}()
+			for _, s := range members {
+				waitWatched(t, s)
+			}
+			for _, s := range []*Session{a, b} {
+				info := s.Info()
+				if info.ParkedOps != 1 || info.RemainingTimeoutNS <= 0 || info.RemainingTimeoutNS > d.Nanoseconds() {
+					t.Errorf("%s mid-wait: ParkedOps=%d RemainingTimeoutNS=%d; want 1 and (0, %d]",
+						s.Name(), info.ParkedOps, info.RemainingTimeoutNS, d.Nanoseconds())
+				}
+			}
+			if info := gone.Info(); info.ParkedOps != 0 || info.RemainingTimeoutNS != -1 {
+				t.Errorf("member at EOF mid-wait: ParkedOps=%d RemainingTimeoutNS=%d; want 0 and -1",
+					info.ParkedOps, info.RemainingTimeoutNS)
+			}
+			if want := 2 * shards; gauge() != want {
+				t.Errorf("shard parked-op gauge mid-wait = %d, want %d", gauge(), want)
+			}
+
+			release()
+			if r := <-done; r.err != nil || r.winner != a {
+				t.Fatalf("ExpectAny = %v, %v; want a to win", r.winner, r.err)
+			}
+			for _, s := range members {
+				if info := s.Info(); info.ParkedOps != 0 || info.RemainingTimeoutNS != -1 {
+					t.Errorf("%s after the call: ParkedOps=%d RemainingTimeoutNS=%d; want 0 and -1",
+						s.Name(), info.ParkedOps, info.RemainingTimeoutNS)
+				}
+			}
+			if n := gauge(); n != 0 {
+				t.Errorf("shard parked-op gauge after the call = %d, want 0", n)
+			}
+		})
+	}
+}
+
 func TestExpectAnyAllEOF(t *testing.T) {
 	a := spawnSpeaker(t, "a", "", 0)
 	b := spawnSpeaker(t, "b", "", 0)

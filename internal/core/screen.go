@@ -38,7 +38,7 @@ func (s *Session) ExpectScreen(d time.Duration, pred func(*vt.Screen) bool) erro
 		return errNoScreen
 	}
 	err := ErrTimeout
-	waitAny(deadlineAfter(d), []*Session{s}, func(time.Time) bool {
+	waitAny(deadlineAfter(d), []*Session{s}, nil, func(time.Time) bool {
 		s.mu.Lock()
 		stop := s.prof.Start(metrics.PhaseMatch)
 		ok := pred(s.screen)

@@ -14,7 +14,7 @@ import (
 // of the 200 hand-typed ^Z/fg sequences the shell would demand.
 func Select(d time.Duration, sessions ...*Session) []*Session {
 	var ready []*Session
-	waitAny(deadlineAfter(d), sessions, func(time.Time) bool {
+	waitAny(deadlineAfter(d), sessions, nil, func(time.Time) bool {
 		for _, s := range sessions {
 			if s.HasData() {
 				ready = append(ready, s)
@@ -38,7 +38,10 @@ func deadlineAfter(d time.Duration) time.Time {
 // caller's goroutine: Select, ExpectAny and ExpectScreen. It calls try
 // with the time of each attempt until try reports done, sleeping between
 // attempts until one of the sessions changes or the deadline (zero: none)
-// passes. An attempt made at or after the deadline is the last.
+// passes. An attempt made at or after the deadline is the last. ops, when
+// non-nil, holds the expect op try steps for each session (ExpectAny's
+// members); each session's registration carries its op, so Info shows
+// the wait.
 //
 // Missed-wakeup audit: the wait is safe against a child speaking or
 // exiting between an attempt and the sleep, because one wake channel is
@@ -54,10 +57,14 @@ func deadlineAfter(d time.Duration) time.Time {
 // finds the op parked. TestShardedFanInCutChildNoHang and
 // TestShardedEOFBeforeExpectResolves pin both, killing a child
 // mid-dialogue with a faultify CutAfterBytes schedule.
-func waitAny(deadline time.Time, sessions []*Session, try func(now time.Time) bool) {
+func waitAny(deadline time.Time, sessions []*Session, ops []*expectOp, try func(now time.Time) bool) {
 	wake := make(chan struct{}, 1)
-	for _, s := range sessions {
-		s.addWatcher(wake)
+	for i, s := range sessions {
+		var op *expectOp
+		if ops != nil {
+			op = ops[i]
+		}
+		s.addWatcher(wake, op)
 	}
 	defer func() {
 		for _, s := range sessions {

@@ -134,8 +134,11 @@ type Session struct {
 	matcher   MatcherMode
 	timeout   time.Duration
 	logger    func([]byte)
-	watchers  map[chan struct{}]struct{}
-	screen    *vt.Screen
+	// watchers maps each wake channel registered on the session to the
+	// expect op its wait steps: an ExpectAny member, or nil for Select,
+	// ExpectScreen and Interact. Info counts the members as waiting ops.
+	watchers map[chan struct{}]*expectOp
+	screen   *vt.Screen
 	// lastRead timestamps the most recent chunk arrival (guarded by mu);
 	// a parked Expect prices its wakeup from it (HistReadToWakeup).
 	lastRead time.Time
@@ -313,7 +316,7 @@ func newManualSession(cfg *Config, name string) *Session {
 		rw:       sinkRW{},
 		mb:       matchBuffer{max: cfg.matchMax()},
 		timeout:  cfg.timeout(),
-		watchers: make(map[chan struct{}]struct{}),
+		watchers: make(map[chan struct{}]*expectOp),
 		pumpDone: make(chan struct{}),
 	}
 	s.prof = cfg.Prof
@@ -364,7 +367,7 @@ func newSession(cfg *Config, name string, p *proc.Process, rw io.ReadWriteCloser
 		rw:       rw,
 		mb:       matchBuffer{max: cfg.matchMax()},
 		timeout:  cfg.timeout(),
-		watchers: make(map[chan struct{}]struct{}),
+		watchers: make(map[chan struct{}]*expectOp),
 		pumpDone: make(chan struct{}),
 	}
 	if cfg != nil {
@@ -593,10 +596,11 @@ func (s *Session) notifyLocked() {
 	}
 }
 
-// addWatcher registers a channel poked whenever new data or EOF arrives.
-func (s *Session) addWatcher(ch chan struct{}) {
+// addWatcher registers a channel poked whenever new data or EOF arrives,
+// with the expect op the waiter steps on its wake (nil if none).
+func (s *Session) addWatcher(ch chan struct{}, op *expectOp) {
 	s.mu.Lock()
-	s.watchers[ch] = struct{}{}
+	s.watchers[ch] = op
 	s.mu.Unlock()
 }
 

@@ -23,13 +23,13 @@
 package netx
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/netx/mux"
@@ -52,8 +52,6 @@ type MuxOptions struct {
 	// 256 KiB) — the head-of-line isolation window: a consumer this far
 	// behind parks the connection's demux loop.
 	StreamBuf int
-	// DialTimeout bounds each connection dial (default 10s).
-	DialTimeout time.Duration
 	// Stats, when non-nil, receives ingest accounting for all streams.
 	Stats *metrics.IngestStats
 	// Pool supplies the segment pool DATA payloads are leased into; nil
@@ -90,13 +88,6 @@ func (o MuxOptions) streamBuf() int {
 		return defaultMuxStreamBuf
 	}
 	return o.StreamBuf
-}
-
-func (o MuxOptions) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return defaultDialTimeout
-	}
-	return o.DialTimeout
 }
 
 // ErrPoolSaturated reports an Open against a pool whose every allowed
@@ -204,7 +195,7 @@ func (p *MuxPool) Open(addr, program string) (*MuxStream, error) {
 }
 
 func (p *MuxPool) dial(addr string) (*muxConn, error) {
-	d := net.Dialer{Timeout: p.opt.dialTimeout()}
+	d := net.Dialer{Timeout: defaultDialTimeout}
 	c, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -299,8 +290,8 @@ type muxConn struct {
 
 // openStream registers a fresh stream id and sends the OPEN frame.
 func (mc *muxConn) openStream(program string) (*MuxStream, error) {
-	st := &MuxStream{mc: mc, program: program, done: make(chan struct{})}
-	st.in.init(mc.p.opt.streamBuf(), mc.pool.Size(), mc.p.opt.Stats)
+	st := &MuxStream{mc: mc, program: program}
+	st.readEnd.init(mc.p.opt.streamBuf(), mc.pool.Size(), mc.p.opt.Stats)
 	mc.smu.Lock()
 	id := mc.nextID
 	mc.nextID++
@@ -346,7 +337,7 @@ func (mc *muxConn) goodbye() {
 // per-stream inboxes by leased segment, control frames to stream and
 // connection state.
 func (mc *muxConn) readLoop() {
-	dec := mux.NewDecoder(newConnReader(mc.c))
+	dec := mux.NewDecoder(bufio.NewReaderSize(mc.c, muxReadBufferSize))
 	for {
 		f, err := dec.Next()
 		if err != nil {
@@ -458,44 +449,18 @@ func (mc *muxConn) teardown(err error) {
 	})
 }
 
-// connReader adapts the net.Conn for the decoder with a modest buffer so
-// one syscall feeds many small frames.
-func newConnReader(c net.Conn) io.Reader {
-	return &bufferedReader{c: c, buf: make([]byte, muxReadBufferSize)}
-}
-
-type bufferedReader struct {
-	c        net.Conn
-	buf      []byte
-	pos, end int
-}
-
-func (r *bufferedReader) Read(b []byte) (int, error) {
-	if r.pos == r.end {
-		n, err := r.c.Read(r.buf)
-		if n <= 0 {
-			return 0, err
-		}
-		r.pos, r.end = 0, n
-	}
-	n := copy(b, r.buf[r.pos:r.end])
-	r.pos += n
-	return n, nil
-}
-
 // MuxStream is one session multiplexed over a pooled gateway connection.
 // It satisfies the full proc transport contract: blocking Read/Write,
 // CloseWrite half-close, TryRead/SetReadNotify event capability, and
-// TryReadOwned zero-copy ownership transfer.
+// TryReadOwned zero-copy ownership transfer. Its read side is a readEnd,
+// the one a socket Conn has; Read returns io.EOF at the clean end of the
+// stream and a *GoAwayError for a gateway refusal.
 type MuxStream struct {
+	readEnd
 	mc      *muxConn
 	id      uint32
 	program string
 
-	in   inbox
-	done chan struct{}
-
-	finOnce   sync.Once
 	closeOnce sync.Once
 	wclosed   atomic.Bool
 	closed    atomic.Bool
@@ -518,31 +483,8 @@ func (st *MuxStream) Program() string { return st.program }
 // finish settles the terminal disposition exactly once and returns the
 // stream's placement slot to the pool.
 func (st *MuxStream) finish(err error) {
-	st.finOnce.Do(func() {
-		st.in.finish(err)
-		close(st.done)
-		st.mc.p.releaseSlot(st.mc)
-	})
+	st.settle(err, func() { st.mc.p.releaseSlot(st.mc) })
 }
-
-// Read blocks for session bytes; io.EOF is the clean end of stream, a
-// *GoAwayError a gateway refusal.
-func (st *MuxStream) Read(b []byte) (int, error) { return st.in.read(b) }
-
-// TryRead is the scheduler's non-blocking drain (transport contract).
-func (st *MuxStream) TryRead(b []byte) (int, bool, error) { return st.in.tryRead(b) }
-
-// TryReadOwned pops the next queued segment whole by ownership transfer.
-func (st *MuxStream) TryReadOwned() (proc.Owned, bool, error) {
-	g, ok, err := st.in.tryTake()
-	if g == nil {
-		return nil, ok, err // explicit nil interface, not (*Segment)(nil)
-	}
-	return g, ok, err
-}
-
-// SetReadNotify installs the level-triggered doorbell.
-func (st *MuxStream) SetReadNotify(fn func()) { st.in.setNotify(fn) }
 
 // Write frames b as DATA toward the gateway program, splitting at the
 // protocol's payload bound.
@@ -590,31 +532,4 @@ func (st *MuxStream) Close() error {
 		st.finish(io.EOF)
 	})
 	return nil
-}
-
-// Done is closed when the stream dialogue is over.
-func (st *MuxStream) Done() <-chan struct{} { return st.done }
-
-// Err returns the terminal disposition after Done: nil for a clean end,
-// the refusal or wire error otherwise.
-func (st *MuxStream) Err() error {
-	select {
-	case <-st.done:
-	default:
-		return nil
-	}
-	if err := st.in.terminal(); err != nil && err != io.EOF {
-		return err
-	}
-	return nil
-}
-
-// WaitStatus blocks until the dialogue is over and reports it
-// process-style: 0 for a clean end, 1 for a refusal or wire error.
-func (st *MuxStream) WaitStatus() (int, error) {
-	<-st.done
-	if st.Err() != nil {
-		return 1, nil
-	}
-	return 0, nil
 }

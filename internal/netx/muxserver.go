@@ -22,7 +22,7 @@
 package netx
 
 import (
-	"io"
+	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -43,7 +43,7 @@ type MuxServerOptions struct {
 	// MaxConnSessions bounds concurrent sessions per connection
 	// (0 = unlimited).
 	MaxConnSessions int
-	// StreamBuf bounds each session's stdin queue between the demux
+	// StreamBuf bounds each session's stdin pipe between the demux
 	// loop and the program (bytes, default 64 KiB). A program this far
 	// behind parks the connection's demux loop — inbound backpressure
 	// through TCP flow control, the same bound Conn ingest has.
@@ -339,11 +339,16 @@ type muxSrvConn struct {
 	downOnce sync.Once
 }
 
-// muxSrvStream is one admitted session on a gateway connection.
+// muxSrvStream is one admitted session on a gateway connection. Its
+// stdin is a bounded proc.Pipe: the demux loop must copy, because
+// mux.Decoder reuses its payload buffer, so it writes each DATA payload
+// into the pipe, parking while StreamBuf bytes are queued, and the
+// program's Read copies out. A drained pipe drops its buffer, so an idle
+// stream holds none.
 type muxSrvStream struct {
 	id      uint32
 	tenant  string
-	stdin   stdinQueue  // demux copies in, program reads out
+	stdin   *proc.Pipe  // demux copies in, program reads out
 	discard atomic.Bool // client cancelled: stop framing its output
 }
 
@@ -355,7 +360,7 @@ func (sc *muxSrvConn) writeFrame(t mux.Type, flags uint8, stream uint32, payload
 // through admission and DATA into per-stream stdin buffers.
 func (sc *muxSrvConn) readLoop() {
 	defer sc.s.connWG.Done()
-	dec := mux.NewDecoder(newConnReader(sc.c))
+	dec := mux.NewDecoder(bufio.NewReaderSize(sc.c, muxReadBufferSize))
 	for {
 		f, err := dec.Next()
 		if err != nil {
@@ -370,7 +375,7 @@ func (sc *muxSrvConn) readLoop() {
 			st := sc.streams[f.Stream]
 			sc.smu.Unlock()
 			if st != nil {
-				st.stdin.put(f.Payload) // blocks when full: TCP backpressure
+				st.stdin.Write(f.Payload) // blocks when full: TCP backpressure
 			}
 		case mux.TypeClose:
 			sc.smu.Lock()
@@ -386,7 +391,7 @@ func (sc *muxSrvConn) readLoop() {
 				// drops frames for streams it no longer knows.)
 				st.discard.Store(true)
 			}
-			st.stdin.finish(io.EOF)
+			st.stdin.CloseWrite()
 		case mux.TypePing:
 			if f.Flags&mux.FlagAck == 0 {
 				sc.writeFrame(mux.TypePing, mux.FlagAck, 0, f.Payload)
@@ -417,8 +422,7 @@ func (sc *muxSrvConn) handleOpen(f mux.Frame) {
 		sc.writeFrame(mux.TypeGoaway, 0, f.Stream, []byte(refuse))
 		return
 	}
-	st := &muxSrvStream{id: f.Stream, tenant: tenant}
-	st.stdin.init(sc.s.opt.streamBuf())
+	st := &muxSrvStream{id: f.Stream, tenant: tenant, stdin: proc.NewPipe(sc.s.opt.streamBuf())}
 	sc.smu.Lock()
 	sc.streams[f.Stream] = st
 	sc.smu.Unlock()
@@ -432,11 +436,11 @@ func (sc *muxSrvConn) handleOpen(f mux.Frame) {
 // counts and may reopen at quota; the streamWG slot only after, so a
 // drain still flushes the CLOSE.
 func (sc *muxSrvConn) runStream(st *muxSrvStream, prog proc.Program) {
-	err := prog(&st.stdin, &streamWriter{sc: sc, st: st})
+	err := prog(st.stdin, &streamWriter{sc: sc, st: st})
 	sc.smu.Lock()
 	delete(sc.streams, st.id)
 	sc.smu.Unlock()
-	st.stdin.closeRead() // drop undelivered stdin bytes
+	st.stdin.CloseRead() // drop undelivered stdin bytes, unpark the demux loop
 	flags := uint8(0)
 	var payload []byte
 	if err != nil {
@@ -475,7 +479,7 @@ func (sc *muxSrvConn) teardown(flushBy time.Time) {
 		}
 		sc.smu.Unlock()
 		for _, st := range streams {
-			st.stdin.finish(io.EOF)
+			st.stdin.CloseWrite()
 		}
 		_, peak := sc.w.levels()
 		sc.s.mu.Lock()
@@ -483,98 +487,6 @@ func (sc *muxSrvConn) teardown(flushBy time.Time) {
 		sc.s.writePeak = max(sc.s.writePeak, peak)
 		sc.s.mu.Unlock()
 	})
-}
-
-// stdinQueue is one stream's stdin: a bounded byte slab between the
-// connection's demux loop and the program. The demux loop must copy,
-// because mux.Decoder reuses its payload buffer, so put appends to the
-// slab and the program's Read copies out. put parks while max bytes are
-// queued — the StreamBuf bound — and the slab is dropped each time it
-// drains, so an idle stream holds no buffer.
-type stdinQueue struct {
-	mu    sync.Mutex
-	data  *sync.Cond
-	space *sync.Cond
-	max   int
-	buf   []byte
-
-	fin bool  // no more bytes will ever arrive
-	err error // terminal disposition, valid once fin
-}
-
-func (q *stdinQueue) init(max int) {
-	q.max = max
-	q.data = sync.NewCond(&q.mu)
-	q.space = sync.NewCond(&q.mu)
-}
-
-// put queues b, parking while the queue is full. It reports false once
-// the stream has finished or its program is gone; the rest of b is
-// dropped.
-func (q *stdinQueue) put(b []byte) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(b) > 0 {
-		for len(q.buf) >= q.max && !q.fin {
-			q.space.Wait()
-		}
-		if q.fin {
-			return false
-		}
-		k := min(len(b), q.max-len(q.buf))
-		q.buf = append(q.buf, b[:k]...)
-		b = b[k:]
-		q.data.Broadcast()
-	}
-	return true
-}
-
-// Read is the program's stdin: it blocks for queued bytes and reports
-// the terminal disposition once the stream is finished and drained.
-func (q *stdinQueue) Read(b []byte) (int, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.buf) == 0 {
-		if q.fin {
-			if q.err == nil {
-				return 0, io.EOF
-			}
-			return 0, q.err
-		}
-		q.data.Wait()
-	}
-	n := copy(b, q.buf)
-	q.buf = q.buf[n:]
-	if len(q.buf) == 0 {
-		q.buf = nil
-	}
-	q.space.Broadcast()
-	return n, nil
-}
-
-// finish marks the stream over: queued bytes stay readable, then Read
-// reports err.
-func (q *stdinQueue) finish(err error) {
-	q.mu.Lock()
-	if !q.fin {
-		q.fin, q.err = true, err
-	}
-	q.data.Broadcast()
-	q.space.Broadcast()
-	q.mu.Unlock()
-}
-
-// closeRead is the program's exit: queued bytes are dropped, and a put
-// parked on the full queue returns false, so the demux loop moves on.
-func (q *stdinQueue) closeRead() {
-	q.mu.Lock()
-	q.buf = nil
-	if !q.fin {
-		q.fin, q.err = true, io.EOF
-	}
-	q.data.Broadcast()
-	q.space.Broadcast()
-	q.mu.Unlock()
 }
 
 // streamWriter frames a program's stdout as DATA toward the client,

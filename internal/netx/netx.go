@@ -9,19 +9,18 @@
 // (segment.go) whose ownership travels with them — reader → inbox →
 // TryReadOwned → gap-buffer backing — so the steady-state path moves no
 // payload bytes between buffers. The per-connection reader goroutine is
-// itself optional: a deferred connection (DialDeferred/WrapDeferred) can
+// itself optional: a deferred connection (DialDeferred) can
 // be registered with a shard's readiness Poller (poller_linux.go), which
 // reads many sockets from one loop via raw epoll. Both producers run the
 // one segment ingest path; Options.NoPoller only picks the reader
 // goroutine over the poller, so conformance can diff the two loops.
 //
-// The division of timeout labor is deliberate and narrow: transport-level
-// read deadlines here are plumbing (a rolling poll so a quiet socket never
-// wedges the reader against teardown), and they are always absorbed as
-// transient retries. They never surface as EOF or as a timeout. The
-// engine's `timeout` variable, armed per Expect call, remains the only
-// timeout the dialogue can observe — a socket session times out exactly
-// like a pty session does, from the engine's own timer.
+// The division of timeout labor is deliberate and narrow: the read side
+// arms no deadline at all. A quiet socket simply blocks its producer, and
+// Close closes the socket, which ends a blocked read. The engine's
+// `timeout` variable, armed per Expect call, is the only clock the
+// dialogue can observe — a socket session times out exactly like a pty
+// session does, from the engine's own timer.
 //
 // Backpressure is bounded at both ends. Inbound, the producer (reader
 // goroutine or poller) parks once ReadBuf bytes are queued undrained,
@@ -53,18 +52,10 @@ type Options struct {
 	// (bytes, default 64 KiB). A full inbox blocks the producer — the
 	// inbound backpressure bound.
 	ReadBuf int
-	// PollInterval is the rolling read deadline the fallback reader arms
-	// on the socket (default 1s). Deadline expiries are transport
-	// plumbing, absorbed as transient retries; they are never mapped to
-	// EOF or to the engine's timeout semantics. Negative disables the
-	// deadline. The epoll readiness loop needs no poll deadline at all.
-	PollInterval time.Duration
 	// WriteStall, when > 0, bounds how long one Write may block on a peer
 	// that never drains; past it the write fails with ErrWriteStall
 	// (non-transient, so the engine gives up instead of retrying).
 	WriteStall time.Duration
-	// DialTimeout bounds Dial (default 10s).
-	DialTimeout time.Duration
 	// Stats, when non-nil, receives ingest accounting: bytes copied vs
 	// handed off by ownership transfer, and payload-buffer allocations.
 	Stats *metrics.IngestStats
@@ -78,11 +69,10 @@ type Options struct {
 }
 
 const (
-	defaultReadBuf      = 64 << 10
-	defaultPollInterval = time.Second
-	defaultDialTimeout  = 10 * time.Second
-	minReadChunk        = 4096
-	maxReadChunk        = 64 << 10
+	defaultReadBuf     = 64 << 10
+	defaultDialTimeout = 10 * time.Second // bounds every dial, socket and mux
+	minReadChunk       = 4096
+	maxReadChunk       = 64 << 10
 )
 
 // ErrWriteStall reports a Write that exceeded Options.WriteStall against a
@@ -115,29 +105,12 @@ func (o Options) readChunk() int {
 	return c
 }
 
-func (o Options) pollInterval() time.Duration {
-	if o.PollInterval == 0 {
-		return defaultPollInterval
-	}
-	if o.PollInterval < 0 {
-		return 0
-	}
-	return o.PollInterval
-}
-
-func (o Options) dialTimeout() time.Duration {
-	if o.DialTimeout <= 0 {
-		return defaultDialTimeout
-	}
-	return o.DialTimeout
-}
-
 // Ingest modes a Conn can be in. A connection starts deferred and moves
 // exactly once to one of the running modes; the transition is a CAS so a
 // poller registration and a blocking Read racing each other settle on a
 // single owner of the socket's read side.
 const (
-	modeDeferred int32 = iota // no ingest yet (DialDeferred/WrapDeferred)
+	modeDeferred int32 = iota // no ingest yet (DialDeferred)
 	modeReader                // fallback reader goroutine
 	modePolled                // a shard readiness Poller owns the fd
 )
@@ -145,19 +118,16 @@ const (
 // Conn is one endpoint of a socket-backed session. Its read side is owned
 // by exactly one producer — a readiness Poller or a fallback reader
 // goroutine — that moves bytes from the socket into a bounded inbox of
-// owned segments; the inbox supplies blocking Read, the non-blocking
+// owned segments; its readEnd supplies blocking Read, the non-blocking
 // TryRead, the ownership-transfer TryReadOwned, and the level-triggered
 // SetReadNotify doorbell.
 type Conn struct {
+	readEnd
 	c    net.Conn
 	opt  Options
 	pool *SegmentPool
 
-	in   inbox
-	done chan struct{}
-
-	mode    atomic.Int32
-	finOnce sync.Once
+	mode atomic.Int32
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -188,31 +158,17 @@ func Dial(addr string, opt Options) (*Conn, error) {
 // runs (a blocking Read starts it implicitly). The sharded scheduler uses
 // this window to claim the socket for its per-shard readiness loop.
 func DialDeferred(addr string, opt Options) (*Conn, error) {
-	d := net.Dialer{Timeout: opt.dialTimeout()}
+	d := net.Dialer{Timeout: defaultDialTimeout}
 	c, err := d.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return WrapDeferred(c, opt), nil
-}
-
-// Wrap adopts an established net.Conn as a transport endpoint, starting
-// its ingest. The Conn owns c from here on.
-func Wrap(c net.Conn, opt Options) *Conn {
-	n := WrapDeferred(c, opt)
-	n.StartIngest()
-	return n
-}
-
-// WrapDeferred adopts an established net.Conn without starting ingest;
-// see DialDeferred.
-func WrapDeferred(c net.Conn, opt Options) *Conn {
-	n := &Conn{c: c, opt: opt, pool: opt.Pool, done: make(chan struct{})}
+	n := &Conn{c: c, opt: opt, pool: opt.Pool}
 	if n.pool == nil {
 		n.pool = poolFor(opt.readChunk())
 	}
-	n.in.init(opt.readBuf(), n.pool.Size(), opt.Stats)
-	return n
+	n.readEnd.init(opt.readBuf(), n.pool.Size(), opt.Stats)
+	return n, nil
 }
 
 // StartIngest starts the fallback reader goroutine if no producer owns
@@ -226,25 +182,17 @@ func (n *Conn) StartIngest() {
 
 // finish marks the dialogue over exactly once: terminal disposition into
 // the inbox (ringing the doorbell) and Done closed.
-func (n *Conn) finish(err error) {
-	n.finOnce.Do(func() {
-		n.in.finish(err)
-		close(n.done)
-	})
-}
+func (n *Conn) finish(err error) { n.settle(err, nil) }
 
 // reader is the fallback transport-owned goroutine: socket → inbox, with
-// the rolling poll deadline and the EOF/RST → disposition mapping. A
-// clean FIN or a local Close finishes the inbox with io.EOF; a reset (or
-// any other hard error) preserves the error so the session's exit
-// disposition reports what actually happened on the wire. Each read
-// lands in a leased segment queued whole — no copy.
+// the EOF/RST → disposition mapping. It arms no read deadline: Close
+// closes the socket, which ends a blocked Read. A clean FIN or a local
+// Close finishes the inbox with io.EOF; a reset (or any other hard
+// error) preserves the error so the session's exit disposition reports
+// what actually happened on the wire. Each read lands in a leased
+// segment queued whole — no copy.
 func (n *Conn) reader() {
-	poll := n.opt.pollInterval()
 	for {
-		if poll > 0 {
-			n.c.SetReadDeadline(time.Now().Add(poll))
-		}
 		seg := n.pool.Get()
 		k, err := n.c.Read(seg.buf)
 		if k > 0 {
@@ -260,10 +208,6 @@ func (n *Conn) reader() {
 			continue
 		}
 		switch {
-		case errors.Is(err, os.ErrDeadlineExceeded):
-			// Poll tick: transport plumbing, not a dialogue event. The
-			// engine's own Expect timer is the only timeout semantics.
-			continue
 		case isTransient(err):
 			continue
 		case n.closed.Load() || errors.Is(err, net.ErrClosed):
@@ -281,53 +225,37 @@ func (n *Conn) reader() {
 }
 
 // isTransient mirrors the engine's retry test: anything advertising
-// Temporary() that is not a deadline expiry (deadlines are handled above).
+// Temporary().
 func isTransient(err error) bool {
 	var temp interface{ Temporary() bool }
-	return errors.As(err, &temp) && temp.Temporary() &&
-		!errors.Is(err, os.ErrDeadlineExceeded)
+	return errors.As(err, &temp) && temp.Temporary()
 }
 
-// Read blocks for inbound bytes, returning the terminal disposition
-// (io.EOF for a clean hangup) once the stream is finished and drained.
-// On a deferred connection nobody claimed, the first Read starts the
-// fallback reader.
+// Read is readEnd's blocking Read, except that on a deferred connection
+// nobody claimed the first Read starts the fallback reader. TryRead and
+// TryReadOwned do the same.
 func (n *Conn) Read(b []byte) (int, error) {
 	if n.mode.Load() == modeDeferred {
 		n.StartIngest()
 	}
-	return n.in.read(b)
+	return n.readEnd.Read(b)
 }
 
-// TryRead is the scheduler's non-blocking drain: ok=false means a
-// blocking Read would have parked; at the end of the stream it reports
-// (0, true, err) with the terminal disposition.
+// TryRead is readEnd's non-blocking drain; see Read.
 func (n *Conn) TryRead(b []byte) (int, bool, error) {
 	if n.mode.Load() == modeDeferred {
 		n.StartIngest()
 	}
-	return n.in.tryRead(b)
+	return n.readEnd.TryRead(b)
 }
 
-// TryReadOwned pops the next queued segment whole, transferring its
-// ownership to the caller — the zero-copy drain. Contract matches
-// TryRead: ok=false would have parked, (nil, true, err) is stream end.
-// The returned chunk must be Released once its bytes are forgotten.
+// TryReadOwned is readEnd's zero-copy drain; see Read.
 func (n *Conn) TryReadOwned() (proc.Owned, bool, error) {
 	if n.mode.Load() == modeDeferred {
 		n.StartIngest()
 	}
-	g, ok, err := n.in.tryTake()
-	if g == nil {
-		return nil, ok, err // explicit nil interface, not (*Segment)(nil)
-	}
-	return g, ok, err
+	return n.readEnd.TryReadOwned()
 }
-
-// SetReadNotify installs the level-triggered doorbell: fn runs whenever
-// bytes become readable or the stream finishes. Bytes queued before
-// installation do not ring it; callers sweep once after installing.
-func (n *Conn) SetReadNotify(fn func()) { n.in.setNotify(fn) }
 
 // Write sends bytes to the peer, blocking on the kernel socket buffer —
 // the outbound backpressure bound. With Options.WriteStall set, a write
@@ -381,41 +309,96 @@ func (n *Conn) Close() error {
 	return n.closeErr
 }
 
-// Done is closed when the stream dialogue is over: the producer observed
-// EOF, a reset, or a local close, and the terminal disposition is set.
-func (n *Conn) Done() <-chan struct{} { return n.done }
+// RemoteAddr reports the peer address.
+func (n *Conn) RemoteAddr() net.Addr { return n.c.RemoteAddr() }
 
-// Err returns the terminal disposition after Done: nil for a clean
-// hangup, the preserved wire error otherwise.
-func (n *Conn) Err() error {
+// readEnd is the read side Conn and MuxStream share: the bounded inbox
+// one producer fills (a socket's reader or Poller, a mux connection's
+// demux loop) and done, closed once the dialogue is over. Its methods are
+// the transport contract's read half.
+type readEnd struct {
+	in      inbox
+	done    chan struct{}
+	finOnce sync.Once
+}
+
+func (r *readEnd) init(max, segSize int, stats *metrics.IngestStats) {
+	r.in.init(max, segSize, stats)
+	r.done = make(chan struct{})
+}
+
+// settle marks the dialogue over exactly once: the terminal disposition
+// goes into the inbox (ringing the doorbell) and Done closes. A non-nil
+// then runs last, inside the same once, so a concurrent settle returns
+// only after it.
+func (r *readEnd) settle(err error, then func()) {
+	r.finOnce.Do(func() {
+		r.in.finish(err)
+		close(r.done)
+		if then != nil {
+			then()
+		}
+	})
+}
+
+// Read blocks for inbound bytes, returning the terminal disposition
+// (io.EOF for a clean end) once the stream is finished and drained.
+func (r *readEnd) Read(b []byte) (int, error) { return r.in.read(b) }
+
+// TryRead is the scheduler's non-blocking drain: ok=false means a
+// blocking Read would have parked; at the end of the stream it reports
+// (0, true, err) with the terminal disposition.
+func (r *readEnd) TryRead(b []byte) (int, bool, error) { return r.in.tryRead(b) }
+
+// TryReadOwned pops the next queued segment whole, transferring its
+// ownership to the caller — the zero-copy drain. Contract matches
+// TryRead: ok=false would have parked, (nil, true, err) is stream end.
+// The returned chunk must be Released once its bytes are forgotten.
+func (r *readEnd) TryReadOwned() (proc.Owned, bool, error) {
+	g, ok, err := r.in.tryTake()
+	if g == nil {
+		return nil, ok, err // explicit nil interface, not (*Segment)(nil)
+	}
+	return g, ok, err
+}
+
+// SetReadNotify installs the level-triggered doorbell: fn runs whenever
+// bytes become readable or the stream finishes. Bytes queued before
+// installation do not ring it; callers sweep once after installing.
+func (r *readEnd) SetReadNotify(fn func()) { r.in.setNotify(fn) }
+
+// Done is closed when the dialogue is over: the producer observed EOF, a
+// reset, a refusal or a local close, and the terminal disposition is set.
+func (r *readEnd) Done() <-chan struct{} { return r.done }
+
+// Err returns the terminal disposition after Done: nil for a clean end,
+// the preserved wire error or the refusal otherwise.
+func (r *readEnd) Err() error {
 	select {
-	case <-n.done:
+	case <-r.done:
 	default:
 		return nil
 	}
-	if err := n.in.terminal(); err != nil && err != io.EOF {
+	if err := r.in.terminal(); err != nil && err != io.EOF {
 		return err
 	}
 	return nil
 }
 
 // WaitStatus blocks until the dialogue is over and reports it
-// process-style: status 0 for a clean hangup, 1 when the connection died
-// with an error — the same convention virtual programs use.
-func (n *Conn) WaitStatus() (int, error) {
-	<-n.done
-	if n.Err() != nil {
+// process-style: status 0 for a clean end, 1 when it died with an error
+// or was refused — the same convention virtual programs use.
+func (r *readEnd) WaitStatus() (int, error) {
+	<-r.done
+	if r.Err() != nil {
 		return 1, nil
 	}
 	return 0, nil
 }
 
-// RemoteAddr reports the peer address.
-func (n *Conn) RemoteAddr() net.Addr { return n.c.RemoteAddr() }
-
 // inbox is the bounded queue between the socket's producer and the
 // engine, with the same level-triggered doorbell semantics as the virtual
-// transport's memPipe: TryRead that never blocks, a notify callback rung
+// transport's proc.Pipe: TryRead that never blocks, a notify callback rung
 // (under mu) per queued chunk and at finish, and producer backpressure
 // once max bytes are queued.
 //

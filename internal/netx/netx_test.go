@@ -150,10 +150,10 @@ func TestTryReadNotifyDoorbell(t *testing.T) {
 	}
 }
 
-// TestDeadlineAbsorbed pins the timeout division of labor: transport
-// poll deadlines fire (aggressively here) against a silent peer and must
-// never surface as EOF or data — the engine's own timer is the only
-// timeout a dialogue can observe.
+// TestDeadlineAbsorbed pins the timeout division of labor: a silent peer
+// must never surface as EOF or data — the transport arms no read
+// deadline, and the engine's own timer is the only timeout a dialogue
+// can observe.
 func TestDeadlineAbsorbed(t *testing.T) {
 	defer testutil.LeakCheck(t, 10, 5*time.Second)()
 	gate := make(chan struct{})
@@ -168,19 +168,19 @@ func TestDeadlineAbsorbed(t *testing.T) {
 	}
 	defer srv.Shutdown(time.Second)
 
-	c, err := Dial(srv.Addr(), Options{PollInterval: 5 * time.Millisecond})
+	c, err := Dial(srv.Addr(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	// Dozens of poll deadlines expire during this window; none may leak out.
+	// Nothing may leak out of the quiet window.
 	quiet := time.After(150 * time.Millisecond)
 	buf := make([]byte, 16)
 	for {
 		n, ok, err := c.TryRead(buf)
 		if n != 0 || ok || err != nil {
-			t.Fatalf("poll deadline leaked: TryRead = (%d, %v, %v)", n, ok, err)
+			t.Fatalf("silence leaked: TryRead = (%d, %v, %v)", n, ok, err)
 		}
 		select {
 		case <-quiet:

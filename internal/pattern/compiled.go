@@ -79,16 +79,23 @@ func matchOps[T ~[]byte | ~string](ops []globOp, s T) bool {
 // entries covers steady state while keeping worst-case memory bounded.
 const DefaultCompileCacheSize = 256
 
-// compileCache memoises compiled globs and regexps, keyed by kind-prefixed
+// compileKey names one cache entry: the pattern text and its kind. A
+// comparable struct, so a lookup builds no key string.
+type compileKey struct {
+	regexp bool
+	pat    string
+}
+
+// compileCache memoises compiled globs and regexps, keyed by kind and
 // pattern text. Compiled entries are immutable, so a cached value can be
 // shared freely across goroutines and matchers. A regexp that fails to
 // compile caches its error under the same key: repeatedly evaluating a bad
 // pattern should not repeatedly pay regexp.Compile.
-var compileCache = lru.New[string, any](DefaultCompileCacheSize)
+var compileCache = lru.New[compileKey, any](DefaultCompileCacheSize)
 
 // SetCompileCacheSize replaces the shared compile cache with one holding at
 // most n entries; n <= 0 disables caching (every call recompiles).
-func SetCompileCacheSize(n int) { compileCache = lru.New[string, any](n) }
+func SetCompileCacheSize(n int) { compileCache = lru.New[compileKey, any](n) }
 
 // CompileCacheStats reports hit/miss/eviction counters of the shared cache.
 func CompileCacheStats() (hits, misses, evicted uint64) { return compileCache.Stats() }
@@ -97,7 +104,7 @@ func CompileCacheStats() (hits, misses, evicted uint64) { return compileCache.St
 // cache. Compiling is cheap but not free; the expect hot loop calls Match
 // with the same handful of patterns on every chunk of process output.
 func CompileGlob(pat string) *Compiled {
-	key := "g\x00" + pat
+	key := compileKey{pat: pat}
 	if v, ok := compileCache.Get(key); ok {
 		return v.(*Compiled)
 	}
@@ -110,7 +117,7 @@ func CompileGlob(pat string) *Compiled {
 // pattern kinds appear in the same expect command lists, so one bound
 // covers the working set.
 func CompileRegexp(pat string) (*regexp.Regexp, error) {
-	key := "r\x00" + pat
+	key := compileKey{regexp: true, pat: pat}
 	if v, ok := compileCache.Get(key); ok {
 		switch e := v.(type) {
 		case *regexp.Regexp:

@@ -178,3 +178,21 @@ func TestCompileCacheBounded(t *testing.T) {
 		t.Error("expected evictions after overflowing the cache")
 	}
 }
+
+// TestCompileCacheHitAllocs: a cache hit allocates nothing, for globs and
+// regexps, short patterns and long: the lookup builds no key.
+func TestCompileCacheHitAllocs(t *testing.T) {
+	long := strings.Repeat("*segment-", 16) + "*"
+	for _, pat := range []string{"*ok*", long} {
+		CompileGlob(pat)
+		if _, err := CompileRegexp(pat[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { CompileGlob(pat) }); n != 0 {
+			t.Errorf("CompileGlob hit on a %d-byte pattern: %.2f allocs, want 0", len(pat), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { CompileRegexp(pat[1:]) }); n != 0 {
+			t.Errorf("CompileRegexp hit on a %d-byte pattern: %.2f allocs, want 0", len(pat)-1, n)
+		}
+	}
+}

@@ -6,11 +6,14 @@ import (
 	"sync"
 )
 
-// memPipe is a buffered in-memory byte pipe with backpressure: writers
-// block once cap bytes are buffered, the way a real pty's output queue
+// Pipe is a buffered in-memory byte pipe with backpressure: writers
+// block once max bytes are buffered, the way a real pty's output queue
 // clogs when nobody drains it (the paper notes free-running processes
-// "will eventually clog the pty if not periodically flushed").
-type memPipe struct {
+// "will eventually clog the pty if not periodically flushed"). It carries
+// each direction of a virtual Duplex and each gateway stream's stdin
+// (internal/netx). A drained pipe drops its buffer, so an idle one holds
+// none.
+type Pipe struct {
 	mu          sync.Mutex
 	dataReady   *sync.Cond
 	spaceReady  *sync.Cond
@@ -25,23 +28,27 @@ type memPipe struct {
 	notify func()
 }
 
-// errPipeClosed is returned for writes into a pipe whose read side is gone.
+// errPipeClosed is returned for writes into a pipe closed at either end,
+// including a write parked on a full pipe when the close lands.
 var errPipeClosed = errors.New("proc: write to closed pipe")
 
-func newMemPipe(max int) *memPipe {
+// NewPipe returns an empty pipe buffering at most max bytes.
+func NewPipe(max int) *Pipe {
 	// A degenerate bound would make every Write park forever on spaceReady
 	// (len(buf) >= 0 is always true); clamp so NewDuplexPair(0) behaves as
 	// the smallest real pipe instead of deadlocking.
 	if max < 1 {
 		max = 1
 	}
-	p := &memPipe{max: max}
+	p := &Pipe{max: max}
 	p.dataReady = sync.NewCond(&p.mu)
 	p.spaceReady = sync.NewCond(&p.mu)
 	return p
 }
 
-func (p *memPipe) Read(b []byte) (int, error) {
+// Read blocks until bytes are buffered and copies them out; once the pipe
+// is closed at either end and drained it returns io.EOF.
+func (p *Pipe) Read(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for len(p.buf) == 0 {
@@ -59,7 +66,9 @@ func (p *memPipe) Read(b []byte) (int, error) {
 	return n, nil
 }
 
-func (p *memPipe) Write(b []byte) (int, error) {
+// Write buffers b, parking while max bytes are queued; once the pipe is
+// closed at either end it fails, reporting how much was written.
+func (p *Pipe) Write(b []byte) (int, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	written := 0
@@ -95,7 +104,7 @@ func (p *memPipe) Write(b []byte) (int, error) {
 // with: ok=false means no bytes were available and no terminal condition
 // was reached (a blocking Read would have parked). At EOF it returns
 // (0, true, io.EOF).
-func (p *memPipe) TryRead(b []byte) (int, bool, error) {
+func (p *Pipe) TryRead(b []byte) (int, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.buf) == 0 {
@@ -117,14 +126,15 @@ func (p *memPipe) TryRead(b []byte) (int, bool, error) {
 // the handler was installed does not ring it; callers must do one
 // unconditional sweep after installation or risk missing a child that
 // spoke (or hung up) first.
-func (p *memPipe) SetReadNotify(fn func()) {
+func (p *Pipe) SetReadNotify(fn func()) {
 	p.mu.Lock()
 	p.notify = fn
 	p.mu.Unlock()
 }
 
-// CloseWrite signals EOF to the reader once the buffer drains.
-func (p *memPipe) CloseWrite() error {
+// CloseWrite signals EOF to the reader once the buffer drains; later
+// writes fail.
+func (p *Pipe) CloseWrite() error {
 	p.mu.Lock()
 	p.writeClosed = true
 	p.dataReady.Broadcast()
@@ -137,7 +147,7 @@ func (p *memPipe) CloseWrite() error {
 }
 
 // CloseRead tears down the read side; subsequent writes fail.
-func (p *memPipe) CloseRead() error {
+func (p *Pipe) CloseRead() error {
 	p.mu.Lock()
 	p.readClosed = true
 	p.buf = nil
@@ -153,15 +163,15 @@ func (p *memPipe) CloseRead() error {
 // Duplex is one endpoint of an in-memory bidirectional byte stream — the
 // virtual-program analogue of a pty master or slave.
 type Duplex struct {
-	in  *memPipe // what this endpoint reads
-	out *memPipe // what this endpoint writes
+	in  *Pipe // what this endpoint reads
+	out *Pipe // what this endpoint writes
 }
 
 // NewDuplexPair creates a connected pair of endpoints, each side buffering
 // up to capacity bytes in each direction.
 func NewDuplexPair(capacity int) (*Duplex, *Duplex) {
-	ab := newMemPipe(capacity)
-	ba := newMemPipe(capacity)
+	ab := NewPipe(capacity)
+	ba := NewPipe(capacity)
 	return &Duplex{in: ba, out: ab}, &Duplex{in: ab, out: ba}
 }
 
@@ -169,11 +179,11 @@ func (d *Duplex) Read(b []byte) (int, error)  { return d.in.Read(b) }
 func (d *Duplex) Write(b []byte) (int, error) { return d.out.Write(b) }
 
 // TryRead non-blockingly drains this endpoint's inbound pipe (see
-// memPipe.TryRead).
+// Pipe.TryRead).
 func (d *Duplex) TryRead(b []byte) (int, bool, error) { return d.in.TryRead(b) }
 
 // SetReadNotify installs the inbound-data doorbell (see
-// memPipe.SetReadNotify).
+// Pipe.SetReadNotify).
 func (d *Duplex) SetReadNotify(fn func()) { d.in.SetReadNotify(fn) }
 
 // Close shuts down both directions as seen from this endpoint: the peer

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -15,7 +16,7 @@ import (
 )
 
 func TestMemPipeBasic(t *testing.T) {
-	p := newMemPipe(64)
+	p := NewPipe(64)
 	go func() {
 		p.Write([]byte("hello"))
 		p.CloseWrite()
@@ -29,52 +30,107 @@ func TestMemPipeBasic(t *testing.T) {
 	}
 }
 
-type readerOnly struct{ p *memPipe }
+type readerOnly struct{ p *Pipe }
 
 func (r readerOnly) Read(b []byte) (int, error) { return r.p.Read(b) }
 
+// waitBuffered waits until p holds n bytes.
+func waitBuffered(t *testing.T, p *Pipe, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		p.mu.Lock()
+		k := len(p.buf)
+		p.mu.Unlock()
+		if k == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pipe holds %d bytes, want %d", k, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestMemPipeBackpressure: a write parks once the pipe holds its bound
+// and finishes as the reader drains; a drained pipe holds no buffer.
 func TestMemPipeBackpressure(t *testing.T) {
-	p := newMemPipe(4)
+	p := NewPipe(4)
 	wrote := make(chan struct{})
 	go func() {
 		p.Write([]byte("abcdefgh")) // twice the capacity
 		close(wrote)
 	}()
+	waitBuffered(t, p, 4)
 	select {
 	case <-wrote:
 		t.Fatal("write of 8 bytes into 4-byte pipe did not block")
 	case <-time.After(30 * time.Millisecond):
 	}
+	var got []byte
 	buf := make([]byte, 8)
-	n, _ := p.Read(buf)
-	if n == 0 {
-		t.Fatal("no data readable")
+	for len(got) < 8 {
+		n, err := p.Read(buf)
+		if err != nil {
+			t.Fatalf("Read after %q: %v", got, err)
+		}
+		got = append(got, buf[:n]...)
 	}
 	select {
 	case <-wrote:
 	case <-time.After(2 * time.Second):
-		// May need a second read.
-		p.Read(buf)
-		select {
-		case <-wrote:
-		case <-time.After(2 * time.Second):
-			t.Fatal("writer still blocked after drain")
+		t.Fatal("writer still blocked after drain")
+	}
+	if string(got) != "abcdefgh" {
+		t.Fatalf("read %q, want %q", got, "abcdefgh")
+	}
+	if p.buf != nil {
+		t.Fatalf("drained pipe still holds a %d-byte buffer", cap(p.buf))
+	}
+}
+
+// TestMemPipeWriteAfterCloseRead: once the read side is gone a write
+// fails, whether it starts after CloseRead or is parked on the full pipe
+// when CloseRead lands; the queued bytes are dropped and Read reports
+// io.EOF.
+func TestMemPipeWriteAfterCloseRead(t *testing.T) {
+	for _, parked := range []bool{false, true} {
+		p := NewPipe(8)
+		done := make(chan error, 1)
+		if parked {
+			go func() {
+				_, err := p.Write([]byte("0123456789ab"))
+				done <- err
+			}()
+			waitBuffered(t, p, 8)
+		}
+		p.CloseRead()
+		if parked {
+			if err := <-done; err == nil {
+				t.Error("write parked across CloseRead succeeded")
+			}
+			if p.buf != nil {
+				t.Errorf("CloseRead kept %d queued bytes", len(p.buf))
+			}
+		}
+		if _, err := p.Write([]byte("x")); err == nil {
+			t.Errorf("write after CloseRead succeeded (parked=%v)", parked)
+		}
+		if n, err := p.Read(make([]byte, 8)); n != 0 || err != io.EOF {
+			t.Errorf("Read after CloseRead = %d, %v; want 0, io.EOF (parked=%v)", n, err, parked)
 		}
 	}
 }
 
-func TestMemPipeWriteAfterCloseRead(t *testing.T) {
-	p := newMemPipe(16)
-	p.CloseRead()
-	if _, err := p.Write([]byte("x")); err == nil {
-		t.Error("write after CloseRead succeeded")
-	}
-}
-
+// TestMemPipeReadAfterCloseWriteDrains: bytes written before CloseWrite
+// stay readable, a later write fails, and the drained pipe reads io.EOF.
 func TestMemPipeReadAfterCloseWriteDrains(t *testing.T) {
-	p := newMemPipe(16)
+	p := NewPipe(16)
 	p.Write([]byte("tail"))
 	p.CloseWrite()
+	if _, err := p.Write([]byte("late")); err == nil {
+		t.Error("write after CloseWrite succeeded")
+	}
 	buf := make([]byte, 16)
 	n, err := p.Read(buf)
 	if err != nil || string(buf[:n]) != "tail" {

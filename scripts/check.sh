@@ -89,10 +89,12 @@ go test -race -count=1 ./internal/netx/mux ./internal/netx
 # The frame writer's flusher, DATA merge and drain are reached by several
 # goroutines per connection: rerun its battery, the many-sessions round
 # trip (a stream's served count must settle before its CLOSE is sent),
-# the drain tests, and the gateway stdin queue (the demux loop parks on a
+# the drain tests, and the gateway stdin pipe (the demux loop parks on a
 # full StreamBuf and a program's exit must unpark it) ten times under the
-# race detector.
-go test -race -count=10 -run 'FrameWriter|TestMuxRoundTripManySessionsOneConn|TestMuxShutdown|TestStdinQueue|TestMuxStreamBuf' ./internal/netx
+# race detector, and with them the pipe's own cases in proc (a CloseRead
+# releases a write parked on the full pipe).
+go test -race -count=10 -run 'FrameWriter|TestMuxRoundTripManySessionsOneConn|TestMuxShutdown|TestMuxStreamBuf' ./internal/netx
+go test -race -count=10 -run 'TestMemPipe' ./internal/proc
 go test -race -count=1 -run 'TestTransportContract/mux|TestConformanceScenarios' ./internal/proc ./internal/conformance
 go test -race -count=1 -run 'TestMuxModeConservation|TestMuxCrashRecoverySoak' ./internal/load
 
